@@ -94,9 +94,6 @@ class BlockCode:
     def declared_range(self) -> int:
         return self.rule.radius
 
-    def apply(self, word: str) -> str:
-        return apply_to_word(self, word)
-
 
 # -- construction helpers ------------------------------------------------
 

@@ -15,7 +15,6 @@ import dataclasses
 import io
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,21 +27,20 @@ from .audit import (
     sigma_power_range_audit,
 )
 from .blockcode import (
-    SUBLINEAR_TREND,
-    BlockCode,
-    RangeProfile,
     endomorphism_check,
     inverse_search,
     minimal_range,
     range_profile,
 )
 from .config import (
+    OPERATION_PARAMS,
     Budgets,
     ExperimentConfig,
     RunSpec,
     build_code,
     build_group,
     build_shift,
+    check_run,
     parse_config,
 )
 from .corpus import (
@@ -50,12 +48,12 @@ from .corpus import (
     BUILTIN_SHIFT_SPECS,
     auto_certifier,
     builtin_code_specs,
+    builtin_codes,
     builtin_groups,
     builtin_shifts,
 )
 from .errors import BudgetExceededError, ConfigError
 from .grouplab import (
-    WordExpr,
     ball_growth,
     base_q_certificate,
     bass_guivarch_degree,
@@ -83,19 +81,11 @@ log = logging.getLogger("shiftlab")
 SUMMARY_HEADER = ("name", "operation", "result", "verdict")
 
 
-def builtin_names() -> dict[str, frozenset]:
-    return {
-        "shifts": frozenset(BUILTIN_SHIFT_SPECS),
-        "codes": frozenset(builtin_code_specs()),
-        "groups": frozenset(BUILTIN_GROUP_SPECS),
-    }
-
-
 # -- run context ---------------------------------------------------------------
 
 
 class RunContext:
-    """Catalogs for one run, built fresh so parallel runs share nothing."""
+    """Catalogs for one run, each built on first use."""
 
     def __init__(self, config: ExperimentConfig, base_dir: Path):
         self.config = config
@@ -117,9 +107,7 @@ class RunContext:
     @property
     def codes(self) -> dict:
         if self._codes is None:
-            built: dict[str, BlockCode] = {}
-            for name, spec in builtin_code_specs().items():
-                built[name] = build_code(name, spec, self.shifts, built)
+            built = builtin_codes(self.shifts)
             for name, spec in self.config.codes.items():
                 built[name] = build_code(
                     name, spec, self.shifts, built,
@@ -136,48 +124,6 @@ class RunContext:
                 catalog[name] = build_group(name, spec)
             self._groups = catalog
         return self._groups
-
-    def shift(self, run: RunSpec, name) -> object:
-        if name not in self.shifts:
-            raise ConfigError(f"run {run.name!r} references unknown shift {name!r}")
-        return self.shifts[name]
-
-    def code(self, run: RunSpec, name) -> BlockCode:
-        if name not in self.codes:
-            raise ConfigError(f"run {run.name!r} references unknown code {name!r}")
-        return self.codes[name]
-
-    def group(self, run: RunSpec, name):
-        if name not in self.groups:
-            raise ConfigError(f"run {run.name!r} references unknown group {name!r}")
-        return self.groups[name]
-
-
-# -- parameter access -----------------------------------------------------------
-
-
-_MISSING = object()
-
-
-def _param(run: RunSpec, key: str, expected, default=_MISSING):
-    if key not in run.params:
-        if default is _MISSING:
-            raise ConfigError(f"run {run.name!r} needs parameter {key!r}")
-        return default
-    value = run.params[key]
-    if expected is int and isinstance(value, bool):
-        raise ConfigError(f"run {run.name!r}: parameter {key!r} must be an integer")
-    if not isinstance(value, expected):
-        kind = expected.__name__ if isinstance(expected, type) else "value"
-        raise ConfigError(f"run {run.name!r}: parameter {key!r} must be a {kind}")
-    return value
-
-
-def _positive(run: RunSpec, key: str, default=_MISSING) -> int:
-    value = _param(run, key, int, default)
-    if value < 1:
-        raise ConfigError(f"run {run.name!r}: parameter {key!r} must be >= 1")
-    return value
 
 
 # -- output helpers --------------------------------------------------------------
@@ -218,9 +164,7 @@ class RunResult:
 # -- shift operations --------------------------------------------------------------
 
 
-def _op_complexity(ctx: RunContext, run: RunSpec) -> RunResult:
-    shift = ctx.shift(run, _param(run, "shift", str))
-    depth = _positive(run, "depth")
+def _op_complexity(budgets: Budgets, shift, depth) -> RunResult:
     prof = entropy_profile(shift, depth)
     rows = [
         (n, p, repr(est))
@@ -232,9 +176,7 @@ def _op_complexity(ctx: RunContext, run: RunSpec) -> RunResult:
     )
 
 
-def _op_morse_hedlund(ctx: RunContext, run: RunSpec) -> RunResult:
-    shift = ctx.shift(run, _param(run, "shift", str))
-    limit = _positive(run, "limit")
+def _op_morse_hedlund(budgets: Budgets, shift, limit) -> RunResult:
     verdict = morse_hedlund_test(shift, limit)
     body = _record_text(
         (
@@ -247,10 +189,7 @@ def _op_morse_hedlund(ctx: RunContext, run: RunSpec) -> RunResult:
     return RunResult(_fmt(verdict.witness), "ok", "txt", body)
 
 
-def _op_special_words(ctx: RunContext, run: RunSpec) -> RunResult:
-    shift = ctx.shift(run, _param(run, "shift", str))
-    length = _positive(run, "length")
-    side = _param(run, "side", str, "right")
+def _op_special_words(budgets: Budgets, shift, length, side) -> RunResult:
     words = special_words(shift, length, side)
     body = _record_text((("side", side), ("length", length), ("count", len(words))))
     body += "".join(f"{w}\n" for w in words)
@@ -260,10 +199,8 @@ def _op_special_words(ctx: RunContext, run: RunSpec) -> RunResult:
 # -- code operations ----------------------------------------------------------------
 
 
-def _op_range_profile(ctx: RunContext, run: RunSpec) -> RunResult:
-    code = ctx.code(run, _param(run, "code", str))
-    depth = _positive(run, "depth")
-    prof = range_profile(code, depth, ctx.budgets.table_rows)
+def _op_range_profile(budgets: Budgets, code, depth) -> RunResult:
+    prof = range_profile(code, depth, budgets.table_rows)
     rows = [
         (n, r, str(Fraction(r, n)))
         for n, r in enumerate(prof.entries, 1)
@@ -277,8 +214,7 @@ def _op_range_profile(ctx: RunContext, run: RunSpec) -> RunResult:
     )
 
 
-def _op_minimal_range(ctx: RunContext, run: RunSpec) -> RunResult:
-    code = ctx.code(run, _param(run, "code", str))
+def _op_minimal_range(budgets: Budgets, code) -> RunResult:
     r = minimal_range(code)
     body = _record_text(
         (("declared_range", code.rule.radius), ("minimal_range", r))
@@ -286,11 +222,9 @@ def _op_minimal_range(ctx: RunContext, run: RunSpec) -> RunResult:
     return RunResult(str(r), "ok", "txt", body)
 
 
-def _op_inverse_search(ctx: RunContext, run: RunSpec) -> RunResult:
-    code = ctx.code(run, _param(run, "code", str))
-    cap = _positive(run, "radius_cap", ctx.budgets.radius_cap)
-    found = inverse_search(code, cap, ctx.budgets.table_rows)
-    pairs = [("radius_cap", cap)]
+def _op_inverse_search(budgets: Budgets, code, radius_cap) -> RunResult:
+    found = inverse_search(code, radius_cap, budgets.table_rows)
+    pairs = [("radius_cap", radius_cap)]
     if found is None:
         pairs.append(("inverse", "none"))
         key = "none"
@@ -300,8 +234,7 @@ def _op_inverse_search(ctx: RunContext, run: RunSpec) -> RunResult:
     return RunResult(key, "ok", "txt", _record_text(pairs))
 
 
-def _op_endomorphism_check(ctx: RunContext, run: RunSpec) -> RunResult:
-    code = ctx.code(run, _param(run, "code", str))
+def _op_endomorphism_check(budgets: Budgets, code) -> RunResult:
     ok = endomorphism_check(code)
     return RunResult(_fmt(ok), "ok", "txt", _record_text((("endomorphism", _fmt(ok)),)))
 
@@ -309,27 +242,19 @@ def _op_endomorphism_check(ctx: RunContext, run: RunSpec) -> RunResult:
 # -- spacetime operations --------------------------------------------------------------
 
 
-def _op_rectangle_complexity(ctx: RunContext, run: RunSpec) -> RunResult:
-    shift = ctx.shift(run, _param(run, "shift", str))
-    code = ctx.code(run, _param(run, "code", str))
-    cols = _positive(run, "cols")
-    height = _positive(run, "rows")
-    rows = []
+def _op_rectangle_complexity(budgets: Budgets, shift, code, cols, rows) -> RunResult:
+    table = []
     last = 0
-    for k in range(1, height + 1):
+    for k in range(1, rows + 1):
         for n in range(1, cols + 1):
-            last = rectangle_complexity(shift, code, n, k, ctx.budgets.table_rows)
-            rows.append((n, k, last))
-    return RunResult(str(last), "ok", "csv", _csv_text(("n", "k", "count"), rows))
+            last = rectangle_complexity(shift, code, n, k, budgets.table_rows)
+            table.append((n, k, last))
+    return RunResult(str(last), "ok", "csv", _csv_text(("n", "k", "count"), table))
 
 
-def _op_cyr_kra(ctx: RunContext, run: RunSpec) -> RunResult:
-    shift = ctx.shift(run, _param(run, "shift", str))
-    code = ctx.code(run, _param(run, "code", str))
-    n = _positive(run, "length")
-    k = _positive(run, "height")
-    patches = build_patches(shift, code, n, k, ctx.budgets.table_rows)
-    verdict = cyr_kra_audit(patches, n, k)
+def _op_cyr_kra(budgets: Budgets, shift, code, length, height) -> RunResult:
+    patches = build_patches(shift, code, length, height, budgets.table_rows)
+    verdict = cyr_kra_audit(patches, length, height)
     pairs = [
         ("status", verdict.status),
         ("patch_count", verdict.patch_count),
@@ -339,35 +264,19 @@ def _op_cyr_kra(ctx: RunContext, run: RunSpec) -> RunResult:
     return RunResult(verdict.status, "ok", "txt", _record_text(pairs))
 
 
-def _op_vertical_period(ctx: RunContext, run: RunSpec) -> RunResult:
-    shift = ctx.shift(run, _param(run, "shift", str))
-    code = ctx.code(run, _param(run, "code", str))
-    n = _positive(run, "length")
-    k = _positive(run, "height")
-    patches = build_patches(shift, code, n, k, ctx.budgets.table_rows)
+def _op_vertical_period(budgets: Budgets, shift, code, length, height) -> RunResult:
+    patches = build_patches(shift, code, length, height, budgets.table_rows)
     period = uniform_vertical_period(patches)
     return RunResult(
         _fmt(period), "ok", "txt", _record_text((("vertical_period", _fmt(period)),))
     )
 
 
-def _cells(run: RunSpec, key: str):
-    raw = _param(run, key, list)
-    cells = []
-    for cell in raw:
-        if not isinstance(cell, list) or len(cell) != 2:
-            raise ConfigError(f"run {run.name!r}: {key} entries are [col, row] pairs")
-        cells.append(tuple(cell))
-    return tuple(cells)
-
-
-def _op_coding_check(ctx: RunContext, run: RunSpec) -> RunResult:
-    shift = ctx.shift(run, _param(run, "shift", str))
-    code = ctx.code(run, _param(run, "code", str))
-    n = _positive(run, "length")
-    k = _positive(run, "height")
-    patches = build_patches(shift, code, n, k, ctx.budgets.table_rows)
-    codes = coding_check(patches, _cells(run, "cells_a"), _cells(run, "cells_b"))
+def _op_coding_check(
+    budgets: Budgets, shift, code, length, height, cells_a, cells_b
+) -> RunResult:
+    patches = build_patches(shift, code, length, height, budgets.table_rows)
+    codes = coding_check(patches, cells_a, cells_b)
     return RunResult(
         _fmt(codes), "ok", "txt", _record_text((("codes", _fmt(codes)),))
     )
@@ -376,49 +285,36 @@ def _op_coding_check(ctx: RunContext, run: RunSpec) -> RunResult:
 # -- group operations ---------------------------------------------------------------
 
 
-def _op_ball_growth(ctx: RunContext, run: RunSpec) -> RunResult:
-    model, gens = ctx.group(run, _param(run, "group", str))
-    radius = _positive(run, "radius")
-    growth = ball_growth(model, gens, radius, ctx.budgets.bfs_states)
+def _op_ball_growth(budgets: Budgets, group, radius) -> RunResult:
+    model, gens = group
+    growth = ball_growth(model, gens, radius, budgets.bfs_states)
     rows = list(enumerate(growth.sizes))
     key = f"degree {growth.fitted_degree!r} superpolynomial {_fmt(growth.superpolynomial)}"
     return RunResult(key, "ok", "csv", _csv_text(("r", "size"), rows))
 
 
-def _op_word_length(ctx: RunContext, run: RunSpec) -> RunResult:
-    model, gens = ctx.group(run, _param(run, "group", str))
-    word = WordExpr.parse(_param(run, "element", str))
-    g = word.evaluate(model, gens.binding())
-    radius = _positive(run, "radius", ctx.budgets.radius_cap)
-    length = bfs_word_length(model, gens, g, radius, ctx.budgets.bfs_states)
+def _op_word_length(budgets: Budgets, group, element, radius) -> RunResult:
+    model, gens = group
+    g = element.evaluate(model, gens.binding())
+    length = bfs_word_length(model, gens, g, radius, budgets.bfs_states)
     body = _record_text(
-        (("element", str(word)), ("radius", radius), ("length", _fmt(length)))
+        (("element", str(element)), ("radius", radius), ("length", _fmt(length)))
     )
     return RunResult(_fmt(length), "ok", "txt", body)
 
 
-def _resolve_certifier(run: RunSpec, model, word: WordExpr):
-    choice = _param(run, "certificate", str, "auto")
-    if choice == "none":
-        return None
-    if choice == "auto":
-        return auto_certifier(model, word)
-    raise ConfigError(
-        f"run {run.name!r}: certificate must be 'auto' or 'none', got {choice!r}"
+def _word_profile(budgets: Budgets, group, element, depth, radius, certificate):
+    model, gens = group
+    return distortion_profile(
+        model, gens, element.evaluate(model, gens.binding()), depth,
+        radius_max=radius,
+        state_budget=budgets.bfs_states,
+        certifier=None if certificate == "none" else auto_certifier(model, element),
     )
 
 
-def _op_distortion(ctx: RunContext, run: RunSpec) -> RunResult:
-    model, gens = ctx.group(run, _param(run, "group", str))
-    word = WordExpr.parse(_param(run, "element", str))
-    g = word.evaluate(model, gens.binding())
-    depth = _positive(run, "depth")
-    prof = distortion_profile(
-        model, gens, g, depth,
-        radius_max=_positive(run, "radius", ctx.budgets.radius_cap),
-        state_budget=ctx.budgets.bfs_states,
-        certifier=_resolve_certifier(run, model, word),
-    )
+def _op_distortion(budgets: Budgets, **params) -> RunResult:
+    prof = _word_profile(budgets, **params)
     rows = [(e.n, "" if e.value is None else e.value, e.kind) for e in prof.entries]
     return RunResult(
         prof.trend_class, "ok",
@@ -426,32 +322,25 @@ def _op_distortion(ctx: RunContext, run: RunSpec) -> RunResult:
     )
 
 
-def _op_certificate(ctx: RunContext, run: RunSpec) -> RunResult:
-    kind = _param(run, "kind", str)
+def _op_certificate(budgets: Budgets, kind, n=None, m=None, base=None) -> RunResult:
     if kind == "bs_horner":
-        m = _positive(run, "m")
-        base = _positive(run, "base")
         word = bs_horner_certificate(m, base)
         model = BS1nModel(base)
         target = (0, m)
         pairs = [("kind", kind), ("m", m), ("base", base)]
         bound = bs_horner_length_bound(m, base)
     elif kind == "heisenberg_square":
-        n = _positive(run, "n")
         word = heisenberg_square_certificate(n)
         model = HeisenbergModel()
         target = (0, 0, n * n)
         pairs = [("kind", kind), ("n", n)]
         bound = 4 * n
-    elif kind == "heisenberg_base_q":
-        n = _positive(run, "n")
+    else:
         word = base_q_certificate(n)
         model = HeisenbergModel()
         target = (0, 0, n)
         pairs = [("kind", kind), ("n", n)]
         bound = None
-    else:
-        raise ConfigError(f"run {run.name!r}: unknown certificate kind {kind!r}")
     value = word.evaluate(model, model.generators())
     if value != target:
         raise ValueError(f"certificate evaluates to {value!r}, expected {target!r}")
@@ -462,26 +351,18 @@ def _op_certificate(ctx: RunContext, run: RunSpec) -> RunResult:
     return RunResult(str(word.length), "ok", "txt", _record_text(pairs))
 
 
-def _op_growth_formula(ctx: RunContext, run: RunSpec) -> RunResult:
-    formula = _param(run, "formula", str)
+def _op_growth_formula(
+    budgets: Budgets, formula, ranks=None, step=None, complexity_exponent=None
+) -> RunResult:
     if formula == "bass_guivarch":
-        ranks = _param(run, "ranks", list)
-        value = bass_guivarch_degree(tuple(ranks))
+        value = bass_guivarch_degree(ranks)
         pairs = [("formula", formula), ("ranks", " ".join(map(str, ranks)))]
     elif formula == "min_growth_degree":
-        step = _positive(run, "step")
         value = min_growth_degree(step)
         pairs = [("formula", formula), ("step", step)]
-    elif formula == "embedding_step_bound":
-        exponent = run.params.get("complexity_exponent")
-        if isinstance(exponent, bool) or not isinstance(exponent, (int, float)):
-            raise ConfigError(
-                f"run {run.name!r}: complexity_exponent must be a number"
-            )
-        value = embedding_step_bound(exponent)
-        pairs = [("formula", formula), ("complexity_exponent", exponent)]
     else:
-        raise ConfigError(f"run {run.name!r}: unknown formula {formula!r}")
+        value = embedding_step_bound(complexity_exponent)
+        pairs = [("formula", formula), ("complexity_exponent", complexity_exponent)]
     pairs.append(("value", value))
     return RunResult(str(value), "ok", "txt", _record_text(pairs))
 
@@ -489,140 +370,74 @@ def _op_growth_formula(ctx: RunContext, run: RunSpec) -> RunResult:
 # -- audit operations ----------------------------------------------------------------
 
 
-def _literal_range_profile(run: RunSpec, key: str) -> RangeProfile:
-    entries = _param(run, key, list)
-    if not entries or not all(isinstance(v, int) and v >= 0 for v in entries):
-        raise ConfigError(
-            f"run {run.name!r}: {key} must be a nonempty list of ranges >= 0"
-        )
-    try:
-        return RangeProfile.from_entries(entries)
-    except ValueError as exc:
-        if not run.fabricated:
-            raise ConfigError(f"run {run.name!r}: {exc}") from exc
-        # fabricated detector probes may break the subadditivity law on
-        # purpose; the classification is irrelevant for them
-        entries = tuple(entries)
-        upper = min(Fraction(v, n) for n, v in enumerate(entries, 1))
-        return RangeProfile(entries, upper, SUBLINEAR_TREND)
-
-
-def _range_profile_input(ctx: RunContext, run: RunSpec, depth_key: str) -> RangeProfile:
-    if "range_entries" in run.params:
-        return _literal_range_profile(run, "range_entries")
-    code = ctx.code(run, _param(run, "code", str))
-    depth = _positive(run, depth_key)
-    return range_profile(code, depth, ctx.budgets.table_rows)
+def _range_input(budgets: Budgets, range_entries=None, code=None, depth_range=None):
+    """The checked literal profile, else the code's measured profile."""
+    if range_entries is not None:
+        return range_entries
+    return range_profile(code, depth_range, budgets.table_rows)
 
 
 def _report_result(report) -> RunResult:
     return RunResult(report.verdict, report.verdict, "txt", report.to_text())
 
 
-def _op_audit_range_word(ctx: RunContext, run: RunSpec) -> RunResult:
-    model, gens = ctx.group(run, _param(run, "group", str))
-    word = WordExpr.parse(_param(run, "element", str))
-    g = word.evaluate(model, gens.binding())
-    depth = _positive(run, "depth")
-    refs = _param(run, "codes", dict)
+def _op_audit_range_word(
+    budgets: Budgets, group, element, depth, codes, radius, certificate,
+    range_entries=None, element_code=None,
+) -> RunResult:
     generator_profiles = {
-        label: range_profile(ctx.code(run, name), depth, ctx.budgets.table_rows)
-        for label, name in refs.items()
+        label: range_profile(code, depth, budgets.table_rows)
+        for label, code in codes.items()
     }
-    if "range_entries" in run.params:
-        element_profile = _literal_range_profile(run, "range_entries")
-    else:
-        element_profile = range_profile(
-            ctx.code(run, _param(run, "element_code", str)),
-            depth, ctx.budgets.table_rows,
-        )
-    words = distortion_profile(
-        model, gens, g, depth,
-        radius_max=_positive(run, "radius", ctx.budgets.radius_cap),
-        state_budget=ctx.budgets.bfs_states,
-        certifier=_resolve_certifier(run, model, word),
-    )
+    element_profile = _range_input(budgets, range_entries, element_code, depth)
+    words = _word_profile(budgets, group, element, depth, radius, certificate)
     return _report_result(
         range_vs_wordlength_audit(generator_profiles, element_profile, words)
     )
 
 
-def _op_audit_entropy(ctx: RunContext, run: RunSpec) -> RunResult:
-    prof = _range_profile_input(ctx, run, "depth_range")
-    shift = ctx.shift(run, _param(run, "shift", str))
-    complexity = entropy_profile(shift, _positive(run, "depth_complexity"))
-    tolerance = _param(run, "tolerance", float, 0.05)
+def _op_audit_entropy(
+    budgets: Budgets, shift, depth_complexity, tolerance, **source
+) -> RunResult:
+    prof = _range_input(budgets, **source)
+    complexity = entropy_profile(shift, depth_complexity)
     return _report_result(entropy_bound_audit(prof, complexity, tolerance))
 
 
-def _op_audit_polynomial(ctx: RunContext, run: RunSpec) -> RunResult:
-    prof = _range_profile_input(ctx, run, "depth_range")
-    shift = ctx.shift(run, _param(run, "shift", str))
-    depth = _positive(run, "depth")
+def _op_audit_polynomial(
+    budgets: Budgets, shift, depth, root, require_sublinear, **source
+) -> RunResult:
+    prof = _range_input(budgets, **source)
     complexity = entropy_profile(shift, depth)
-    root = run.params.get("root")
-    if root is not None and (isinstance(root, bool) or not isinstance(root, int)):
-        raise ConfigError(f"run {run.name!r}: root must be an integer")
     report = polynomial_bound_audit(
-        prof, complexity, depth,
-        root=root,
-        require_sublinear=_param(run, "require_sublinear", bool, True),
+        prof, complexity, depth, root=root, require_sublinear=require_sublinear
     )
     return _report_result(report)
 
 
-def _op_audit_shift_power(ctx: RunContext, run: RunSpec) -> RunResult:
-    shift = ctx.shift(run, _param(run, "shift", str))
-    exponent = _param(run, "exponent", int)
-    depth = _positive(run, "depth")
-    report = sigma_power_range_audit(exponent, shift, depth, ctx.budgets.table_rows)
+def _op_audit_shift_power(budgets: Budgets, shift, exponent, depth) -> RunResult:
+    report = sigma_power_range_audit(exponent, shift, depth, budgets.table_rows)
     return _report_result(report)
 
 
-OPERATIONS = {
-    "complexity": _op_complexity,
-    "morse_hedlund": _op_morse_hedlund,
-    "special_words": _op_special_words,
-    "range_profile": _op_range_profile,
-    "minimal_range": _op_minimal_range,
-    "inverse_search": _op_inverse_search,
-    "endomorphism_check": _op_endomorphism_check,
-    "rectangle_complexity": _op_rectangle_complexity,
-    "cyr_kra": _op_cyr_kra,
-    "vertical_period": _op_vertical_period,
-    "coding_check": _op_coding_check,
-    "ball_growth": _op_ball_growth,
-    "word_length": _op_word_length,
-    "distortion": _op_distortion,
-    "certificate": _op_certificate,
-    "growth_formula": _op_growth_formula,
-    "audit_range_word": _op_audit_range_word,
-    "audit_entropy": _op_audit_entropy,
-    "audit_polynomial": _op_audit_polynomial,
-    "audit_shift_power": _op_audit_shift_power,
-}
+# the handler of operation X is _op_X; it takes the run's budgets and, by
+# keyword, the parameters that config.check_run returns
+OPERATIONS = {name: globals()[f"_op_{name}"] for name in OPERATION_PARAMS}
 
 
 # -- execution ---------------------------------------------------------------------
 
 
 def _execute_run(config: ExperimentConfig, base_dir: Path, run: RunSpec) -> RunResult:
-    handler = OPERATIONS.get(run.operation)
-    if handler is None:
-        return RunResult("-", f"error: unknown operation {run.operation!r}", "txt", "")
+    ctx = RunContext(config, base_dir)
     try:
-        return handler(RunContext(config, base_dir), run)
-    except BudgetExceededError as exc:
-        log.error("run %s: %s", run.name, exc)
-        return RunResult("-", f"error: {exc}", "txt", "")
-    except (ConfigError, ValueError, LookupError) as exc:
+        return OPERATIONS[run.operation](ctx.budgets, **check_run(run, ctx))
+    except (BudgetExceededError, ValueError, LookupError) as exc:  # ConfigError too
         log.error("run %s: %s", run.name, exc)
         return RunResult("-", f"error: {exc}", "txt", "")
 
 
-def execute_config(
-    config: ExperimentConfig, base_dir: Path, parallel: bool = False
-) -> tuple[int, str]:
+def execute_config(config: ExperimentConfig, base_dir: Path) -> tuple[int, str]:
     """Run every run spec; returns (exit status, summary CSV text).
 
     Output files land in config.out_dir.  The exit status is nonzero
@@ -632,17 +447,10 @@ def execute_config(
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if parallel and len(config.runs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(config.runs))) as pool:
-            results = list(
-                pool.map(lambda r: _execute_run(config, base_dir, r), config.runs)
-            )
-    else:
-        results = [_execute_run(config, base_dir, run) for run in config.runs]
-
     failed = False
     rows = []
-    for run, result in zip(config.runs, results):
+    for run in config.runs:
+        result = _execute_run(config, base_dir, run)
         if result.body:
             path = out_dir / f"{run.name}.{result.extension}"
             path.write_text(result.body)
@@ -667,18 +475,12 @@ def _load_config(path: Path) -> tuple[ExperimentConfig, Path]:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    config = parse_config(text, builtin_names())
-    for section, builtin in (
-        ("shifts", BUILTIN_SHIFT_SPECS),
-        ("codes", builtin_code_specs()),
-        ("groups", BUILTIN_GROUP_SPECS),
-    ):
-        clashes = set(getattr(config, section)) & set(builtin)
-        if clashes:
-            raise ConfigError(
-                f"{section} {sorted(clashes)} shadow built-in names"
-            )
-    return config, path.resolve().parent
+    builtin_names = {
+        "shifts": BUILTIN_SHIFT_SPECS.keys(),
+        "codes": builtin_code_specs().keys(),
+        "groups": BUILTIN_GROUP_SPECS.keys(),
+    }
+    return parse_config(text, builtin_names), path.resolve().parent
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -696,7 +498,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     config, base_dir = _load_config(Path(args.config))
     config = _apply_overrides(config, args)
-    status, summary = execute_config(config, base_dir, parallel=args.parallel)
+    status, summary = execute_config(config, base_dir)
     sys.stdout.write(summary)
     return status
 
@@ -709,10 +511,7 @@ def _cmd_validate(args) -> int:
     ctx.codes
     ctx.groups
     for run in config.runs:
-        if run.operation not in OPERATIONS:
-            raise ConfigError(
-                f"run {run.name!r} uses unknown operation {run.operation!r}"
-            )
+        check_run(run, ctx)
     sys.stdout.write(
         "ok: %d shifts, %d codes, %d groups, %d runs\n"
         % (
@@ -751,9 +550,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--out-dir", help="override the configured output directory")
     run_p.add_argument("--budget-tables", type=int, help="override the table-row budget")
     run_p.add_argument("--budget-bfs", type=int, help="override the BFS state budget")
-    run_p.add_argument(
-        "--parallel", action="store_true", help="run independent runs on threads"
-    )
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="check a configuration without running it")
@@ -767,7 +563,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, BudgetExceededError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -9,14 +9,16 @@ explicit so reruns are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
 from .blockcode import (
     DEFAULT_TABLE_BUDGET,
+    SUBLINEAR_TREND,
     BlockCode,
+    RangeProfile,
     code_from_table,
     compose,
     power,
@@ -31,6 +33,7 @@ from .grouplab import (
     GeneratingSet,
     GroupModel,
     HeisenbergModel,
+    WordExpr,
     ZdModel,
 )
 from .shiftlang import (
@@ -45,6 +48,10 @@ from .shiftlang import (
 RUN_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Budgets:
     """Resource ceilings shared by every run of one experiment."""
@@ -54,8 +61,10 @@ class Budgets:
     radius_cap: int = DEFAULT_RADIUS
 
     def __post_init__(self):
-        for name in ("table_rows", "bfs_states", "radius_cap"):
-            if getattr(self, name) < 1:
+        for name, value in asdict(self).items():
+            if not _is_int(value):
+                raise ConfigError(f"budget {name} must be an integer")
+            if value < 1:
                 raise ConfigError(f"budget {name} must be positive")
 
 
@@ -73,13 +82,15 @@ class RunSpec:
     fabricated: bool = False
 
     def __post_init__(self):
-        if not self.name or not set(self.name) <= RUN_NAME_CHARS:
+        if not (isinstance(self.name, str) and self.name and set(self.name) <= RUN_NAME_CHARS):
             raise ConfigError(
                 f"run name {self.name!r} must be nonempty and use only "
                 "letters, digits, '_' or '-'"
             )
-        if not self.operation:
+        if not isinstance(self.operation, str) or not self.operation:
             raise ConfigError(f"run {self.name!r} needs an operation")
+        if not isinstance(self.fabricated, bool):
+            raise ConfigError(f"run {self.name!r}: fabricated must be true or false")
 
 
 @dataclass(frozen=True)
@@ -95,10 +106,135 @@ class ExperimentConfig:
 _TOP_LEVEL_KEYS = {"shifts", "codes", "groups", "runs", "out_dir", "budgets"}
 _RUN_KEYS = {"name", "operation", "params", "fabricated"}
 
-# params under these keys must name a defined shift / code / group
-_SHIFT_REF_KEYS = ("shift",)
-_CODE_REF_KEYS = ("code", "element_code")
-_GROUP_REF_KEYS = ("group",)
+
+# -- operation parameters ------------------------------------------------------
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One operation parameter: the kind of value it takes and its default.
+
+    A kind is a reference ("shift", "code", "group", or "code_map", an
+    object of code names), a key of _VALUE_KINDS, or a tuple of the
+    strings allowed.  A REQUIRED parameter has no default, a callable
+    default is applied to the run's budgets, and a parameter whose default
+    is None also accepts null.
+    """
+
+    kind: object
+    default: object = REQUIRED
+
+
+@dataclass(frozen=True)
+class Operation:
+    """The parameters of one operation.
+
+    An operation with variants also takes the parameters of exactly one of
+    them.  When `by` names a parameter, its value picks the variant;
+    otherwise the first variant named after a given parameter applies,
+    else the last one.
+    """
+
+    params: Mapping[str, Param]
+    variants: Mapping[str, Mapping[str, Param]] = field(default_factory=dict)
+    by: str | None = None
+
+
+SHIFT = Param("shift")
+CODE = Param("code")
+GROUP = Param("group")
+POSITIVE = Param("positive")
+RADIUS = Param("positive", lambda budgets: budgets.radius_cap)
+ELEMENT = Param("word")
+CERTIFIER = Param(("auto", "none"), "auto")
+PROFILE = Param("profile")
+
+_PATCH_FAMILY = {"shift": SHIFT, "code": CODE, "length": POSITIVE, "height": POSITIVE}
+
+# audits read a range profile either literally or by profiling a code
+_PROFILE_SOURCE = {
+    "range_entries": {"range_entries": PROFILE},
+    "code": {"code": CODE, "depth_range": POSITIVE},
+}
+
+OPERATION_PARAMS = {
+    "complexity": Operation({"shift": SHIFT, "depth": POSITIVE}),
+    "morse_hedlund": Operation({"shift": SHIFT, "limit": POSITIVE}),
+    "special_words": Operation(
+        {"shift": SHIFT, "length": POSITIVE, "side": Param(("right", "left"), "right")}
+    ),
+    "range_profile": Operation({"code": CODE, "depth": POSITIVE}),
+    "minimal_range": Operation({"code": CODE}),
+    "inverse_search": Operation({"code": CODE, "radius_cap": RADIUS}),
+    "endomorphism_check": Operation({"code": CODE}),
+    "rectangle_complexity": Operation(
+        {"shift": SHIFT, "code": CODE, "cols": POSITIVE, "rows": POSITIVE}
+    ),
+    "cyr_kra": Operation(_PATCH_FAMILY),
+    "vertical_period": Operation(_PATCH_FAMILY),
+    "coding_check": Operation(
+        {**_PATCH_FAMILY, "cells_a": Param("cells"), "cells_b": Param("cells")}
+    ),
+    "ball_growth": Operation({"group": GROUP, "radius": POSITIVE}),
+    "word_length": Operation({"group": GROUP, "element": ELEMENT, "radius": RADIUS}),
+    "distortion": Operation(
+        {"group": GROUP, "element": ELEMENT, "depth": POSITIVE, "radius": RADIUS,
+         "certificate": CERTIFIER}
+    ),
+    "certificate": Operation(
+        {},
+        by="kind",
+        variants={
+            "bs_horner": {"m": POSITIVE, "base": POSITIVE},
+            "heisenberg_square": {"n": POSITIVE},
+            "heisenberg_base_q": {"n": POSITIVE},
+        },
+    ),
+    "growth_formula": Operation(
+        {},
+        by="formula",
+        variants={
+            "bass_guivarch": {"ranks": Param("naturals")},
+            "min_growth_degree": {"step": POSITIVE},
+            "embedding_step_bound": {"complexity_exponent": Param("number")},
+        },
+    ),
+    "audit_range_word": Operation(
+        {"group": GROUP, "element": ELEMENT, "depth": POSITIVE,
+         "codes": Param("code_map"), "radius": RADIUS, "certificate": CERTIFIER},
+        variants={
+            "range_entries": {"range_entries": PROFILE},
+            "element_code": {"element_code": CODE},
+        },
+    ),
+    "audit_entropy": Operation(
+        {"shift": SHIFT, "depth_complexity": POSITIVE, "tolerance": Param("number", 0.05)},
+        variants=_PROFILE_SOURCE,
+    ),
+    "audit_polynomial": Operation(
+        {"shift": SHIFT, "depth": POSITIVE, "root": Param("positive", None),
+         "require_sublinear": Param("bool", True)},
+        variants=_PROFILE_SOURCE,
+    ),
+    "audit_shift_power": Operation(
+        {"shift": SHIFT, "exponent": Param("int"), "depth": POSITIVE}
+    ),
+}
+
+# the catalog section each reference kind names entries of
+_SECTION_OF = {"shift": "shifts", "code": "codes", "code_map": "codes", "group": "groups"}
+
+# parameter name -> reference kind, over every operation; parse_config
+# checks references by name so it needs no operation lookup
+_REFERENCE_PARAMS = {
+    name: param.kind
+    for op in OPERATION_PARAMS.values()
+    for params in (op.params, *op.variants.values())
+    for name, param in params.items()
+    if param.kind in _SECTION_OF
+}
 
 
 def _require_object(value, what: str) -> dict:
@@ -112,7 +248,8 @@ def parse_config(text: str, builtin_names: Mapping[str, frozenset] | None = None
 
     builtin_names optionally maps each section ("shifts", "codes",
     "groups") to the names predefined by the runner; run references may
-    use those in addition to the names defined in the document.
+    use those in addition to the names defined in the document, which may
+    not redefine them.
     """
     try:
         raw = json.loads(text)
@@ -123,17 +260,22 @@ def parse_config(text: str, builtin_names: Mapping[str, frozenset] | None = None
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
 
-    sections = {}
+    sections, known = {}, {}
     for section in ("shifts", "codes", "groups"):
         entries = _require_object(raw.get(section, {}), section)
         for name, spec in entries.items():
             spec = _require_object(spec, f"{section} entry {name!r}")
             if "kind" not in spec:
                 raise ConfigError(f"{section} entry {name!r} needs a 'kind'")
+        builtin = set((builtin_names or {}).get(section, ()))
+        clashes = sorted(entries.keys() & builtin)
+        if clashes:
+            raise ConfigError(f"{section} {clashes} shadow built-in names")
         sections[section] = dict(entries)
+        known[section] = entries.keys() | builtin
 
     budgets_raw = _require_object(raw.get("budgets", {}), "budgets")
-    unknown = set(budgets_raw) - {"table_rows", "bfs_states", "radius_cap"}
+    unknown = set(budgets_raw) - set(asdict(Budgets()))
     if unknown:
         raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
     budgets = Budgets(**budgets_raw)
@@ -142,15 +284,12 @@ def parse_config(text: str, builtin_names: Mapping[str, frozenset] | None = None
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir must be a nonempty string")
 
-    known = {
-        section: set(sections[section])
-        | set((builtin_names or {}).get(section, frozenset()))
-        for section in ("shifts", "codes", "groups")
-    }
-
     runs = []
     seen_names = set()
-    for i, entry in enumerate(raw.get("runs", [])):
+    runs_raw = raw.get("runs", [])
+    if not isinstance(runs_raw, list):
+        raise ConfigError("runs must be a JSON list")
+    for i, entry in enumerate(runs_raw):
         entry = _require_object(entry, f"runs[{i}]")
         unknown = set(entry) - _RUN_KEYS
         if unknown:
@@ -160,7 +299,7 @@ def parse_config(text: str, builtin_names: Mapping[str, frozenset] | None = None
                 entry.get("name", ""),
                 entry.get("operation", ""),
                 _require_object(entry.get("params", {}), f"runs[{i}] params"),
-                bool(entry.get("fabricated", False)),
+                entry.get("fabricated", False),
             )
         except ConfigError as exc:
             raise ConfigError(f"runs[{i}]: {exc}") from exc
@@ -176,26 +315,109 @@ def parse_config(text: str, builtin_names: Mapping[str, frozenset] | None = None
     )
 
 
-def _check_references(run: RunSpec, known: Mapping[str, set]) -> None:
-    def check(kind: str, name) -> None:
-        if not isinstance(name, str) or name not in known[kind]:
+def _reference_names(run: RunSpec, name: str, kind: str, value, known) -> list:
+    """The names a reference parameter gives, each checked to be in known."""
+    refs = [value]
+    if kind == "code_map":
+        refs = list(_require_object(value, f"run {run.name!r} parameter {name!r}").values())
+    for ref in refs:
+        if not isinstance(ref, str) or ref not in known:
             raise ConfigError(
-                f"run {run.name!r} references unknown {kind[:-1]} {name!r}"
+                f"run {run.name!r} references unknown {_SECTION_OF[kind][:-1]} {ref!r}"
             )
+    return refs
 
-    for key in _SHIFT_REF_KEYS:
-        if key in run.params:
-            check("shifts", run.params[key])
-    for key in _CODE_REF_KEYS:
-        if key in run.params:
-            check("codes", run.params[key])
-    for key in _GROUP_REF_KEYS:
-        if key in run.params:
-            check("groups", run.params[key])
-    if "codes" in run.params:
-        refs = _require_object(run.params["codes"], f"run {run.name!r} codes")
-        for name in refs.values():
-            check("codes", name)
+
+def _check_references(run: RunSpec, known: Mapping[str, set]) -> None:
+    for name, value in run.params.items():
+        kind = _REFERENCE_PARAMS.get(name)
+        if kind is not None:
+            _reference_names(run, name, kind, value, known[_SECTION_OF[kind]])
+
+
+def check_run(run: RunSpec, catalogs) -> dict:
+    """Check a run's params against its operation's entry in OPERATION_PARAMS.
+
+    Returns every parameter's checked value by name, with defaults filled
+    in and references resolved.  `catalogs` supplies the run's `budgets`
+    and the `shifts`, `codes` and `groups` catalogs; only those a
+    reference names are read.  A failure raises ConfigError naming the run
+    and the parameter.
+    """
+    op = OPERATION_PARAMS.get(run.operation)
+    if op is None:
+        raise ConfigError(f"run {run.name!r} uses unknown operation {run.operation!r}")
+    params = dict(op.params)
+    if op.by is not None:
+        params[op.by] = Param(tuple(op.variants))
+        params.update(op.variants[_checked_param(run, op.by, params[op.by], catalogs)])
+    elif op.variants:
+        given = [name for name in op.variants if name in run.params]
+        params.update(op.variants[given[0] if given else list(op.variants)[-1]])
+    unknown = sorted(set(run.params) - set(params))
+    if unknown:
+        raise ConfigError(f"run {run.name!r}: unknown parameter {unknown[0]!r}")
+    return {
+        name: _checked_param(run, name, param, catalogs) for name, param in params.items()
+    }
+
+
+def _is_cells(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))
+        for cell in value
+    )
+
+
+def _is_naturals(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(
+        _is_int(v) and v >= 0 for v in value
+    )
+
+
+# value kind -> (test of the JSON value, what it must be, conversion)
+_VALUE_KINDS = {
+    "int": (_is_int, "an integer", None),
+    "positive": (lambda v: _is_int(v) and v >= 1, "an integer >= 1", None),
+    "number": (lambda v: _is_int(v) or isinstance(v, float), "a number", None),
+    "bool": (lambda v: isinstance(v, bool), "true or false", None),
+    "word": (lambda v: isinstance(v, str), "a word such as 'a b^-2'", WordExpr.parse),
+    "cells": (_is_cells, "a list of [col, row] integer pairs", None),
+    "naturals": (_is_naturals, "a nonempty list of integers >= 0", None),
+    "profile": (_is_naturals, "a nonempty list of integers >= 0", RangeProfile.from_entries),
+}
+
+
+def _checked_param(run: RunSpec, name: str, param: Param, catalogs):
+    if name not in run.params:
+        if param.default is REQUIRED:
+            raise ConfigError(f"run {run.name!r} needs parameter {name!r}")
+        return param.default(catalogs.budgets) if callable(param.default) else param.default
+    value = run.params[name]
+    if value is None and param.default is None:
+        return None
+    if param.kind in _SECTION_OF:
+        catalog = getattr(catalogs, _SECTION_OF[param.kind])
+        refs = _reference_names(run, name, param.kind, value, catalog)
+        if param.kind == "code_map":
+            return {label: catalog[ref] for label, ref in zip(value, refs)}
+        return catalog[refs[0]]
+    if isinstance(param.kind, tuple):
+        choices = ", ".join(map(repr, param.kind))
+        accepts, what, convert = param.kind.__contains__, f"one of {choices}", None
+    else:
+        accepts, what, convert = _VALUE_KINDS[param.kind]
+    if not accepts(value):
+        raise ConfigError(f"run {run.name!r}: parameter {name!r} must be {what}")
+    try:
+        return value if convert is None else convert(value)
+    except ValueError as exc:
+        if param.kind == "profile" and run.fabricated:
+            # fabricated detector probes may break the subadditivity law on
+            # purpose; the classification is irrelevant for them
+            upper = min(Fraction(v, n) for n, v in enumerate(value, 1))
+            return RangeProfile(tuple(value), upper, SUBLINEAR_TREND)
+        raise ConfigError(f"run {run.name!r}: parameter {name!r}: {exc}") from exc
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -214,11 +436,7 @@ def serialize_config(config: ExperimentConfig) -> str:
             for run in config.runs
         ],
         "out_dir": config.out_dir,
-        "budgets": {
-            "table_rows": config.budgets.table_rows,
-            "bfs_states": config.budgets.bfs_states,
-            "radius_cap": config.budgets.radius_cap,
-        },
+        "budgets": asdict(config.budgets),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -82,10 +82,8 @@ def builtin_code_specs() -> dict[str, dict]:
     return specs
 
 
-def builtin_codes(shifts: dict[str, ShiftPresentation] | None = None) -> dict[str, BlockCode]:
-    """Fresh instances of every built-in code, in stable order."""
-    if shifts is None:
-        shifts = builtin_shifts()
+def builtin_codes(shifts: dict[str, ShiftPresentation]) -> dict[str, BlockCode]:
+    """Fresh instances of every built-in code over `shifts`, in stable order."""
     built: dict[str, BlockCode] = {}
     for name, spec in builtin_code_specs().items():
         built[name] = build_code(name, spec, shifts, built)

@@ -66,12 +66,11 @@ class ShiftPresentation:
     """Common interface of all presentations.
 
     Instances are immutable after construction.  Word enumerations are
-    cached per length; caches only ever gain entries equal to what a fresh
-    computation would produce, so sharing between threads is harmless.
+    cached per length, and a cached enumeration equals what a fresh
+    computation would produce.
     """
 
     alphabet: Alphabet
-    believed_minimal: bool = False
 
     def __init__(self):
         self._word_cache: dict[int, tuple[str, ...]] = {}
@@ -303,8 +302,6 @@ class SubstitutionShift(ShiftPresentation):
     inflated 2-blocks is exact, not just a lower approximation.
     """
 
-    believed_minimal = True
-
     def __init__(self, alphabet: Alphabet, rules: dict):
         super().__init__()
         self.alphabet = alphabet
@@ -382,8 +379,6 @@ class PeriodicOrbit(ShiftPresentation):
     get equal presentations.
     """
 
-    believed_minimal = True
-
     def __init__(self, seed: str, alphabet: Alphabet | None = None):
         super().__init__()
         if not isinstance(seed, str) or len(seed) == 0:
@@ -404,9 +399,6 @@ class PeriodicOrbit(ShiftPresentation):
         s = self.seed * copies
         return {s[i : i + n] for i in range(self.period)}
 
-    def count_words(self, n):
-        return len(self.words_of_length(n))
-
     def is_legal(self, word):
         if not self.alphabet.contains_word(word):
             return False
@@ -421,10 +413,6 @@ class PeriodicOrbit(ShiftPresentation):
 
 
 # -- language measurements ----------------------------------------------------
-
-
-def words_of_length(shift: ShiftPresentation, n: int) -> tuple[str, ...]:
-    return shift.words_of_length(n)
 
 
 def complexity(shift: ShiftPresentation, n: int) -> int:

@@ -2,11 +2,20 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from shiftlab.cli import main
+import shiftlab
+from shiftlab import cli
+from shiftlab.cli import OPERATIONS, main
+from shiftlab.config import OPERATION_PARAMS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -171,6 +180,15 @@ class TestAuditRuns:
         status, _ = run_cli(capsys, "run", str(config))
         assert status == 1
 
+    @pytest.mark.parametrize("flag", ["false", "no", 0, None])
+    def test_fabricated_flag_must_be_a_boolean(self, tmp_path, capsys, caplog, flag):
+        config = write_config(tmp_path, self.audit_doc(tmp_path, flag))
+        for command in ("validate", "run"):
+            status, _ = run_cli(capsys, command, str(config))
+            assert status == 1
+        assert "fabricated must be true or false" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_corrupted_element_profile_flagged_by_word_audit(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -209,19 +227,186 @@ class TestAuditRuns:
 
 
 class TestDeterminism:
-    def test_reruns_and_parallel_are_byte_identical(self, tmp_path, capsys):
-        shutil_targets = []
-        for tag in ("a", "b", "c"):
-            out = tmp_path / tag
-            args = ["run", str(SCRIPTS / "demo_config.json"), "--out-dir", str(out)]
-            if tag == "c":
-                args.append("--parallel")
-            status, _ = run_cli(capsys, *args)
-            assert status == 0
-            shutil_targets.append(tree_bytes(out))
-        first, second, parallel = shutil_targets
-        assert first == second == parallel
-        assert "summary.csv" in first
+    def test_reruns_across_processes_are_byte_identical(self, tmp_path):
+        # str and frozenset hashing differ between these interpreters, so
+        # an iteration order that leaks into the output shows up here
+        src = Path(shiftlab.__file__).resolve().parent.parent
+        trees = []
+        for seed in ("1", "2", "3"):
+            out = tmp_path / seed
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            subprocess.run(
+                [sys.executable, "-m", "shiftlab.cli", "run",
+                 str(SCRIPTS / "demo_config.json"), "--out-dir", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1] == trees[2]
+        assert "summary.csv" in trees[0]
+
+
+SIBLING = {"name": "sibling", "operation": "complexity",
+           "params": {"shift": "fibonacci", "depth": 4}}
+
+
+class TestParameterErrors:
+    """Documents with one bad run: `validate` rejects them naming the run
+    and the parameter, and `run` turns them into an error row for that run
+    while the sibling run still writes its file."""
+
+    CASES = {
+        "ranks": ("growth_formula", {"formula": "bass_guivarch", "ranks": ["x", 1]}),
+        "cells_a": ("coding_check", {"shift": "full-2", "code": "full-2/flip",
+                                     "length": 3, "height": 2,
+                                     "cells_a": [["x", 0]], "cells_b": [[0, 1]]}),
+        "depth": ("complexity", {"shift": "fibonacci", "depth": "3"}),
+        "base": ("certificate", {"kind": "bs_horner", "m": 5}),
+        "side": ("special_words", {"shift": "golden-mean", "length": 3, "side": "up"}),
+        "dpeth": ("complexity", {"shift": "fibonacci", "dpeth": 3}),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def case(self, request, tmp_path):
+        operation, params = self.CASES[request.param]
+        bad = {"name": "bad", "operation": operation, "params": params}
+        doc = {"runs": [bad, SIBLING], "out_dir": str(tmp_path / "out")}
+        return request.param, write_config(tmp_path, doc)
+
+    def test_validate_names_run_and_parameter(self, case, capsys, caplog):
+        param, config = case
+        status, out = run_cli(capsys, "validate", str(config))
+        assert status == 1
+        assert out == ""
+        assert "run 'bad'" in caplog.text and repr(param) in caplog.text
+
+    def test_run_reports_an_error_row_only_for_that_run(self, case, tmp_path, capsys):
+        param, config = case
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        (bad, sibling) = summary_rows(tmp_path / "out")
+        assert bad[0] == "bad" and bad[3].startswith("error: run 'bad'")
+        assert repr(param) in bad[3]
+        assert sibling[0] == "sibling" and sibling[3] == "ok"
+        assert (tmp_path / "out" / "sibling.csv").exists()
+        assert not (tmp_path / "out" / "bad.txt").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_string_budget_is_a_config_error(self, tmp_path, capsys, caplog, command):
+        doc = {"runs": [SIBLING], "budgets": {"table_rows": "many"},
+               "out_dir": str(tmp_path / "out")}
+        status, _ = run_cli(capsys, command, str(write_config(tmp_path, doc)))
+        assert status == 1
+        assert "budget table_rows must be an integer" in caplog.text
+
+    def test_every_handler_has_a_parameter_table(self):
+        handlers = {name[len("_op_"):] for name in vars(cli) if name.startswith("_op_")}
+        assert handlers == set(OPERATIONS) == set(OPERATION_PARAMS)
+
+
+# -- fuzzing documents over the real operation and parameter names -------------
+
+SHIFT_NAMES = ("full-2", "fibonacci", "golden-mean", "periodic-01")
+CODE_NAMES = ("full-2/shift", "full-2/flip", "fibonacci/shift", "periodic-01/flip")
+WORDS = ("e1", "e1 e2^-1", "a", "b a^2", "u t", "s", "x^")
+STRINGS = st.text(max_size=4) | st.sampled_from(
+    SHIFT_NAMES + CODE_NAMES + WORDS + ("z2", "heisenberg", "up")
+)
+SMALL_INTS = st.integers(-1, 4)
+
+ANY_JSON = st.recursive(
+    st.one_of(SMALL_INTS, STRINGS, st.booleans(), st.none()),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(("step", "a")), inner, max_size=2),
+    max_leaves=6,
+)
+
+PLAUSIBLE = {
+    "shift": st.sampled_from(SHIFT_NAMES),
+    "code": st.sampled_from(CODE_NAMES),
+    "code_map": st.dictionaries(st.sampled_from(("s", "t")), st.sampled_from(CODE_NAMES),
+                                min_size=1, max_size=2),
+    "group": st.sampled_from(("z1", "z2", "heisenberg", "bs-2")),
+    "positive": st.integers(1, 4),
+    "int": SMALL_INTS,
+    "number": SMALL_INTS,
+    "bool": st.booleans(),
+    "word": st.sampled_from(WORDS),
+    "cells": st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), max_size=3),
+    "naturals": st.lists(st.integers(0, 4), max_size=6),
+    "profile": st.lists(st.integers(0, 4), max_size=6),
+}
+
+ALL_NAMES = sorted(
+    {op.by for op in OPERATION_PARAMS.values() if op.by}
+    | {name for op in OPERATION_PARAMS.values()
+       for params in (op.params, *op.variants.values()) for name in params}
+)
+
+
+@st.composite
+def fuzz_runs(draw, index):
+    """One run of a real operation giving the parameters of one variant
+    with values of the right kind, or with one flaw: a value replaced by
+    any JSON value, a parameter dropped, or a stray one added."""
+    operation = draw(st.sampled_from(sorted(OPERATION_PARAMS)))
+    op = OPERATION_PARAMS[operation]
+    kinds = {name: param.kind for name, param in op.params.items()}
+    if op.variants:
+        variant = draw(st.sampled_from(sorted(op.variants)))
+        kinds.update((name, param.kind) for name, param in op.variants[variant].items())
+        if op.by is not None:
+            kinds[op.by] = (variant,)
+    names = sorted(kinds)
+    flaw = draw(st.sampled_from(("none", "none", "value", "drop", "stray")))
+    if flaw == "drop" and names:
+        names.remove(draw(st.sampled_from(names)))
+    if flaw == "stray":
+        names.append(draw(st.sampled_from(ALL_NAMES)))
+    flawed = draw(st.sampled_from(names)) if flaw == "value" and names else None
+    params = {}
+    for name in names:
+        kind = kinds.get(name)
+        if name == flawed or kind is None:
+            params[name] = draw(ANY_JSON)
+        elif isinstance(kind, tuple):
+            params[name] = draw(st.sampled_from(kind))
+        else:
+            params[name] = draw(PLAUSIBLE[kind])
+    run = {"name": f"r{index}", "operation": operation, "params": params}
+    if draw(st.booleans()):
+        run["fabricated"] = draw(st.booleans())
+    return run
+
+
+class TestFuzzDocuments:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(runs=st.tuples(fuzz_runs(0), fuzz_runs(1)))
+    def test_every_document_ends_in_an_exit_status(self, runs, capsys, caplog):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            doc = {"runs": list(runs), "out_dir": str(out),
+                   "budgets": {"table_rows": 4000, "bfs_states": 4000, "radius_cap": 4}}
+            config = write_config(Path(tmp), doc)
+            caplog.clear()
+            validated, _ = run_cli(capsys, "validate", str(config))
+            rejection = caplog.text
+            status, _ = run_cli(capsys, "run", str(config))
+            assert validated in (0, 1) and status in (0, 1)
+            if not out.exists():
+                # the document itself is malformed: both commands refuse it
+                assert validated == status == 1
+                return
+            # check_run's messages all name the run; `validate` runs the same
+            # check and stops at the first run that fails it
+            failed_checks = [
+                verdict[len("error: "):]
+                for name, _, _, verdict in summary_rows(out)
+                if verdict.startswith(f"error: run {name!r}")
+            ]
+            if failed_checks:
+                assert validated == 1
+                assert failed_checks[0] in rejection
 
 
 class TestValidate:
@@ -245,6 +430,16 @@ class TestValidate:
         )
         status, _ = run_cli(capsys, "validate", str(config))
         assert status == 1
+
+    def test_code_over_budget_rejected(self, tmp_path, capsys, caplog):
+        config = write_config(
+            tmp_path,
+            {"codes": {"big": {"kind": "power", "base": "full-2/shift", "exponent": 30}},
+             "budgets": {"table_rows": 10}, "runs": []},
+        )
+        status, _ = run_cli(capsys, "validate", str(config))
+        assert status == 1
+        assert "table rows budget exceeded" in caplog.text
 
 
 class TestListBuiltins:

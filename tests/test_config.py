@@ -14,6 +14,7 @@ from shiftlab.config import (
     build_code,
     build_group,
     build_shift,
+    check_run,
     load_rule_table,
     parse_config,
     serialize_config,
@@ -110,6 +111,22 @@ class TestParse:
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ConfigError, match="must be positive"):
             parse({"budgets": {"radius_cap": 0}})
+
+    @pytest.mark.parametrize("value", ["many", True, 2.5, None])
+    def test_non_integer_budget_rejected(self, value):
+        with pytest.raises(ConfigError, match="budget table_rows must be an integer"):
+            parse({"budgets": {"table_rows": value}})
+        with pytest.raises(ConfigError, match="budget radius_cap must be an integer"):
+            parse({"budgets": {"radius_cap": value}})
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_fabricated_must_be_a_boolean(self, value):
+        with pytest.raises(ConfigError, match="fabricated must be true or false"):
+            parse({"runs": [{"name": "a", "operation": "x", "fabricated": value}]})
+
+    def test_runs_must_be_a_list(self):
+        with pytest.raises(ConfigError, match="runs must be a JSON list"):
+            parse({"runs": 3})
 
     def test_empty_out_dir_rejected(self):
         with pytest.raises(ConfigError, match="out_dir"):
@@ -361,7 +378,68 @@ class TestSpecGuards:
     def test_budgets_validate_on_construction(self):
         with pytest.raises(ConfigError):
             Budgets(table_rows=0)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            Budgets(table_rows="many")
+        with pytest.raises(ConfigError, match="must be an integer"):
+            Budgets(radius_cap=True)
 
     def test_experiment_config_is_plain_data(self):
         config = ExperimentConfig(runs=(RunSpec("a", "complexity"),))
         assert config.runs[0].operation == "complexity"
+
+
+class TestCheckRun:
+    class Catalogs:
+        budgets = Budgets(radius_cap=7)
+        shifts = {"full-2": FullShift(Alphabet.of("01"))}
+        codes = {"shift": shift_power_code(shifts["full-2"], 1)}
+        groups = {}
+
+    def check(self, operation, **params):
+        return check_run(RunSpec("r", operation, params), self.Catalogs())
+
+    def test_references_resolved_and_defaults_filled(self):
+        values = self.check("inverse_search", code="shift")
+        assert values == {"code": self.Catalogs.codes["shift"], "radius_cap": 7}
+        values = self.check("special_words", shift="full-2", length=2)
+        assert values["shift"] is self.Catalogs.shifts["full-2"]
+        assert values["side"] == "right"
+
+    def test_selector_value_picks_the_variant(self):
+        assert self.check("certificate", kind="heisenberg_square", n=3) == {
+            "kind": "heisenberg_square", "n": 3,
+        }
+        with pytest.raises(ConfigError, match="unknown parameter 'base'"):
+            self.check("certificate", kind="heisenberg_square", n=3, base=2)
+        with pytest.raises(ConfigError, match="'kind' must be one of 'bs_horner'"):
+            self.check("certificate", kind="bs_hörner", n=3)
+
+    def test_given_parameter_picks_the_variant(self):
+        values = self.check("audit_entropy", shift="full-2", depth_complexity=4,
+                            range_entries=[1, 2, 3])
+        assert values["range_entries"].entries == (1, 2, 3)
+        with pytest.raises(ConfigError, match="needs parameter 'depth_range'"):
+            self.check("audit_entropy", shift="full-2", depth_complexity=4, code="shift")
+        with pytest.raises(ConfigError, match="unknown parameter 'code'"):
+            self.check("audit_entropy", shift="full-2", depth_complexity=4,
+                       range_entries=[1], code="shift")
+
+    def test_literal_profiles_must_be_subadditive_unless_fabricated(self):
+        with pytest.raises(ConfigError, match="'range_entries': .*not subadditive"):
+            self.check("audit_entropy", shift="full-2", depth_complexity=4,
+                       range_entries=[1, 99])
+        run = RunSpec("r", "audit_entropy",
+                      {"shift": "full-2", "depth_complexity": 4, "range_entries": [1, 99]},
+                      fabricated=True)
+        assert check_run(run, self.Catalogs())["range_entries"].entries == (1, 99)
+
+    def test_null_only_where_the_default_is_null(self):
+        values = self.check("audit_polynomial", shift="full-2", depth=3,
+                            range_entries=[1], root=None)
+        assert values["root"] is None and values["require_sublinear"] is True
+        with pytest.raises(ConfigError, match="'depth' must be an integer"):
+            self.check("complexity", shift="full-2", depth=None)
+
+    def test_unknown_operation_rejected(self):
+        with pytest.raises(ConfigError, match="uses unknown operation 'x'"):
+            self.check("x")

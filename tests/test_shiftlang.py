@@ -17,7 +17,6 @@ from shiftlab.shiftlang import (
     entropy_profile,
     morse_hedlund_test,
     special_words,
-    words_of_length,
 )
 
 from oracles import (
@@ -71,12 +70,12 @@ def test_full_shift_counts_and_membership():
     assert x.count_words(20) == 2**20
     assert x.is_legal("0101010")
     assert not x.is_legal("012")
-    assert words_of_length(x, 0) == ("",)
+    assert x.words_of_length(0) == ("",)
 
 
 def test_full_shift_words_sorted():
     x = FullShift(Alphabet.of("abc"))
-    ws = words_of_length(x, 2)
+    ws = x.words_of_length(2)
     assert ws == tuple(sorted(ws))
     assert len(ws) == 9
 
