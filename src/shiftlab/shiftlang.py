@@ -36,6 +36,10 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        object.__setattr__(
+            self, "_rank", str.maketrans({s: chr(i) for i, s in enumerate(self.symbols)})
+        )
+        object.__setattr__(self, "_strip", str.maketrans("", "", "".join(self.symbols)))
 
     @classmethod
     def of(cls, symbols) -> "Alphabet":
@@ -53,13 +57,21 @@ class Alphabet:
                 f"symbol {sym!r} not in alphabet {''.join(self.symbols)!r}"
             ) from None
 
-    def word_key(self, word: str) -> tuple[int, ...]:
-        """Sort key realizing the alphabet order on words."""
-        idx = self._index
-        return tuple(idx[c] for c in word)
+    def word_key(self, word: str) -> str:
+        """Sort key realizing the alphabet order on words over this alphabet.
+
+        Each symbol becomes the character whose code point is its index, so
+        comparing keys compares index sequences, a proper prefix first.
+        """
+        return word.translate(self._rank)
 
     def contains_word(self, word: str) -> bool:
-        return all(c in self._index for c in word)
+        return not word.translate(self._strip)
+
+
+def _check_length(n: int):
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
 
 
 class ShiftPresentation:
@@ -96,8 +108,7 @@ class ShiftPresentation:
 
     def words_of_length(self, n: int) -> tuple[str, ...]:
         """All legal words of length n, sorted in alphabet order."""
-        if n < 0:
-            raise ValueError("word length must be nonnegative")
+        _check_length(n)
         if n == 0:
             return ("",)
         cached = self._word_cache.get(n)
@@ -139,6 +150,7 @@ class FullShift(ShiftPresentation):
         return ("".join(p) for p in product(self.alphabet.symbols, repeat=n))
 
     def count_words(self, n):
+        _check_length(n)
         return self.alphabet.size ** n
 
     def is_legal(self, word):
@@ -244,6 +256,7 @@ class SftForbidden(ShiftPresentation):
         return words
 
     def count_words(self, n):
+        _check_length(n)
         if self._mode in ("full", "letters"):
             return len(self._letters) ** n
         b = self._block
@@ -417,7 +430,7 @@ class PeriodicOrbit(ShiftPresentation):
 
 def complexity(shift: ShiftPresentation, n: int) -> int:
     """Number of legal words of length n (1 at n = 0, the empty word)."""
-    return len(shift.words_of_length(n))
+    return shift.count_words(n)
 
 
 def special_words(shift: ShiftPresentation, n: int, side: str = "right") -> tuple[str, ...]:

@@ -82,3 +82,9 @@ def periodic_words(seed: str, n: int) -> set[str]:
 
 def fibonacci_rules() -> dict:
     return {"0": "01", "1": "0"}
+
+
+def word_key_tuple(symbols: str, word: str) -> tuple[int, ...]:
+    """Alphabet-order sort key as the tuple of symbol indices."""
+    index = {s: i for i, s in enumerate(symbols)}
+    return tuple(index[c] for c in word)

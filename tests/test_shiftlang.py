@@ -25,6 +25,7 @@ from oracles import (
     periodic_words,
     sft_words_brute,
     substitution_words,
+    word_key_tuple,
 )
 
 BINARY = Alphabet.of("01")
@@ -59,6 +60,26 @@ def test_word_key_orders_by_declared_order():
     assert sorted(words, key=letters.word_key) == ["bb", "ba", "ab", "aa"]
     with pytest.raises(ValueError):
         letters.index("c")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_word_key_sorts_like_index_tuples(data):
+    symbols = "".join(data.draw(st.permutations("abcd")))
+    letters = Alphabet.of(symbols)
+    words = data.draw(st.lists(st.text(alphabet=symbols, max_size=6), max_size=12))
+    words += [w[:i] for w in words for i in range(len(w))]
+    assert sorted(words, key=letters.word_key) == sorted(
+        words, key=lambda w: word_key_tuple(symbols, w)
+    )
+
+
+def test_contains_word():
+    letters = Alphabet.of("ab")
+    assert letters.contains_word("")
+    assert letters.contains_word("abba")
+    assert not letters.contains_word("abc")
+    assert not letters.contains_word("ca")
 
 
 # -- full shift ----------------------------------------------------------
@@ -305,6 +326,83 @@ def test_morse_hedlund_aperiodic_no_witness(golden, fibonacci):
 def test_morse_hedlund_longer_period():
     v = morse_hedlund_test(PeriodicOrbit("0010111"), 20)
     assert v.witness == 7
+
+
+# -- counting against enumeration ------------------------------------------
+
+
+def _one_of_each_kind():
+    return {
+        "full": FullShift(BINARY),
+        "sft-graph": SftForbidden(BINARY, ["111", "00"]),
+        "sft-letters": SftForbidden(Alphabet.of("abc"), ["b"]),
+        "substitution": SubstitutionShift(BINARY, fibonacci_rules()),
+        "periodic": PeriodicOrbit("0010111"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_one_of_each_kind()))
+def test_negative_length_rejected(kind):
+    x = _one_of_each_kind()[kind]
+    for query in (x.count_words, x.words_of_length, lambda n: complexity(x, n)):
+        with pytest.raises(ValueError, match="word length must be nonnegative"):
+            query(-1)
+
+
+@pytest.mark.parametrize("kind", sorted(_one_of_each_kind()))
+def test_count_words_matches_enumeration(kind):
+    # counted first on a fresh presentation, so nothing is cached yet
+    x = _one_of_each_kind()[kind]
+    counts = [x.count_words(n) for n in range(12)]
+    assert counts == [len(x.words_of_length(n)) for n in range(12)]
+    assert counts == [x.count_words(n) for n in range(12)]
+
+
+sft_alphabets = st.sampled_from(["0", "01", "012"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sft_complexity_matches_brute_force(data):
+    alphabet = data.draw(sft_alphabets)
+    forbidden = data.draw(
+        st.lists(st.text(alphabet=alphabet, min_size=1, max_size=4), max_size=3)
+    )
+    try:
+        x = SftForbidden(Alphabet.of(alphabet), forbidden)
+    except ValueError:
+        return
+    for n in range(1, 9):
+        assert complexity(x, n) == len(sft_words_brute(alphabet, forbidden, n))
+
+
+def _forbid_enumeration_above(shift, limit):
+    # an enumeration of 2**40 words would exhaust memory, so a regression
+    # fails here at the first long enumeration instead
+    enumerate_words = shift._enumerate
+
+    def guarded(n):
+        assert n <= limit, f"enumerated words of length {n}"
+        return enumerate_words(n)
+
+    shift._enumerate = guarded
+
+
+def test_profiles_count_without_enumerating_long_words():
+    # P(n) by closed form or path count: no word list longer than the SFT
+    # block length is ever built, whatever the profile length
+    full = FullShift(BINARY)
+    golden = SftForbidden(BINARY, ["11"])
+    mixed = SftForbidden(BINARY, ["111", "00"])
+    _forbid_enumeration_above(full, 0)
+    _forbid_enumeration_above(golden, golden._block)
+    _forbid_enumeration_above(mixed, mixed._block)
+    assert entropy_profile(full, 40).values[-1] == 2**40
+    assert entropy_profile(golden, 40).values[-1] == 267914296
+    assert morse_hedlund_test(mixed, 40).witness is None
+    assert not full._word_cache
+    assert max(golden._word_cache, default=0) <= golden._block
+    assert max(mixed._word_cache, default=0) <= mixed._block
 
 
 # -- structural invariants, property style -----------------------------------
