@@ -385,8 +385,9 @@ def _op_audit_range_word(
     budgets: Budgets, group, element, depth, codes, radius, certificate,
     range_entries=None, element_code=None,
 ) -> RunResult:
+    # the audit reads only each generator's first entry, r(phi) itself
     generator_profiles = {
-        label: range_profile(code, depth, budgets.table_rows)
+        label: range_profile(code, 1, budgets.table_rows)
         for label, code in codes.items()
     }
     element_profile = _range_input(budgets, range_entries, element_code, depth)

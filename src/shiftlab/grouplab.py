@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import BudgetExceededError
 from .trends import TrendFit, fit_trend
@@ -81,7 +82,7 @@ class ZdModel(GroupModel):
         return (0,) * self.dimension
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def inverse(self, a):
         return tuple(-x for x in a)
@@ -120,6 +121,12 @@ class HeisenbergModel(GroupModel):
         x, y, z = a
         return (-x, -y, -z + x * y)
 
+    def power(self, a, e):
+        # the e(e-1)/2 ordered pairs of copies each add x*y to the centre;
+        # the same formula holds for e <= 0
+        x, y, z = a
+        return (e * x, e * y, e * z + x * y * e * (e - 1) // 2)
+
     def generators(self):
         return {"u": (1, 0, 0), "t": (0, 1, 0), "s": (0, 0, 1)}
 
@@ -132,8 +139,10 @@ class BS1nModel(GroupModel):
 
     Elements are pairs (k, m) with k an integer and m in Z[1/n], composed
     by (k1,m1)(k2,m2) = (k1+k2, n^k1 * m2 + m1).  The translation part is
-    kept as a plain int whenever it is integral, which makes the long
-    certificate evaluations pure integer arithmetic.
+    kept as a plain int whenever it is integral and as a Fraction
+    otherwise.  A product whose left factor has k1 >= 0 and whose
+    translations are both ints is computed on ints alone, without Fraction
+    or canonicalization; that covers every step of a Horner certificate.
     """
 
     def __init__(self, n: int):
@@ -144,7 +153,7 @@ class BS1nModel(GroupModel):
 
     @staticmethod
     def _canonical(m):
-        if isinstance(m, Fraction) and m.denominator == 1:
+        if type(m) is Fraction and m.denominator == 1:
             return int(m)
         return m
 
@@ -159,6 +168,8 @@ class BS1nModel(GroupModel):
     def multiply(self, a, b):
         k1, m1 = a
         k2, m2 = b
+        if k1 >= 0 and type(m1) is int and type(m2) is int:
+            return (k1 + k2, m2 * self.n**k1 + m1)
         return (k1 + k2, self._canonical(self._scale(k1, m2) + m1))
 
     def inverse(self, a):
@@ -170,6 +181,9 @@ class BS1nModel(GroupModel):
         if k == 0:
             # pure translations compose additively
             return (0, self._canonical(m * e))
+        if m == 0:
+            # so do pure dilations
+            return (k * e, 0)
         return super().power(a, e)
 
     def generators(self):
@@ -304,6 +318,7 @@ def cayley_ball(
     if gens.model != model:
         raise ValueError("generating set belongs to a different model")
     moves = [element for _, element in gens.labeled()]
+    multiply = model.multiply
     dist = {model.identity(): 0}
     wanted = set(targets) if targets is not None else None
     if wanted is not None and wanted <= dist.keys():
@@ -313,7 +328,7 @@ def cayley_ball(
         nxt = []
         for g in frontier:
             for m in moves:
-                h = model.multiply(g, m)
+                h = multiply(g, m)
                 if h not in dist:
                     if len(dist) >= state_budget:
                         raise BudgetExceededError(
@@ -452,6 +467,28 @@ def _trend_class_label(trend: TrendFit | None) -> str:
     return "Inconclusive"
 
 
+def _subadditive_closure(upper: dict, exact: dict, max_power: int) -> list:
+    """Upper bounds on the powers 1..max_power closed under subadditivity.
+
+    Entry n of the returned list is the least of upper[n] and every
+    entry[k] + entry[n-k]: the cheapest split g^n = g^k g^(n-k) is itself
+    a certificate.  math.inf marks a power with no bound, and entry 0 is
+    unused.  A closed bound below an exact value is a ValueError.
+    """
+    known = [math.inf] * (max_power + 1)
+    for n in range(1, max_power + 1):
+        h = n // 2
+        splits = map(add, known[1 : h + 1], known[n - 1 : n - h - 1 : -1])
+        best = min(upper.get(n, math.inf), min(splits, default=math.inf))
+        if n in exact and best < exact[n]:
+            raise ValueError(
+                f"upper-bound closure {best} beats the exact metric {exact[n]} "
+                f"at power {n}: unsound"
+            )
+        known[n] = best
+    return known
+
+
 def distortion_profile(
     model: GroupModel,
     gens: GeneratingSet,
@@ -510,30 +547,15 @@ def distortion_profile(
             if n not in exact:
                 upper[n] = min(upper.get(n, length), length)
 
-    # subadditive closure: combinations of known bounds are bounds
-    hull: dict[int, int] = {}
-    for n in range(1, max_power + 1):
-        best = upper.get(n)
-        for k in range(1, n // 2 + 1):
-            if k in hull and (n - k) in hull:
-                combined = hull[k] + hull[n - k]
-                if best is None or combined < best:
-                    best = combined
-        if best is not None:
-            if n in exact and best < exact[n]:
-                raise ValueError(
-                    f"upper-bound closure {best} beats the exact metric {exact[n]} "
-                    f"at power {n}: unsound"
-                )
-            hull[n] = best
+    known = _subadditive_closure(upper, exact, max_power)
 
     entries = []
     floor = radius_max + 1
     for n in range(1, max_power + 1):
         if n in exact:
             entries.append(ProfileEntry(n, exact[n], "exact", exact[n]))
-        elif n in hull:
-            entries.append(ProfileEntry(n, hull[n], "bound", floor))
+        elif known[n] != math.inf:
+            entries.append(ProfileEntry(n, known[n], "bound", floor))
         else:
             entries.append(ProfileEntry(n, None, "lower", floor))
 

@@ -6,6 +6,8 @@ compared against these on small inputs, and frozen constants in the tests
 were produced by these functions once and pinned.
 """
 
+from fractions import Fraction
+from functools import cache
 from itertools import product
 
 
@@ -28,15 +30,22 @@ def sft_words_brute(alphabet: str, forbidden: list[str], n: int, pad: int = 12) 
     A word counts only if it extends `pad` letters on both sides without
     hitting a forbidden factor.  For the small presentations used in tests
     a 12-letter margin is far beyond every forbidden length, and the
-    subgraph reached this deep is already bi-essential.
+    subgraph reached this deep is already bi-essential.  A word w shorter
+    than span (the longest forbidden length less one) is first extended on
+    the right to that length in every way; no forbidden factor can touch
+    letters added on both sides of such a w + y, so its sides extend
+    independently.
     """
     clean = lambda w: not any(f in w for f in forbidden)
+    span = max(map(len, forbidden), default=1) - 1
 
+    @cache
     def grow_right(w, steps):
         if steps == 0:
             return True
         return any(clean(w + a) and grow_right((w + a)[-pad:], steps - 1) for a in alphabet)
 
+    @cache
     def grow_left(w, steps):
         if steps == 0:
             return True
@@ -45,7 +54,10 @@ def sft_words_brute(alphabet: str, forbidden: list[str], n: int, pad: int = 12) 
     out = set()
     for p in product(alphabet, repeat=n):
         w = "".join(p)
-        if clean(w) and grow_right(w[-pad:], pad) and grow_left(w[:pad], pad):
+        if any(
+            clean(w + y) and grow_right((w + y)[-pad:], pad) and grow_left((w + y)[:pad], pad)
+            for y in map("".join, product(alphabet, repeat=max(span - n, 0)))
+        ):
             out.add(w)
     return out
 
@@ -88,3 +100,46 @@ def word_key_tuple(symbols: str, word: str) -> tuple[int, ...]:
     """Alphabet-order sort key as the tuple of symbol indices."""
     index = {s: i for i, s in enumerate(symbols)}
     return tuple(index[c] for c in word)
+
+
+def power_by_squaring(model, a, e: int):
+    """a^e in a group model by square-and-multiply on model.multiply."""
+    if e < 0:
+        a, e = model.inverse(a), -e
+    acc = model.identity()
+    while e:
+        if e & 1:
+            acc = model.multiply(acc, a)
+        a = model.multiply(a, a)
+        e >>= 1
+    return acc
+
+
+def bs_multiply(n: int, a, b):
+    """(k1,m1)(k2,m2) in BS(1,n) on Fractions, integral translations as int."""
+    (k1, m1), (k2, m2) = a, b
+    m = Fraction(n) ** k1 * m2 + m1
+    return (k1 + k2, int(m) if m.denominator == 1 else m)
+
+
+def subadditive_closure_loop(upper: dict, exact: dict, max_power: int) -> dict:
+    """{n: bound} closed under bound(n) <= bound(k) + bound(n - k), by a double loop.
+
+    Raises ValueError when a closed bound is below the exact value.
+    """
+    hull = {}
+    for n in range(1, max_power + 1):
+        best = upper.get(n)
+        for k in range(1, n // 2 + 1):
+            if k in hull and (n - k) in hull:
+                combined = hull[k] + hull[n - k]
+                if best is None or combined < best:
+                    best = combined
+        if best is not None:
+            if n in exact and best < exact[n]:
+                raise ValueError(
+                    f"upper-bound closure {best} beats the exact metric {exact[n]} "
+                    f"at power {n}: unsound"
+                )
+            hull[n] = best
+    return hull

@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shiftlab import grouplab
 from shiftlab.errors import BudgetExceededError
 from shiftlab.grouplab import (
     BS1nModel,
@@ -29,6 +30,8 @@ from shiftlab.grouplab import (
     min_growth_degree,
 )
 
+from oracles import bs_multiply, power_by_squaring, subadditive_closure_loop
+
 HEIS = HeisenbergModel()
 BS2 = BS1nModel(2)
 BS3 = BS1nModel(3)
@@ -39,6 +42,17 @@ bs_elements = st.tuples(
     st.integers(min_value=-4, max_value=4),
     st.fractions(min_value=-8, max_value=8, max_denominator=64),
 )
+# elements in the models' own representation: an integral translation is an
+# int, and pure dilations (m = 0) and pure translations (k = 0) are frequent
+bs_canonical = st.tuples(
+    st.integers(min_value=-4, max_value=4) | st.just(0),
+    st.just(0)
+    | st.integers(min_value=-50, max_value=50)
+    | st.fractions(min_value=-8, max_value=8, max_denominator=64).map(
+        lambda f: int(f) if f.denominator == 1 else f
+    ),
+)
+exponents = st.integers(min_value=-40, max_value=40) | st.just(0)
 
 
 # -- model arithmetic --------------------------------------------------------
@@ -111,6 +125,30 @@ def test_power_matches_repeated_multiplication(x, e):
     for _ in range(abs(e)):
         expected = HEIS.multiply(expected, step)
     assert HEIS.power(x, e) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.just(HEIS), heis_elements)
+    | st.tuples(st.sampled_from([BS2, BS3]), bs_canonical),
+    exponents,
+)
+@example((BS2, (-3, Fraction(1, 4))), -5)
+@example((BS3, (2, 0)), -7)
+@example((BS3, (0, Fraction(-2, 3))), 0)
+def test_power_matches_squaring(model_element, e):
+    model, x = model_element
+    got, expected = model.power(x, e), power_by_squaring(model, x, e)
+    assert got == expected
+    assert list(map(type, got)) == list(map(type, expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([BS2, BS3]), bs_canonical, bs_canonical)
+def test_bs_multiply_matches_fraction_arithmetic(model, x, y):
+    got, expected = model.multiply(x, y), bs_multiply(model.n, x, y)
+    assert got == expected
+    assert type(got[1]) is type(expected[1])
 
 
 def test_zd_model_basics():
@@ -356,6 +394,48 @@ def test_profile_rejects_bad_certificate():
         )
 
 
+sparse_bounds = st.lists(
+    st.tuples(st.sampled_from(["none", "upper", "exact"]), st.integers(1, 60)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_bounds)
+@example([("none", 1), ("upper", 3), ("exact", 2), ("upper", 9)])
+@example([("none", 1), ("none", 1), ("exact", 5), ("upper", 2)])
+def test_subadditive_closure_matches_double_loop(spec):
+    upper = {n: v for n, (kind, v) in enumerate(spec, 1) if kind != "none"}
+    exact = {n: v for n, (kind, v) in enumerate(spec, 1) if kind == "exact"}
+    try:
+        expected = subadditive_closure_loop(upper, exact, len(spec))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            grouplab._subadditive_closure(upper, exact, len(spec))
+        assert str(raised.value) == str(exc)
+        return
+    known = grouplab._subadditive_closure(upper, exact, len(spec))
+    assert len(known) == len(spec) + 1
+    assert {n: v for n, v in enumerate(known) if n and v != math.inf} == expected
+
+
+def test_profile_rejects_closure_below_a_broken_ball(monkeypatch):
+    # a ball that overstates |g^4| lets 1 + 3 undercut it: the closure check
+    # must refuse the profile before any entry is built
+    z1 = ZdModel(1)
+    true_ball = grouplab.cayley_ball
+
+    def broken_ball(*args, **kwargs):
+        ball = true_ball(*args, **kwargs)
+        ball[(4,)] = 9
+        return ball
+
+    monkeypatch.setattr(grouplab, "cayley_ball", broken_ball)
+    with pytest.raises(ValueError, match="upper-bound closure 4 beats the exact metric 9"):
+        distortion_profile(z1, GeneratingSet.standard(z1), (1,), 6, radius_max=9)
+
+
 def test_profile_without_certificate_beyond_radius():
     # l(g) itself exceeds the radius and nothing can be concluded
     z1 = ZdModel(1)
@@ -399,6 +479,36 @@ def test_horner_certificates_sound_and_bounded(m, base):
     w = bs_horner_certificate(m, base)
     assert w.evaluate(model, model.generators()) == (0, m)
     assert w.length <= bs_horner_length_bound(m, base)
+
+
+def _count_multiplies(monkeypatch, model):
+    calls = [0]
+    multiply = model.multiply
+
+    def counted(a, b):
+        calls[0] += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(model, "multiply", counted)
+    return calls
+
+
+def test_certificates_evaluate_with_one_multiply_per_token(monkeypatch):
+    # work gate: closed-form powers cost no multiplications, so evaluating a
+    # word takes one product per token; generic squaring took 2.5x as many here
+    bs = BS1nModel(2)
+    calls = _count_multiplies(monkeypatch, bs)
+    m = 2**199 + 0x5DEECE66D * 3**70
+    word = bs_horner_certificate(m, 2)
+    assert word.evaluate(bs, bs.generators()) == (0, m)
+    assert len(word.tokens) > 200 and calls[0] <= len(word.tokens) + 2
+
+    heis = HeisenbergModel()
+    calls = _count_multiplies(monkeypatch, heis)
+    n = 10**39 + 12345
+    word = base_q_certificate(n)
+    assert word.evaluate(heis, heis.generators()) == (0, 0, n)
+    assert calls[0] <= len(word.tokens) + 2
 
 
 def test_square_certificate_values():
