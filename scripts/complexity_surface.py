@@ -14,7 +14,7 @@ from shiftlab.config import load_rule_table
 from shiftlab.blockcode import code_from_table
 from shiftlab.corpus import INFINITE_BUILTIN_SHIFTS, builtin_shifts
 from shiftlab.shiftlang import entropy_profile, morse_hedlund_test
-from shiftlab.spacetime import rectangle_complexity
+from shiftlab.spacetime import rectangle_counts
 
 RULES = Path(__file__).resolve().parent / "rules" / "parity_rule.txt"
 
@@ -42,9 +42,9 @@ def rectangle_surface(side: int) -> None:
     print("parity rule spacetime rectangles (rows k, columns n):")
     header = "  k\\n " + "".join(f"{n:>8}" for n in range(1, side + 1))
     print(header)
+    counts = rectangle_counts(domain, parity, side, side)
     for k in range(1, side + 1):
-        counts = [rectangle_complexity(domain, parity, n, k) for n in range(1, side + 1)]
-        print(f"  {k:<4}" + "".join(f"{c:>8}" for c in counts))
+        print(f"  {k:<4}" + "".join(f"{counts[n, k]:>8}" for n in range(1, side + 1)))
 
 
 def main() -> None:

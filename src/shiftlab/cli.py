@@ -72,7 +72,7 @@ from .spacetime import (
     build_patches,
     coding_check,
     cyr_kra_audit,
-    rectangle_complexity,
+    rectangle_counts,
     uniform_vertical_period,
 )
 
@@ -243,13 +243,11 @@ def _op_endomorphism_check(budgets: Budgets, code) -> RunResult:
 
 
 def _op_rectangle_complexity(budgets: Budgets, shift, code, cols, rows) -> RunResult:
-    table = []
-    last = 0
-    for k in range(1, rows + 1):
-        for n in range(1, cols + 1):
-            last = rectangle_complexity(shift, code, n, k, budgets.table_rows)
-            table.append((n, k, last))
-    return RunResult(str(last), "ok", "csv", _csv_text(("n", "k", "count"), table))
+    counts = rectangle_counts(shift, code, cols, rows, budgets.table_rows)
+    table = [(n, k, count) for (n, k), count in counts.items()]
+    return RunResult(
+        str(counts[cols, rows]), "ok", "csv", _csv_text(("n", "k", "count"), table)
+    )
 
 
 def _op_cyr_kra(budgets: Budgets, shift, code, length, height) -> RunResult:

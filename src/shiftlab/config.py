@@ -574,26 +574,47 @@ def _parse_group_element(name: str, kind: str, value, rank: int):
         if len(value) != 2:
             raise ConfigError(f"group {name!r}: elements are [power, translation]")
         k, m = value
+        if not _is_int(k):
+            raise ConfigError(f"group {name!r}: an element's power must be an integer")
         if isinstance(m, str):
-            m = Fraction(m)
+            try:
+                m = Fraction(m)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(
+                    f"group {name!r}: translation {m!r} is not a fraction"
+                ) from None
+            if m.denominator == 1:
+                m = int(m)
+        elif not _is_int(m):
+            raise ConfigError(
+                f"group {name!r}: an element's translation must be an integer "
+                "or a fraction string"
+            )
         return (k, m)
     expected = 3 if kind == "heisenberg" else rank
-    if len(value) != expected or not all(isinstance(v, int) for v in value):
+    if len(value) != expected or not all(_is_int(v) for v in value):
         raise ConfigError(
             f"group {name!r}: elements are lists of {expected} integers"
         )
     return tuple(value)
 
 
+def _group_int(name: str, spec: dict, field: str) -> int:
+    value = spec[field]
+    if not _is_int(value):
+        raise ConfigError(f"group {name!r}: {field} must be an integer")
+    return value
+
+
 def build_group(name: str, spec: dict) -> tuple[GroupModel, GeneratingSet]:
     kind = spec.get("kind")
     try:
         if kind == "free_abelian":
-            model: GroupModel = ZdModel(spec["rank"])
+            model: GroupModel = ZdModel(_group_int(name, spec, "rank"))
         elif kind == "heisenberg":
             model = HeisenbergModel()
         elif kind == "baumslag_solitar":
-            model = BS1nModel(spec["base"])
+            model = BS1nModel(_group_int(name, spec, "base"))
         else:
             raise ConfigError(f"group {name!r} has unknown kind {kind!r}")
         if "generators" in spec:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .blockcode import (
     DEFAULT_TABLE_BUDGET,
     BlockCode,
+    IllegalWindowError,
     apply_to_word,
     minimized,
 )
@@ -54,6 +55,19 @@ class SpacetimePatch:
         return "\n".join(self.rows)
 
 
+def _check_shape(domain: ShiftPresentation, code: BlockCode, n: int, k: int):
+    if n < 1 or k < 1:
+        raise ValueError("patch dimensions must be positive")
+    if code.domain != domain:
+        raise ValueError("code is not defined on the given presentation")
+
+
+def _check_word_budget(domain: ShiftPresentation, length: int, word_budget: int):
+    words = domain.count_words(length)
+    if words > word_budget:
+        raise BudgetExceededError("generating words", word_budget, words, "build_patches")
+
+
 def build_patches(
     domain: ShiftPresentation,
     code: BlockCode,
@@ -69,29 +83,63 @@ def build_patches(
     the set of n x k rectangles occurring in configurations (x, code(x),
     code^2(x), ...), deduplicated, in first-seen order of the sorted word
     enumeration.
+
+    The image of a word is the image of its one-shorter prefix plus one
+    table lookup, and the images of all prefixes at least n long are kept
+    in one dict for the family: consecutive words in sorted order share
+    their prefix work, and an iterate that is a prefix of an earlier word
+    is found already computed.  Every row is at least n long, so shorter
+    prefixes would only serve as starting points, and keeping them would
+    make the dict grow with the cube of the word length on a shift with
+    polynomially many words.  An image that leaves the domain language
+    raises the same IllegalWindowError, for the same word, as sliding the
+    rule along each row in turn.
     """
-    if n < 1 or k < 1:
-        raise ValueError("patch dimensions must be positive")
-    if code.domain != domain:
-        raise ValueError("code is not defined on the given presentation")
+    _check_shape(domain, code, n, k)
     phi = minimized(code)
     r = phi.rule.radius
     length = n + 2 * (k - 1) * r
-    words = domain.count_words(length)
-    if words > word_budget:
-        raise BudgetExceededError("generating words", word_budget, words, "build_patches")
+    _check_word_budget(domain, length, word_budget)
+    table = phi.rule.table
+    width = 2 * r + 1
+    floor = max(n, width)
+    images = {}
+
+    def image(word: str) -> str:
+        out = images.get(word)
+        if out is not None:
+            return out
+        # longest prefix at least floor long with a known image, else the
+        # (floor - 1)-prefix computed window by window
+        i = len(word) - 1
+        while i >= floor and word[:i] not in images:
+            i -= 1
+        try:
+            if i >= floor:
+                out = images[word[:i]]
+            else:
+                i = floor - 1
+                out = "".join([table[word[j : j + width]] for j in range(i - width + 1)])
+            for j in range(i + 1, len(word) + 1):
+                out += table[word[j - width : j]]
+                images[word[:j]] = out
+        except KeyError:
+            # raises the error that names the leftmost illegal window
+            return apply_to_word(phi, word)
+        return out
+
+    top = (k - 1) * r
+    margins = [top - j * r for j in range(1, k)]
     seen = {}
     for w in domain.words_of_length(length):
-        rows = []
+        rows = [w[top : top + n]]
         current = w
-        for _ in range(k):
-            margin = (len(current) - n) // 2
+        for margin in margins:
+            current = image(current)
             rows.append(current[margin : margin + n])
-            if len(rows) < k:
-                current = apply_to_word(phi, current)
-        patch = SpacetimePatch(n, k, tuple(rows), source_word=w, code_name=code_name)
-        if patch not in seen:
-            seen[patch] = patch
+        rows = tuple(rows)
+        if rows not in seen:
+            seen[rows] = SpacetimePatch(n, k, rows, source_word=w, code_name=code_name)
     return tuple(seen.values())
 
 
@@ -103,6 +151,63 @@ def rectangle_complexity(
     word_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> int:
     return len(build_patches(domain, code, n, k, word_budget))
+
+
+def rectangle_counts(
+    domain: ShiftPresentation,
+    code: BlockCode,
+    cols: int,
+    rows: int,
+    word_budget: int = DEFAULT_TABLE_BUDGET,
+) -> dict[tuple[int, int], int]:
+    """{(n, k): rectangle_complexity(domain, code, n, k)} for n <= cols, k <= rows.
+
+    Keys run k outer, n inner.  Builds only the cols x rows family: the
+    n x k rectangles are exactly the lower-left corners of its patches,
+    because every legal word extends on both sides.  Budget and
+    illegal-window errors are the ones calling rectangle_complexity for
+    each (n, k) in key order would raise first.
+    """
+    _check_shape(domain, code, cols, rows)
+    r = minimized(code).rule.radius
+    if domain.count_words(cols + 2 * (rows - 1) * r) > word_budget:
+        # word counts never fall with length, so the largest generating word
+        # is over budget whenever any is; only then look for the first one
+        length, n, k = next(
+            (n + 2 * (k - 1) * r, n, k)
+            for k in range(1, rows + 1)
+            for n in range(1, cols + 1)
+            if domain.count_words(n + 2 * (k - 1) * r) > word_budget
+        )
+        _build_first_column(domain, code, k if n > 1 else k - 1, word_budget)
+        _check_word_budget(domain, length, word_budget)
+    try:
+        family = build_patches(domain, code, cols, rows, word_budget)
+    except IllegalWindowError:
+        _build_first_column(domain, code, rows, word_budget)
+        raise
+    counts = {}
+    tall = {p.rows for p in family}
+    for k in range(rows, 0, -1):
+        wide = tall
+        for n in range(cols, 0, -1):
+            counts[n, k] = len(wide)
+            wide = {tuple(row[:-1] for row in rect) for rect in wide}
+        tall = {rect[:-1] for rect in tall}
+    return {(n, k): counts[n, k] for k in range(1, rows + 1) for n in range(1, cols + 1)}
+
+
+def _build_first_column(domain, code, height: int, word_budget: int):
+    """Build the 1 x k families for k = 2..height in order.
+
+    This raises the IllegalWindowError, if any, that building every n x k
+    family of height <= height in key order meets first.  An illegal
+    window in the j-th iterate depends only on a (1 + 2(j+1)r)-factor of
+    the generating word, which is itself legal, so the first family to
+    meet one has n = 1.
+    """
+    for k in range(2, height + 1):
+        build_patches(domain, code, 1, k, word_budget)
 
 
 # -- coding relation ---------------------------------------------------------

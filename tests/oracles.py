@@ -10,6 +10,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
+from shiftlab.blockcode import apply_to_word, minimized
+from shiftlab.errors import BudgetExceededError
+
 
 def golden_mean_words(n: int) -> set[str]:
     """All binary words of length n avoiding '11'.
@@ -143,3 +146,40 @@ def subadditive_closure_loop(upper: dict, exact: dict, max_power: int) -> dict:
                 )
             hull[n] = best
     return hull
+
+
+def build_patches_by_slide(domain, code, n: int, k: int, word_budget: int = 2_000_000):
+    """n x k spacetime patches, applying the code to each row from scratch.
+
+    Returns (rows, source_word) pairs in first-seen order of the sorted word
+    enumeration, raising what slide-by-slide application raises.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("patch dimensions must be positive")
+    if code.domain != domain:
+        raise ValueError("code is not defined on the given presentation")
+    phi = minimized(code)
+    length = n + 2 * (k - 1) * phi.rule.radius
+    words = domain.count_words(length)
+    if words > word_budget:
+        raise BudgetExceededError("generating words", word_budget, words, "build_patches")
+    seen = {}
+    for w in domain.words_of_length(length):
+        rows = []
+        current = w
+        for _ in range(k):
+            margin = (len(current) - n) // 2
+            rows.append(current[margin : margin + n])
+            if len(rows) < k:
+                current = apply_to_word(phi, current)
+        seen.setdefault(tuple(rows), w)
+    return list(seen.items())
+
+
+def rectangle_sweep(domain, code, cols: int, rows: int, word_budget: int = 2_000_000) -> dict:
+    """{(n, k): count}, building every n x k family on its own, k outer."""
+    return {
+        (n, k): len(build_patches_by_slide(domain, code, n, k, word_budget))
+        for k in range(1, rows + 1)
+        for n in range(1, cols + 1)
+    }

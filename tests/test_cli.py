@@ -117,6 +117,69 @@ class TestRun:
         verdict = summary_rows(tmp_path / "out")[0][3]
         assert verdict.startswith("error") and "50" in verdict
 
+    @pytest.mark.parametrize(
+        "budget, verdicts",
+        [
+            (10, ['"error: generating words budget exceeded: needed 16, limit 10 (build_patches)"',
+                  '"error: generating words budget exceeded: needed 13, limit 10 (build_patches)"']),
+            (20, ['"error: generating words budget exceeded: needed 32, limit 20 (build_patches)"',
+                  "error: window '111' is not in the rule's domain language; "
+                  "at offset 0 of '111'"]),
+        ],
+    )
+    def test_rectangle_sweep_errors_match_the_first_failing_rectangle(
+        self, tmp_path, capsys, budget, verdicts
+    ):
+        # each sweep crosses the budget partway.  On golden-mean the code's
+        # third row leaves the language from (n, k) = (1, 3) on, which the
+        # sweep reaches after its first over-budget rectangle (3, 2) at
+        # budget 10, and before it, (2, 3), at budget 20
+        left_flip = {"000": "1", "001": "1", "010": "1", "100": "0", "101": "0"}
+        config = write_config(
+            tmp_path,
+            {
+                "codes": {"left-flip": {"kind": "table", "domain": "golden-mean",
+                                        "table": left_flip}},
+                "runs": [
+                    {"name": "full", "operation": "rectangle_complexity",
+                     "params": {"shift": "full-2", "code": "full-2/shift",
+                                "cols": 4, "rows": 4}},
+                    {"name": "golden", "operation": "rectangle_complexity",
+                     "params": {"shift": "golden-mean", "code": "left-flip",
+                                "cols": 3, "rows": 3}},
+                ],
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        status, out = run_cli(capsys, "run", str(config), "--budget-tables", str(budget))
+        assert status == 1
+        assert out.splitlines()[1:] == [
+            f"full,rectangle_complexity,-,{verdicts[0]}",
+            f"golden,rectangle_complexity,-,{verdicts[1]}",
+        ]
+
+    def test_bad_bs_generator_is_an_error_row(self, tmp_path, capsys, caplog):
+        config = write_config(
+            tmp_path,
+            {
+                "groups": {"g": {"kind": "baumslag_solitar", "base": 2,
+                                 "generators": {"a": [0, 0.5], "b": [1, 0]}}},
+                "runs": [{"name": "len", "operation": "word_length",
+                          "params": {"group": "g", "element": "a^2", "radius": 3}},
+                         SIBLING],
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        message = "group 'g': an element's translation must be an integer or a fraction string"
+        status, out = run_cli(capsys, "validate", str(config))
+        assert status == 1 and out == ""
+        assert message in caplog.text
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        bad, sibling = summary_rows(tmp_path / "out")
+        assert bad[3] == f"error: {message}"
+        assert sibling[3] == "ok"
+
     def test_missing_param_names_the_run(self, tmp_path, capsys, caplog):
         config = write_config(
             tmp_path,

@@ -355,6 +355,48 @@ class TestBuildGroup:
         )
         assert gens.binding()["a"] == (0, Fraction(1, 2))
 
+    def test_bs_integral_fraction_string_is_an_int(self):
+        _, gens = build_group(
+            "bs",
+            {"kind": "baumslag_solitar", "base": 2, "generators": {"a": [0, "4/2"]}},
+        )
+        assert gens.binding()["a"] == (0, 2) and type(gens.binding()["a"][1]) is int
+
+    BS = {"kind": "baumslag_solitar", "base": 2}
+    TRANSLATION = "translation must be an integer or a fraction string"
+
+    @pytest.mark.parametrize(
+        "spec, value, message",
+        [
+            (BS, [0, 0.5], TRANSLATION),
+            (BS, [0, True], TRANSLATION),
+            (BS, [0, None], TRANSLATION),
+            (BS, [0.5, 1], "power must be an integer"),
+            (BS, [True, 1], "power must be an integer"),
+            (BS, [1, "x/2"], "translation 'x/2' is not a fraction"),
+            (BS, [1, "1/0"], "translation '1/0' is not a fraction"),
+            ({"kind": "heisenberg"}, [True, 0, 0], "elements are lists of 3 integers"),
+            ({"kind": "heisenberg"}, [0, 0, 1.0], "elements are lists of 3 integers"),
+            ({"kind": "free_abelian", "rank": 2}, [1, False], "lists of 2 integers"),
+        ],
+    )
+    def test_bad_element_entries_name_group(self, spec, value, message):
+        with pytest.raises(ConfigError, match=f"group 'g': .*{message}"):
+            build_group("g", {**spec, "generators": {"a": value}})
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "baumslag_solitar", "base": 2.5}, "base must be an integer"),
+            ({"kind": "baumslag_solitar", "base": "2"}, "base must be an integer"),
+            ({"kind": "free_abelian", "rank": True}, "rank must be an integer"),
+            ({"kind": "free_abelian", "rank": 2.0}, "rank must be an integer"),
+        ],
+    )
+    def test_non_integer_base_and_rank_name_group(self, spec, message):
+        with pytest.raises(ConfigError, match=f"group 'g': {message}"):
+            build_group("g", spec)
+
     def test_errors_name_group(self):
         with pytest.raises(ConfigError, match="group 'g' has unknown kind"):
             build_group("g", {"kind": "braid"})

@@ -1,10 +1,23 @@
 """Spacetime patches, rectangle complexity, coding, and periodicity checks."""
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import tracemalloc
 
-from shiftlab.blockcode import compose, identity_code, shift_power_code, symbol_map_code
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import build_patches_by_slide, rectangle_sweep
+
+from shiftlab import cli, spacetime
+from shiftlab.blockcode import (
+    IllegalWindowError,
+    code_from_table,
+    compose,
+    identity_code,
+    minimized,
+    shift_power_code,
+    symbol_map_code,
+)
+from shiftlab.config import Budgets
 from shiftlab.errors import BudgetExceededError
 from shiftlab.shiftlang import (
     Alphabet,
@@ -21,6 +34,7 @@ from shiftlab.spacetime import (
     cyr_kra_audit,
     horizontal_segment,
     rectangle_complexity,
+    rectangle_counts,
     uniform_vertical_period,
 )
 
@@ -122,6 +136,146 @@ def test_rectangle_complexity_monotone(fibonacci):
         for k in range(1, 4):
             assert vals[(n + 1, k)] >= vals[(n, k)]
             assert vals[(n, k + 1)] >= vals[(n, k)]
+
+
+# -- differential tests against slide-by-slide construction --------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (IllegalWindowError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+
+
+def _patch_family(domain, code, n, k, budget):
+    patches = build_patches(domain, code, n, k, budget, code_name="c")
+    assert all(p.width == n and p.height == k and p.code_name == "c" for p in patches)
+    return [(p.rows, p.source_word) for p in patches]
+
+
+def _codes(domain, max_radius):
+    """Random tables of radius <= max_radius, most of them not endomorphisms,
+    and shift powers, which are."""
+    symbols = domain.alphabet.symbols
+    tables = st.integers(0, max_radius).flatmap(
+        lambda r: st.fixed_dictionaries(
+            {w: st.sampled_from(symbols) for w in domain.words_of_length(2 * r + 1)}
+        ).map(lambda table: code_from_table(domain, r, table))
+    )
+    shifts = st.integers(-max_radius, max_radius).map(lambda j: shift_power_code(domain, j))
+    return tables | shifts
+
+
+def _assert_matches_slide(domain, code, n, k, budget):
+    assert _outcome(_patch_family, domain, code, n, k, budget) == _outcome(
+        build_patches_by_slide, domain, code, n, k, budget
+    )
+    got = _outcome(rectangle_counts, domain, code, n, k, budget)
+    want = _outcome(rectangle_sweep, domain, code, n, k, budget)
+    assert got == want
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+
+
+BUDGETS = st.integers(1, 300) | st.just(5000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 3), BUDGETS)
+def test_full_shift_patches_match_slide(full2, data, n, k, budget):
+    code = data.draw(_codes(full2, 2))
+    _assert_matches_slide(full2, code, n, k, budget)
+
+
+@st.composite
+def _sft_codes(draw):
+    symbols = draw(st.sampled_from(("01", "012")))
+    forbidden = draw(st.lists(st.text(symbols, min_size=1, max_size=3), max_size=3))
+    try:
+        domain = SftForbidden(Alphabet.of(symbols), forbidden)
+    except ValueError:
+        assume(False)
+    return domain, draw(_codes(domain, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sft_codes(), st.integers(1, 4), st.integers(1, 3), BUDGETS)
+def test_sft_patches_match_slide(case, n, k, budget):
+    _assert_matches_slide(*case, n, k, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 8), st.integers(1, 5), st.integers(1, 40) | st.just(5000))
+def test_fibonacci_patches_match_slide(fibonacci, data, n, k, budget):
+    code = data.draw(_codes(fibonacci, 2))
+    _assert_matches_slide(fibonacci, code, n, k, budget)
+
+
+LEFT_FLIP = {"000": "1", "001": "1", "010": "1", "100": "0", "101": "0"}
+
+
+@pytest.mark.parametrize("n, k, budget", [(3, 3, 5000), (2, 4, 5000), (3, 3, 20), (3, 3, 10)])
+def test_non_endomorphism_raises_like_slide(n, k, budget):
+    # the image of 00000 is 111, which leaves the golden mean shift
+    golden = SftForbidden(BINARY, ["11"])
+    code = code_from_table(golden, 1, LEFT_FLIP)
+    with pytest.raises(IllegalWindowError) as slide:
+        build_patches_by_slide(golden, code, n, k)
+    assert _outcome(_patch_family, golden, code, n, k, 5000) == (
+        IllegalWindowError, str(slide.value)
+    )
+    assert _outcome(rectangle_counts, golden, code, n, k, budget) == _outcome(
+        rectangle_sweep, golden, code, n, k, budget
+    )
+
+
+def test_long_periodic_family_builds_without_recursion(orbit01):
+    # generating words longer than the interpreter's default recursion limit
+    family = _patch_family(orbit01, flip(orbit01), 1600, 3, 100)
+    assert len(family[0][1]) > 1500
+    assert family == build_patches_by_slide(orbit01, flip(orbit01), 1600, 3, 100)
+
+
+def test_wide_family_memory_stays_near_the_family_size():
+    # 301 generating words of length 302: keeping the image of every prefix
+    # would hold about 25 MB, the prefixes at least 300 long under 1 MB
+    domain = SubstitutionShift(BINARY, {"0": "01", "1": "0"})
+    sigma = shift_power_code(domain, 1)
+    domain.words_of_length(302)
+    tracemalloc.start()
+    try:
+        build_patches(domain, sigma, 300, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def test_rectangle_sweep_builds_one_family(monkeypatch):
+    # work gate: a 16 x 10 sweep builds the 16 x 10 family and enumerates
+    # only its generating length, 16 + 2 * 9 * radius, not one per (n, k)
+    domain = SubstitutionShift(BINARY, {"0": "01", "1": "0"})
+    sigma = shift_power_code(domain, 1)
+    minimized(sigma)  # enumerates the lengths of the code's own tables
+    shapes, lengths = [], []
+    build, enumerate_words = spacetime.build_patches, domain._enumerate
+
+    def counting_build(domain, code, n, k, *args):
+        shapes.append((n, k))
+        return build(domain, code, n, k, *args)
+
+    def recording_enumerate(n):
+        lengths.append(n)
+        return enumerate_words(n)
+
+    monkeypatch.setattr(spacetime, "build_patches", counting_build)
+    domain._enumerate = recording_enumerate
+    run = cli.OPERATIONS["rectangle_complexity"]
+    result = run(Budgets(), shift=domain, code=sigma, cols=16, rows=10)
+    assert shapes == [(16, 10)]
+    assert lengths == [16 + 2 * 9]
+    assert result.key == str(complexity(domain, 16 + 10 - 1))
 
 
 # -- coding relation ------------------------------------------------------------
