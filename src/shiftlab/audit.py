@@ -16,8 +16,8 @@ from .blockcode import (
     DEFAULT_TABLE_BUDGET,
     LINEAR_LOWER_BOUNDED,
     RangeProfile,
-    minimal_range,
     power,
+    range_profile,
     shift_power_code,
 )
 from .grouplab import DistortionProfile
@@ -120,12 +120,20 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _finite_order_power(entries) -> int | None:
+def _not_applicable(inequality: str, reason: str, **fields) -> AuditReport:
+    return AuditReport(inequality, NOT_APPLICABLE, (), (), (), reason=reason, **fields)
+
+
+def _finite_order_report(inequality: str, entries) -> AuditReport | None:
     # a power of range 0 is a letter permutation, hence of finite order
-    for m, value in enumerate(entries, start=1):
-        if value == 0:
-            return m
-    return None
+    finite_at = next((m for m, value in enumerate(entries, start=1) if value == 0), None)
+    if finite_at is None:
+        return None
+    return _not_applicable(
+        inequality,
+        f"finite-order evidence: power {finite_at} has range 0 "
+        "(a radius-0 power permutes letters)",
+    )
 
 
 def range_vs_wordlength_audit(
@@ -193,13 +201,9 @@ def range_vs_wordlength_audit(
         notes.append(NATURAL_LOG_NOTE)
 
     if not indices:
-        return AuditReport(
+        return _not_applicable(
             RANGE_VS_WORD_LENGTH,
-            NOT_APPLICABLE,
-            (),
-            (),
-            (),
-            reason="no power has a measured word length",
+            "no power has a measured word length",
             max_generator_range=gen_range,
             notes=tuple(notes),
         )
@@ -250,28 +254,13 @@ def entropy_bound_audit(
     """
     if not 0 <= tolerance < 1:
         raise ValueError("tolerance must lie in [0, 1)")
-    finite_at = _finite_order_power(range_prof.entries)
-    if finite_at is not None:
-        return AuditReport(
-            ENTROPY_VS_LOG_RANGE,
-            NOT_APPLICABLE,
-            (),
-            (),
-            (),
-            reason=(
-                f"finite-order evidence: power {finite_at} has range 0 "
-                "(a radius-0 power permutes letters)"
-            ),
-        )
+    finite = _finite_order_report(ENTROPY_VS_LOG_RANGE, range_prof.entries)
+    if finite is not None:
+        return finite
     fit = fit_trend(range_prof.entries)
     if fit.kind != "logarithmic":
-        return AuditReport(
-            ENTROPY_VS_LOG_RANGE,
-            NOT_APPLICABLE,
-            (),
-            (),
-            (),
-            reason=f"range profile fits {fit.kind!r}, not logarithmic",
+        return _not_applicable(
+            ENTROPY_VS_LOG_RANGE, f"range profile fits {fit.kind!r}, not logarithmic"
         )
 
     constant = fit.constant_global
@@ -352,31 +341,15 @@ def polynomial_bound_audit(
     if root is not None and root < 1:
         raise ValueError("root must be >= 1")
 
-    finite_at = _finite_order_power(range_prof.entries)
-    if finite_at is not None:
-        return AuditReport(
-            COMPLEXITY_VS_POLYNOMIAL_RANGE,
-            NOT_APPLICABLE,
-            (),
-            (),
-            (),
-            reason=(
-                f"finite-order evidence: power {finite_at} has range 0 "
-                "(a radius-0 power permutes letters)"
-            ),
-        )
+    finite = _finite_order_report(COMPLEXITY_VS_POLYNOMIAL_RANGE, range_prof.entries)
+    if finite is not None:
+        return finite
     if require_sublinear:
         if range_prof.classification == LINEAR_LOWER_BOUNDED:
-            return AuditReport(
+            return _not_applicable(
                 COMPLEXITY_VS_POLYNOMIAL_RANGE,
-                NOT_APPLICABLE,
-                (),
-                (),
-                (),
-                reason=(
-                    "range profile is bounded below by a positive-slope line; "
-                    "the sublinear hypothesis fails"
-                ),
+                "range profile is bounded below by a positive-slope line; "
+                "the sublinear hypothesis fails",
             )
         fit = fit_trend(range_prof.entries)
         if fit.kind == "polynomial" and (root is None or fit.root >= root):
@@ -394,14 +367,7 @@ def polynomial_bound_audit(
                 reason = "logarithmic fit selects no root; pass one explicitly"
             else:
                 reason = f"range profile fits {fit.kind!r}, not a sublinear power"
-            return AuditReport(
-                COMPLEXITY_VS_POLYNOMIAL_RANGE,
-                NOT_APPLICABLE,
-                (),
-                (),
-                (),
-                reason=reason,
-            )
+            return _not_applicable(COMPLEXITY_VS_POLYNOMIAL_RANGE, reason)
     elif root is None:
         raise ValueError("an explicit root is required when the gate is disabled")
 
@@ -459,29 +425,22 @@ def sigma_power_range_audit(
         raise ValueError("depth must be >= 1")
     probe = morse_hedlund_test(domain, max(4, abs(j) * depth + 1))
     if probe.certifies_periodic:
-        return AuditReport(
+        return _not_applicable(
             SHIFT_POWER_RANGE_FLOOR,
-            NOT_APPLICABLE,
-            (),
-            (),
-            (),
-            reason=(
-                f"presentation is eventually periodic: "
-                f"P({probe.witness}) <= {probe.witness}"
-            ),
+            f"presentation is eventually periodic: P({probe.witness}) <= {probe.witness}",
         )
 
     base = shift_power_code(domain, j)
-    lefts: list[int] = []
-    rights: list[int] = []
-    witness = None
-    for m in range(1, depth + 1):
-        measured = minimal_range(power(base, m, table_budget=table_budget))
-        expected = abs(j) * m
-        lefts.append(measured)
-        rights.append(expected)
-        if measured < expected and witness is None:
-            witness = (m, measured, expected)
+    profile = range_profile(base, depth, table_budget)
+    if profile.truncated_at is not None:
+        # raises the budget error of the first power out of reach
+        power(base, profile.truncated_at, table_budget)
+    lefts = list(profile.entries)
+    rights = [abs(j) * m for m in range(1, depth + 1)]
+    witness = next(
+        ((m, lhs, rhs) for m, lhs, rhs in zip(range(1, depth + 1), lefts, rights) if lhs < rhs),
+        None,
+    )
 
     indices = tuple(range(1, depth + 1))
     if witness is not None:

@@ -1,11 +1,17 @@
 """Exact algebra of sliding block codes on a presented subshift.
 
-A code is stored extensionally: a radius R and a full table mapping every
-legal (2R+1)-word of its domain to an output symbol.  Desk scale makes
-this affordable, and it turns every question asked here (composition,
-minimal range, inverses, endomorphism checks) into finite table algebra
-with no symbolic reasoning.  Composition is written compose(outer, inner)
-and applies the inner code first, everywhere in this package.
+A code is a radius R and a total table giving an output symbol for every
+legal (2R+1)-word of its domain.  The algebra (composition, powers,
+minimal range, inverses, endomorphism checks) runs on the domain's word
+index (shiftlang.WordIndex): there a table is a list of output symbols by
+window number, and the image of a window under a code is one successor
+step from the image of its prefix, so each table row costs O(1) whatever
+the radius.  The codes returned carry `rule.table`, the window -> symbol
+mapping; the intermediate tables of powers and profiles never become
+codes.  Tables arriving from outside are validated once, by BlockCode;
+tables built here are total by construction and skip that check.
+Composition is written compose(outer, inner) and applies the inner code
+first, everywhere in this package.
 
 Table sizes grow exponentially with radius on positive-entropy shifts, so
 every table-building entry point takes a row budget and raises
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import BudgetExceededError
 from .shiftlang import ShiftPresentation
@@ -95,6 +102,23 @@ class BlockCode:
         return self.rule.radius
 
 
+def _code(domain: ShiftPresentation, radius: int, outputs: list) -> BlockCode:
+    """A code on a table built here: total by construction, so unchecked."""
+    words, symbols = domain.words_of_length(2 * radius + 1), domain.alphabet.symbols
+    rule = LocalRule(radius, dict(zip(words, map(symbols.__getitem__, outputs))))
+    code = object.__new__(BlockCode)
+    object.__setattr__(code, "domain", domain)
+    object.__setattr__(code, "rule", rule)
+    return code
+
+
+def _outputs(code: BlockCode) -> list:
+    """The alphabet index of the code's output on each legal window,
+    windows in word-index order."""
+    rank, table = code.domain.alphabet._index, code.rule.table
+    return [rank[table[w]] for w in code.domain.words_of_length(2 * code.rule.radius + 1)]
+
+
 # -- construction helpers ------------------------------------------------
 
 
@@ -121,21 +145,6 @@ def symbol_map_code(domain: ShiftPresentation, mapping: dict) -> BlockCode:
 
 def identity_code(domain: ShiftPresentation) -> BlockCode:
     return symbol_map_code(domain, {a: a for a in domain.words_of_length(1)})
-
-
-def padded_to_radius(code: BlockCode, radius: int) -> BlockCode:
-    """Same map, re-tabulated at a larger declared radius."""
-    r = code.rule.radius
-    if radius < r:
-        raise ValueError("padding cannot shrink the radius")
-    if radius == r:
-        return code
-    cut = radius - r
-    table = {
-        w: code.rule.table[w[cut:-cut]]
-        for w in code.domain.words_of_length(2 * radius + 1)
-    }
-    return code_from_table(code.domain, radius, table)
 
 
 # -- core operations ------------------------------------------------------
@@ -166,6 +175,90 @@ def _check_table_budget(domain: ShiftPresentation, radius: int, budget: int, con
         raise BudgetExceededError("table rows", budget, rows, context)
 
 
+class _Images:
+    """The images of the legal words of each length under one code.
+
+    For words of length L >= W = 2R+1, out[i] is the code's output on the
+    last W-window of the i-th word, and img[i] numbers the word's image
+    among the words of length L - W + 1, or is that length's sink when the
+    image is illegal.  The image of a word is the image of its prefix
+    followed by one output, and the output on its last window is that of
+    its suffix, so each length costs two lookups a word.  Lengths are kept
+    as they are built: a profile composes with one code at every power.
+    """
+
+    def __init__(self, code: BlockCode):
+        self.code, self.domain = code, code.domain
+        self.width = 2 * code.rule.radius + 1
+        out = _outputs(code)
+        letters = self.domain.word_index(1).succ
+        self.levels = [(out, [letters[a] for a in out])]
+
+    def of_length(self, length: int) -> list:
+        domain, k, levels = self.domain, self.domain.alphabet.size, self.levels
+        while len(levels) <= length - self.width:
+            out, img = levels[-1]
+            words = domain.word_index(self.width + len(levels))
+            succ = domain.word_index(len(levels) + 1).succ
+            out = list(map(out.__getitem__, words.suffix))
+            levels.append((out, [succ[img[p] * k + a] for p, a in zip(words.prefix, out)]))
+        return levels[length - self.width][1]
+
+
+def _compose(outer_radius: int, outer_outputs: list, images: _Images, table_budget: int):
+    """(radius, outputs) of the outer table applied after the images' code."""
+    domain = images.domain
+    r = outer_radius + images.width // 2
+    _check_table_budget(domain, r, table_budget, "compose")
+    img = images.of_length(2 * r + 1)
+    sink = len(outer_outputs)
+    if sink in img:
+        # name the image of the first such window as sliding the rule does
+        word = domain.words_of_length(2 * r + 1)[img.index(sink)]
+        raise IllegalWindowError(
+            apply_to_word(images.code, word), "inner code's image leaves the domain language"
+        )
+    return r, list(map(outer_outputs.__getitem__, img))
+
+
+def _shrink(domain: ShiftPresentation, radius: int, outputs: list):
+    """(m, outputs at radius m) for the least radius m the table factors
+    through, its central (2m+1)-window determining the output.
+
+    Factoring through the central window is upward-closed in the radius,
+    so the scan runs down and the first radius that fails ends it; on a
+    table that does not shrink that is one pass, left at its first
+    conflict.  Every legal short word is a central window of some longer
+    legal word (all legal words extend both ways), so the shrunken table
+    is total.
+    """
+    while radius:
+        centers = domain.word_index(2 * radius).prefix
+        smaller = [None] * domain.word_index(2 * radius - 1).count
+        for s, out in zip(domain.word_index(2 * radius + 1).suffix, outputs):
+            seen = smaller[centers[s]]
+            if seen is None:
+                smaller[centers[s]] = out
+            elif seen != out:
+                return radius, outputs
+        radius, outputs = radius - 1, smaller
+    return 0, outputs
+
+
+def _powers(code: BlockCode, table_budget: int):
+    """(minimal range, outputs) of code, code^2, ..., each minimized.
+
+    Minimizing intermediates never changes the map and keeps the declared
+    radius at the true range, which is what makes powers of range-distorted
+    codes affordable.
+    """
+    domain, images = code.domain, _Images(code)
+    r, outs = _shrink(domain, code.rule.radius, _outputs(code))
+    while True:
+        yield r, outs
+        r, outs = _shrink(domain, *_compose(r, outs, images, table_budget))
+
+
 def compose(
     outer: BlockCode, inner: BlockCode, table_budget: int = DEFAULT_TABLE_BUDGET
 ) -> BlockCode:
@@ -176,78 +269,26 @@ def compose(
     """
     if outer.domain != inner.domain:
         raise ValueError("composition requires codes on the same presentation")
-    r = outer.rule.radius + inner.rule.radius
-    _check_table_budget(outer.domain, r, table_budget, "compose")
-    outer_table = outer.rule.table
-    table = {}
-    for w in outer.domain.words_of_length(2 * r + 1):
-        mid = apply_to_word(inner, w)
-        try:
-            table[w] = outer_table[mid]
-        except KeyError:
-            raise IllegalWindowError(
-                mid, "inner code's image leaves the domain language"
-            ) from None
-    return code_from_table(outer.domain, r, table)
+    r, outs = _compose(outer.rule.radius, _outputs(outer), _Images(inner), table_budget)
+    return _code(outer.domain, r, outs)
 
 
 def power(code: BlockCode, n: int, table_budget: int = DEFAULT_TABLE_BUDGET) -> BlockCode:
-    """n-fold self-composition, minimizing after each step.
-
-    Minimizing intermediates never changes the map and keeps the declared
-    radius at the true range, which is what makes powers of range-distorted
-    codes affordable.
-    """
+    """n-fold self-composition, minimizing after each step."""
     if n < 1:
         raise ValueError("power needs n >= 1")
-    acc = minimized(code)
-    for _ in range(n - 1):
-        acc = minimized(compose(acc, code, table_budget))
-    return acc
+    return _code(code.domain, *next(islice(_powers(code, table_budget), n - 1, None)))
 
 
 def minimal_range(code: BlockCode) -> int:
-    """Least radius at which the rule's output is still well defined.
-
-    Scans radii upward; at radius r' the table factors through the central
-    (2r'+1)-window iff all windows sharing a center agree on output.
-    """
-    r = code.rule.radius
-    for shrunk in range(r):
-        cut = r - shrunk
-        seen: dict[str, str] = {}
-        ok = True
-        for w, out in code.rule.table.items():
-            center = w[cut:-cut]
-            prev = seen.get(center)
-            if prev is None:
-                seen[center] = out
-            elif prev != out:
-                ok = False
-                break
-        if ok:
-            return shrunk
-    return r
+    """Least radius at which the rule's output is still well defined."""
+    return _shrink(code.domain, code.rule.radius, _outputs(code))[0]
 
 
 def minimized(code: BlockCode) -> BlockCode:
-    """Equivalent code re-tabulated at its minimal range.
-
-    Every legal short word is a central window of some longer legal word
-    (all legal words extend both ways), so the shrunken table is total.
-    """
-    r = code.rule.radius
-    m = minimal_range(code)
-    if m == r:
-        return code
-    cut = r - m
-    table = {}
-    for w, out in code.rule.table.items():
-        table[w[cut:-cut]] = out
-    ordered = {
-        w: table[w] for w in code.domain.words_of_length(2 * m + 1)
-    }
-    return code_from_table(code.domain, m, ordered)
+    """Equivalent code re-tabulated at its minimal range."""
+    m, outs = _shrink(code.domain, code.rule.radius, _outputs(code))
+    return code if m == code.rule.radius else _code(code.domain, m, outs)
 
 
 def codes_equal(a: BlockCode, b: BlockCode) -> bool:
@@ -270,7 +311,9 @@ def endomorphism_check(code: BlockCode, output_length: int | None = None) -> boo
     is exact (a bi-infinite image avoids all forbidden words iff every
     such factor does, and every factor of the image is the image of a
     legal word).  For other presentations the check at the default depth 8
-    is strong evidence, not proof.
+    is strong evidence, not proof.  Every legal word extends to the right,
+    and an illegal image makes the images of its extensions illegal, so
+    checking the longest outputs checks them all.
     """
     domain = code.domain
     if output_length is None:
@@ -279,12 +322,10 @@ def endomorphism_check(code: BlockCode, output_length: int | None = None) -> boo
             output_length = max(len(f) for f in forbidden)
         else:
             output_length = 8
-    r = code.rule.radius
-    for n in range(1, output_length + 1):
-        for w in domain.words_of_length(n + 2 * r):
-            if not domain.is_legal(apply_to_word(code, w)):
-                return False
-    return True
+    if output_length < 1:
+        return True
+    img = _Images(code).of_length(output_length + 2 * code.rule.radius)
+    return domain.word_index(output_length).count not in img
 
 
 def inverse_search(
@@ -299,48 +340,27 @@ def inverse_search(
     bound, not a proof of non-invertibility.
     """
     phi = minimized(code)
-    r = phi.rule.radius
+    domain, r = phi.domain, phi.rule.radius
+    images, rank = _Images(phi), domain.alphabet._index
     for r_inv in range(radius_max + 1):
-        _check_table_budget(phi.domain, r + r_inv, table_budget, "inverse search")
-        candidate: dict[str, str] = {}
-        ok = True
-        for w in phi.domain.words_of_length(2 * (r + r_inv) + 1):
-            image = apply_to_word(phi, w)
-            letter = w[r + r_inv]
-            prev = candidate.get(image)
-            if prev is None:
-                candidate[image] = letter
-            elif prev != letter:
-                ok = False
+        h = r + r_inv
+        _check_table_budget(domain, h, table_budget, "inverse search")
+        count = domain.word_index(2 * r_inv + 1).count
+        table = [None] * (count + 1)  # the last slot collects illegal images
+        for j, w in zip(images.of_length(2 * h + 1), domain.words_of_length(2 * h + 1)):
+            if table[j] is None:
+                table[j] = rank[w[h]]
+            elif table[j] != rank[w[h]]:
                 break
-        if not ok:
-            continue
-        if set(candidate) != phi.domain.word_set(2 * r_inv + 1):
-            # some legal window is never an image: the code is not onto
-            # at this scale, so no total inverse exists at this radius
-            continue
-        psi = code_from_table(
-            phi.domain,
-            r_inv,
-            {w: candidate[w] for w in phi.domain.words_of_length(2 * r_inv + 1)},
-        )
-        if is_identity(compose(psi, phi, table_budget)) and is_identity(
-            compose(phi, psi, table_budget)
-        ):
-            return psi
-    return None
-
-
-def finite_order_witness(
-    code: BlockCode, max_power: int, table_budget: int = DEFAULT_TABLE_BUDGET
-) -> int | None:
-    """Least n <= max_power with code^n the identity, if any."""
-    acc = minimized(code)
-    for n in range(1, max_power + 1):
-        if n > 1:
-            acc = minimized(compose(acc, code, table_budget))
-        if is_identity(acc):
-            return n
+        else:
+            # a total inverse needs every legal window, and only those, as an image
+            if table.pop() is not None or None in table:
+                continue
+            psi = _code(domain, r_inv, table)
+            if is_identity(compose(psi, phi, table_budget)) and is_identity(
+                compose(phi, psi, table_budget)
+            ):
+                return psi
     return None
 
 
@@ -422,14 +442,11 @@ def range_profile(
     """
     if max_power < 1:
         raise ValueError("profile needs max_power >= 1")
-    entries = [minimized(code).rule.radius]
-    acc = minimized(code)
-    truncated_at = None
-    for n in range(2, max_power + 1):
-        try:
-            acc = minimized(compose(acc, code, table_budget))
-        except BudgetExceededError:
-            truncated_at = n
-            break
-        entries.append(acc.rule.radius)
+    entries, truncated_at = [], None
+    powers = _powers(code, table_budget)
+    try:
+        for _ in range(max_power):
+            entries.append(next(powers)[0])
+    except BudgetExceededError:
+        truncated_at = len(entries) + 1
     return RangeProfile.from_entries(entries, truncated_at)

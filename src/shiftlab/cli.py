@@ -27,6 +27,7 @@ from .audit import (
     sigma_power_range_audit,
 )
 from .blockcode import (
+    DEFAULT_TABLE_BUDGET,
     endomorphism_check,
     inverse_search,
     minimal_range,
@@ -41,6 +42,7 @@ from .config import (
     build_group,
     build_shift,
     check_run,
+    code_references,
     parse_config,
 )
 from .corpus import (
@@ -48,9 +50,6 @@ from .corpus import (
     BUILTIN_SHIFT_SPECS,
     auto_certifier,
     builtin_code_specs,
-    builtin_codes,
-    builtin_groups,
-    builtin_shifts,
 )
 from .errors import BudgetExceededError, ConfigError
 from .grouplab import (
@@ -84,45 +83,62 @@ SUMMARY_HEADER = ("name", "operation", "result", "verdict")
 # -- run context ---------------------------------------------------------------
 
 
+class _Catalog:
+    """Named specs, each built by `build(name, spec)` on first use."""
+
+    def __init__(self, specs: dict, build):
+        self.specs, self._build, self._built = specs, build, {}
+
+    def __getitem__(self, name):
+        if name not in self._built:
+            self._built[name] = self._build(name, self.specs[name])
+        return self._built[name]
+
+    def __contains__(self, name):
+        return name in self.specs
+
+    def __iter__(self):
+        return iter(self.specs)
+
+
 class RunContext:
-    """Catalogs for one run, each built on first use."""
+    """Catalogs for one run: built-in and document entries, each built by
+    name on first use, so a bad entry fails only the runs that use it."""
 
     def __init__(self, config: ExperimentConfig, base_dir: Path):
         self.config = config
         self.base_dir = base_dir
         self.budgets = config.budgets
-        self._shifts = None
-        self._codes = None
-        self._groups = None
+        self._shifts = _Catalog({**BUILTIN_SHIFT_SPECS, **config.shifts}, build_shift)
+        self._codes = _Catalog({**builtin_code_specs(), **config.codes}, self._build_code)
+        self._groups = _Catalog({**BUILTIN_GROUP_SPECS, **config.groups}, build_group)
+
+    def _build_code(self, name: str, spec: dict):
+        names = list(self._codes.specs)
+        earlier = set(names[: names.index(name)])
+        # a code may use codes defined before it; build those it needs first,
+        # in document order, so that a long chain recurses one level at a time
+        needed, pending = set(), code_references(spec)
+        while pending:
+            ref = pending.pop()
+            if ref in earlier and ref not in needed:
+                needed.add(ref)
+                pending += code_references(self._codes.specs[ref])
+        built = {ref: self._codes[ref] for ref in names if ref in needed}
+        # built-in codes take the default budget, as the corpus builds them
+        budget = self.budgets.table_rows if name in self.config.codes else DEFAULT_TABLE_BUDGET
+        return build_code(name, spec, self.shifts, built, self.base_dir, budget)
 
     @property
-    def shifts(self) -> dict:
-        if self._shifts is None:
-            catalog = builtin_shifts()
-            for name, spec in self.config.shifts.items():
-                catalog[name] = build_shift(name, spec)
-            self._shifts = catalog
+    def shifts(self) -> _Catalog:
         return self._shifts
 
     @property
-    def codes(self) -> dict:
-        if self._codes is None:
-            built = builtin_codes(self.shifts)
-            for name, spec in self.config.codes.items():
-                built[name] = build_code(
-                    name, spec, self.shifts, built,
-                    self.base_dir, self.budgets.table_rows,
-                )
-            self._codes = built
+    def codes(self) -> _Catalog:
         return self._codes
 
     @property
-    def groups(self) -> dict:
-        if self._groups is None:
-            catalog = builtin_groups()
-            for name, spec in self.config.groups.items():
-                catalog[name] = build_group(name, spec)
-            self._groups = catalog
+    def groups(self) -> _Catalog:
         return self._groups
 
 
@@ -505,10 +521,10 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     config, base_dir = _load_config(Path(args.config))
     ctx = RunContext(config, base_dir)
-    # building the catalogs is the point: it surfaces bad element specs
-    ctx.shifts
-    ctx.codes
-    ctx.groups
+    # building every entry is the point: it surfaces bad element specs
+    for catalog in (ctx.shifts, ctx.codes, ctx.groups):
+        for name in catalog:
+            catalog[name]
     for run in config.runs:
         check_run(run, ctx)
     sys.stdout.write(

@@ -1,8 +1,7 @@
 """Experiment configuration: a JSON document describing shifts, codes,
 groups, and the runs to execute over them.
 
-The document round-trips (parse, serialize, parse) to an identical value,
-every reference failure names the offending element, and all budgets are
+Every reference failure names the offending element, and all budgets are
 explicit so reruns are reproducible byte for byte.
 """
 
@@ -134,12 +133,14 @@ class Operation:
     An operation with variants also takes the parameters of exactly one of
     them.  When `by` names a parameter, its value picks the variant;
     otherwise the first variant named after a given parameter applies,
-    else the last one.
+    else the last one.  With code_on_shift, the `code` must act on the
+    `shift`.
     """
 
     params: Mapping[str, Param]
     variants: Mapping[str, Mapping[str, Param]] = field(default_factory=dict)
     by: str | None = None
+    code_on_shift: bool = False
 
 
 SHIFT = Param("shift")
@@ -170,12 +171,13 @@ OPERATION_PARAMS = {
     "inverse_search": Operation({"code": CODE, "radius_cap": RADIUS}),
     "endomorphism_check": Operation({"code": CODE}),
     "rectangle_complexity": Operation(
-        {"shift": SHIFT, "code": CODE, "cols": POSITIVE, "rows": POSITIVE}
+        {"shift": SHIFT, "code": CODE, "cols": POSITIVE, "rows": POSITIVE}, code_on_shift=True
     ),
-    "cyr_kra": Operation(_PATCH_FAMILY),
-    "vertical_period": Operation(_PATCH_FAMILY),
+    "cyr_kra": Operation(_PATCH_FAMILY, code_on_shift=True),
+    "vertical_period": Operation(_PATCH_FAMILY, code_on_shift=True),
     "coding_check": Operation(
-        {**_PATCH_FAMILY, "cells_a": Param("cells"), "cells_b": Param("cells")}
+        {**_PATCH_FAMILY, "cells_a": Param("cells"), "cells_b": Param("cells")},
+        code_on_shift=True,
     ),
     "ball_growth": Operation({"group": GROUP, "radius": POSITIVE}),
     "word_length": Operation({"group": GROUP, "element": ELEMENT, "radius": RADIUS}),
@@ -187,7 +189,7 @@ OPERATION_PARAMS = {
         {},
         by="kind",
         variants={
-            "bs_horner": {"m": POSITIVE, "base": POSITIVE},
+            "bs_horner": {"m": POSITIVE, "base": Param("base")},
             "heisenberg_square": {"n": POSITIVE},
             "heisenberg_base_q": {"n": POSITIVE},
         },
@@ -219,7 +221,7 @@ OPERATION_PARAMS = {
         variants=_PROFILE_SOURCE,
     ),
     "audit_shift_power": Operation(
-        {"shift": SHIFT, "exponent": Param("int"), "depth": POSITIVE}
+        {"shift": SHIFT, "exponent": Param("nonzero"), "depth": POSITIVE}
     ),
 }
 
@@ -357,9 +359,15 @@ def check_run(run: RunSpec, catalogs) -> dict:
     unknown = sorted(set(run.params) - set(params))
     if unknown:
         raise ConfigError(f"run {run.name!r}: unknown parameter {unknown[0]!r}")
-    return {
+    values = {
         name: _checked_param(run, name, param, catalogs) for name, param in params.items()
     }
+    if op.code_on_shift and values["code"].domain != values["shift"]:
+        raise ConfigError(
+            f"run {run.name!r}: parameter 'code': the code is not defined on shift "
+            f"{run.params['shift']!r}"
+        )
+    return values
 
 
 def _is_cells(value) -> bool:
@@ -377,8 +385,9 @@ def _is_naturals(value) -> bool:
 
 # value kind -> (test of the JSON value, what it must be, conversion)
 _VALUE_KINDS = {
-    "int": (_is_int, "an integer", None),
+    "nonzero": (lambda v: _is_int(v) and v != 0, "a nonzero integer", None),
     "positive": (lambda v: _is_int(v) and v >= 1, "an integer >= 1", None),
+    "base": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", None),
     "number": (lambda v: _is_int(v) or isinstance(v, float), "a number", None),
     "bool": (lambda v: isinstance(v, bool), "true or false", None),
     "word": (lambda v: isinstance(v, str), "a word such as 'a b^-2'", WordExpr.parse),
@@ -418,27 +427,6 @@ def _checked_param(run: RunSpec, name: str, param: Param, catalogs):
             upper = min(Fraction(v, n) for n, v in enumerate(value, 1))
             return RangeProfile(tuple(value), upper, SUBLINEAR_TREND)
         raise ConfigError(f"run {run.name!r}: parameter {name!r}: {exc}") from exc
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical JSON text; parse(serialize(parse(t))) == parse(t)."""
-    doc = {
-        "shifts": config.shifts,
-        "codes": config.codes,
-        "groups": config.groups,
-        "runs": [
-            {
-                "name": run.name,
-                "operation": run.operation,
-                "params": run.params,
-                **({"fabricated": True} if run.fabricated else {}),
-            }
-            for run in config.runs
-        ],
-        "out_dir": config.out_dir,
-        "budgets": asdict(config.budgets),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- rule tables -------------------------------------------------------------
@@ -504,6 +492,13 @@ def build_shift(name: str, spec: dict) -> ShiftPresentation:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"shift {name!r}: {exc}") from exc
     raise ConfigError(f"shift {name!r} has unknown kind {kind!r}")
+
+
+def code_references(spec: dict) -> list:
+    """The names of the codes a code spec is built from."""
+    kind = spec.get("kind")
+    fields = ("outer", "inner") if kind == "compose" else ("base",) if kind == "power" else ()
+    return [spec[f] for f in fields if isinstance(spec.get(f), str)]
 
 
 def build_code(

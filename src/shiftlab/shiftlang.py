@@ -74,12 +74,52 @@ def _check_length(n: int):
         raise ValueError("word length must be nonnegative")
 
 
+class WordIndex:
+    """The legal words of one length n >= 1, numbered in sorted order.
+
+    For the i-th word, prefix[i] and suffix[i] number its (n-1)-letter
+    prefix and suffix among the words of length n-1, and last[i] is the
+    alphabet index of its last letter.  succ[p * k + a], k the alphabet
+    size, numbers the p-th word of length n-1 followed by the letter of
+    index a, or is the sink `count` when that word is illegal; the sink of
+    length n-1 (p = its count) extends only to the sink, so chained lookups
+    need no test.  This is the higher-block presentation of Lind & Marcus,
+    Symbolic Dynamics and Coding, section 2.3.  SFT graphs past their block
+    length also keep tail[i], the graph vertex of the word's last block.
+    """
+
+    __slots__ = ("count", "prefix", "suffix", "last", "tail", "_shape", "_succ")
+
+    def __init__(self, prefix, suffix, last, k: int, previous: int, tail=None):
+        self.count = len(prefix)
+        self.prefix, self.suffix, self.last, self.tail = prefix, suffix, last, tail
+        self._shape, self._succ = (k, previous), None
+
+    @property
+    def succ(self) -> list:
+        # built on first use: a table's own length needs only prefix and suffix
+        if self._succ is None:
+            k, previous = self._shape
+            self._succ = succ = [self.count] * ((previous + 1) * k)
+            for i, (p, a) in enumerate(zip(self.prefix, self.last)):
+                succ[p * k + a] = i
+        return self._succ
+
+
+def _product_index(letters, alphabet: Alphabet, n: int) -> WordIndex:
+    """Index of all length-n words over `letters`: base-len(letters) digits."""
+    ranks = [alphabet.index(s) for s in letters]
+    m = len(ranks) ** (n - 1)
+    prefix = [p for p in range(m) for _ in ranks]
+    return WordIndex(prefix, list(range(m)) * len(ranks), ranks * m, alphabet.size, m)
+
+
 class ShiftPresentation:
     """Common interface of all presentations.
 
-    Instances are immutable after construction.  Word enumerations are
-    cached per length, and a cached enumeration equals what a fresh
-    computation would produce.
+    Instances are immutable after construction.  Word enumerations and
+    word indexes are cached per length, and a cached value equals what a
+    fresh computation would produce.
     """
 
     alphabet: Alphabet
@@ -87,11 +127,24 @@ class ShiftPresentation:
     def __init__(self):
         self._word_cache: dict[int, tuple[str, ...]] = {}
         self._set_cache: dict[int, frozenset[str]] = {}
+        self._index_cache: dict[int, WordIndex] = {}
 
     # -- subclass hooks --------------------------------------------------
 
     def _enumerate(self, n: int):
+        """The legal words of length n >= 1: a tuple when they come sorted
+        and distinct, else any iterable, which words_of_length sorts."""
         raise NotImplementedError
+
+    def _index(self, n: int) -> WordIndex:
+        """The WordIndex of length n, given that of n - 1 (if n > 1)."""
+        words = self.words_of_length(n)
+        pos = {w: i for i, w in enumerate(self.words_of_length(n - 1))}
+        rank = self.alphabet._index
+        return WordIndex(
+            [pos[w[:-1]] for w in words], [pos[w[1:]] for w in words],
+            [rank[w[-1]] for w in words], self.alphabet.size, len(pos),
+        )
 
     def descriptor(self) -> tuple:
         raise NotImplementedError
@@ -113,9 +166,23 @@ class ShiftPresentation:
             return ("",)
         cached = self._word_cache.get(n)
         if cached is None:
-            cached = tuple(sorted(set(self._enumerate(n)), key=self.alphabet.word_key))
+            cached = self._enumerate(n)
+            if type(cached) is not tuple:
+                cached = tuple(sorted(set(cached), key=self.alphabet.word_key))
             self._word_cache[n] = cached
         return cached
+
+    def word_index(self, n: int) -> WordIndex:
+        """The WordIndex of length n >= 1, built up from the longest cached
+        shorter length; its i-th word is words_of_length(n)[i]."""
+        built = self._index_cache
+        if n not in built:
+            start = n
+            while start > 1 and start - 1 not in built:
+                start -= 1
+            for length in range(start, n + 1):
+                built[length] = self._index(length)
+        return built[n]
 
     def word_set(self, n: int) -> frozenset[str]:
         cached = self._set_cache.get(n)
@@ -147,7 +214,10 @@ class FullShift(ShiftPresentation):
         self.alphabet = alphabet
 
     def _enumerate(self, n):
-        return ("".join(p) for p in product(self.alphabet.symbols, repeat=n))
+        return tuple(map("".join, product(self.alphabet.symbols, repeat=n)))
+
+    def _index(self, n):
+        return _product_index(self.alphabet.symbols, self.alphabet, n)
 
     def count_words(self, n):
         _check_length(n)
@@ -243,17 +313,40 @@ class SftForbidden(ShiftPresentation):
             )
             for v in self._vertices
         }
+        # per vertex, (letter index, next vertex number) of each out-edge
+        number = {v: i for i, v in enumerate(self._vertices)}
+        self._edges = [
+            [(self.alphabet.index(a), number[(v + a)[1:]]) for a in self._succ[v]]
+            for v in self._vertices
+        ]
 
     def _enumerate(self, n):
         if self._mode in ("full", "letters"):
-            return ("".join(p) for p in product(self._letters, repeat=n))
+            return tuple(map("".join, product(self._letters, repeat=n)))
         b = self._block
         if n <= b:
             return {v[i : i + n] for v in self._vertices for i in range(b - n + 1)}
-        words = list(self._vertices)
+        words = self._vertices
         for _ in range(n - b):
             words = [w + a for w in words for a in self._succ[w[-b:]]]
-        return words
+        return tuple(words)
+
+    def _index(self, n):
+        if self._mode in ("full", "letters"):
+            return _product_index(self._letters, self.alphabet, n)
+        if n <= self._block:
+            return super()._index(n)
+        # extend each word of length n-1 along its last vertex's out-edges,
+        # which keeps the sorted order of _enumerate
+        prev = self.word_index(n - 1)
+        edges = [self._edges[v] for v in prev.tail or range(prev.count)]
+        prefix = [p for p, out in enumerate(edges) for _ in out]
+        last = [a for out in edges for a, _ in out]
+        k, succ, suffix = self.alphabet.size, prev.succ, prev.suffix
+        return WordIndex(
+            prefix, [succ[suffix[p] * k + a] for p, a in zip(prefix, last)],
+            last, k, prev.count, [u for out in edges for _, u in out],
+        )
 
     def count_words(self, n):
         _check_length(n)

@@ -6,11 +6,19 @@ compared against these on small inputs, and frozen constants in the tests
 were produced by these functions once and pinned.
 """
 
+import json
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from shiftlab.blockcode import apply_to_word, minimized
+from shiftlab.blockcode import (
+    IllegalWindowError,
+    RangeProfile,
+    apply_to_word,
+    code_from_table,
+    minimized,
+)
 from shiftlab.errors import BudgetExceededError
 
 
@@ -183,3 +191,171 @@ def rectangle_sweep(domain, code, cols: int, rows: int, word_budget: int = 2_000
         for k in range(1, rows + 1)
         for n in range(1, cols + 1)
     }
+
+
+# -- block-code table algebra on string tables ---------------------------------
+#
+# The string implementation the word-index algebra in shiftlab.blockcode
+# replaced: every table row slides the inner rule along its window.  Errors
+# are raised at the same points and with the same text.
+
+
+def _check_table_budget(domain, radius: int, budget: int, context: str):
+    rows = domain.count_words(2 * radius + 1)
+    if rows > budget:
+        raise BudgetExceededError("table rows", budget, rows, context)
+
+
+def compose_by_slide(outer, inner, table_budget: int = 2_000_000):
+    if outer.domain != inner.domain:
+        raise ValueError("composition requires codes on the same presentation")
+    r = outer.rule.radius + inner.rule.radius
+    _check_table_budget(outer.domain, r, table_budget, "compose")
+    outer_table = outer.rule.table
+    table = {}
+    for w in outer.domain.words_of_length(2 * r + 1):
+        mid = apply_to_word(inner, w)
+        try:
+            table[w] = outer_table[mid]
+        except KeyError:
+            raise IllegalWindowError(
+                mid, "inner code's image leaves the domain language"
+            ) from None
+    return code_from_table(outer.domain, r, table)
+
+
+def minimal_range_by_scan(code) -> int:
+    """Scans radii upward; at radius r' the table factors through the
+    central (2r'+1)-window iff all windows sharing a center agree."""
+    r = code.rule.radius
+    for shrunk in range(r):
+        cut = r - shrunk
+        seen = {}
+        for w, out in code.rule.table.items():
+            if seen.setdefault(w[cut:-cut], out) != out:
+                break
+        else:
+            return shrunk
+    return r
+
+
+def minimized_by_scan(code):
+    r = code.rule.radius
+    m = minimal_range_by_scan(code)
+    if m == r:
+        return code
+    cut = r - m
+    table = {w[cut:-cut]: out for w, out in code.rule.table.items()}
+    ordered = {w: table[w] for w in code.domain.words_of_length(2 * m + 1)}
+    return code_from_table(code.domain, m, ordered)
+
+
+def is_identity_by_scan(code) -> bool:
+    m = minimized_by_scan(code)
+    return m.rule.radius == 0 and all(w == out for w, out in m.rule.table.items())
+
+
+def power_by_slide(code, n: int, table_budget: int = 2_000_000):
+    if n < 1:
+        raise ValueError("power needs n >= 1")
+    acc = minimized_by_scan(code)
+    for _ in range(n - 1):
+        acc = minimized_by_scan(compose_by_slide(acc, code, table_budget))
+    return acc
+
+
+def range_profile_by_slide(code, max_power: int, table_budget: int = 2_000_000):
+    if max_power < 1:
+        raise ValueError("profile needs max_power >= 1")
+    acc = minimized_by_scan(code)
+    entries = [acc.rule.radius]
+    truncated_at = None
+    for n in range(2, max_power + 1):
+        try:
+            acc = minimized_by_scan(compose_by_slide(acc, code, table_budget))
+        except BudgetExceededError:
+            truncated_at = n
+            break
+        entries.append(acc.rule.radius)
+    return RangeProfile.from_entries(entries, truncated_at)
+
+
+def endomorphism_check_by_slide(code, output_length: int | None = None) -> bool:
+    domain = code.domain
+    if output_length is None:
+        forbidden = getattr(domain, "forbidden", None)
+        output_length = max(map(len, forbidden)) if forbidden else 8
+    r = code.rule.radius
+    return all(
+        domain.is_legal(apply_to_word(code, w))
+        for n in range(1, output_length + 1)
+        for w in domain.words_of_length(n + 2 * r)
+    )
+
+
+def inverse_search_by_slide(code, radius_max: int, table_budget: int = 2_000_000):
+    phi = minimized_by_scan(code)
+    r = phi.rule.radius
+    for r_inv in range(radius_max + 1):
+        _check_table_budget(phi.domain, r + r_inv, table_budget, "inverse search")
+        candidate = {}
+        for w in phi.domain.words_of_length(2 * (r + r_inv) + 1):
+            if candidate.setdefault(apply_to_word(phi, w), w[r + r_inv]) != w[r + r_inv]:
+                break
+        else:
+            if set(candidate) != phi.domain.word_set(2 * r_inv + 1):
+                continue
+            words = phi.domain.words_of_length(2 * r_inv + 1)
+            psi = code_from_table(phi.domain, r_inv, {w: candidate[w] for w in words})
+            if is_identity_by_scan(compose_by_slide(psi, phi, table_budget)) and (
+                is_identity_by_scan(compose_by_slide(phi, psi, table_budget))
+            ):
+                return psi
+    return None
+
+
+def padded_to_radius(code, radius: int):
+    """Same map, re-tabulated at a larger declared radius."""
+    r = code.rule.radius
+    if radius < r:
+        raise ValueError("padding cannot shrink the radius")
+    if radius == r:
+        return code
+    cut = radius - r
+    words = code.domain.words_of_length(2 * radius + 1)
+    return code_from_table(code.domain, radius, {w: code.rule.table[w[cut:-cut]] for w in words})
+
+
+def finite_order_witness(code, max_power: int, table_budget: int = 2_000_000):
+    """Least n <= max_power with code^n the identity, if any."""
+    acc = minimized_by_scan(code)
+    for n in range(1, max_power + 1):
+        if n > 1:
+            acc = minimized_by_scan(compose_by_slide(acc, code, table_budget))
+        if is_identity_by_scan(acc):
+            return n
+    return None
+
+
+# -- configuration documents ------------------------------------------------------
+
+
+def serialize_config(config) -> str:
+    """Canonical JSON text; parse(serialize(parse(t))) == parse(t)."""
+    doc = {
+        "shifts": config.shifts,
+        "codes": config.codes,
+        "groups": config.groups,
+        "runs": [
+            {
+                "name": run.name,
+                "operation": run.operation,
+                "params": run.params,
+                **({"fabricated": True} if run.fabricated else {}),
+            }
+            for run in config.runs
+        ],
+        "out_dir": config.out_dir,
+        "budgets": asdict(config.budgets),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

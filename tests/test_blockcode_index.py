@@ -1,0 +1,160 @@
+"""The word-index table algebra of shiftlab.blockcode against the string
+reference in oracles: same tables, profiles, verdicts and errors."""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from shiftlab import blockcode
+from shiftlab.blockcode import (
+    BlockCode,
+    IllegalWindowError,
+    RangeProfile,
+    code_from_table,
+    compose,
+    endomorphism_check,
+    inverse_search,
+    minimal_range,
+    minimized,
+    power,
+    range_profile,
+    shift_power_code,
+)
+from shiftlab.errors import BudgetExceededError
+from shiftlab.shiftlang import (
+    Alphabet,
+    FullShift,
+    PeriodicOrbit,
+    SftForbidden,
+    SubstitutionShift,
+)
+
+BINARY = Alphabet.of("01")
+BUDGETS = st.sampled_from((4, 40, 400, 4000))
+
+
+@st.composite
+def domains(draw):
+    """A fresh presentation: a random SFT on at most three symbols, a full
+    shift, or one of the built-in substitution and periodic shifts."""
+    kind = draw(st.sampled_from(("sft", "sft", "sft", "full", "fibonacci", "periodic")))
+    if kind == "fibonacci":
+        return SubstitutionShift(BINARY, {"0": "01", "1": "0"})
+    if kind == "periodic":
+        return PeriodicOrbit(draw(st.sampled_from(("01", "0010111"))))
+    symbols = draw(st.sampled_from(("01", "012")))
+    if kind == "full":
+        return FullShift(Alphabet.of(symbols))
+    forbidden = draw(st.lists(st.text(alphabet=symbols, min_size=1, max_size=3), max_size=4))
+    try:
+        return SftForbidden(Alphabet.of(symbols), forbidden)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def codes(draw, domain):
+    """A radius <= 2 table with random outputs (often not an endomorphism
+    off the full shifts), or a shift power, which always is one."""
+    if draw(st.booleans()):
+        return shift_power_code(domain, draw(st.integers(-2, 2)))
+    r = draw(st.integers(0, 2))
+    words = domain.words_of_length(2 * r + 1)
+    symbols = st.sampled_from(domain.alphabet.symbols)
+    outs = draw(st.lists(symbols, min_size=len(words), max_size=len(words)))
+    return code_from_table(domain, r, dict(zip(words, outs)))
+
+
+def outcome(fn, *args):
+    """What a call returns, as plain data, or the type and text it raises."""
+    try:
+        value = fn(*args)
+    except (BudgetExceededError, IllegalWindowError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, BlockCode):
+        return value.rule.radius, list(value.rule.table.items())
+    if isinstance(value, RangeProfile):
+        return value.entries, value.truncated_at, value.classification
+    return value
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_compose_matches_the_string_reference(data):
+    domain = data.draw(domains())
+    outer, inner = data.draw(codes(domain)), data.draw(codes(domain))
+    budget = data.draw(BUDGETS)
+    assert outcome(compose, outer, inner, budget) == outcome(
+        oracles.compose_by_slide, outer, inner, budget
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_minimized_matches_the_string_reference(data):
+    domain = data.draw(domains())
+    # composites give declared radii up to 4 that often shrink
+    code = data.draw(codes(domain))
+    try:
+        code = oracles.compose_by_slide(code, data.draw(codes(domain)))
+    except IllegalWindowError:
+        pass
+    assert minimal_range(code) == oracles.minimal_range_by_scan(code)
+    assert outcome(minimized, code) == outcome(oracles.minimized_by_scan, code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_powers_and_profiles_match_the_string_reference(data):
+    domain = data.draw(domains())
+    code = data.draw(codes(domain))
+    depth, budget = data.draw(st.integers(1, 5)), data.draw(BUDGETS)
+    assert outcome(range_profile, code, depth, budget) == outcome(
+        oracles.range_profile_by_slide, code, depth, budget
+    )
+    assert outcome(power, code, depth, budget) == outcome(
+        oracles.power_by_slide, code, depth, budget
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_search_matches_the_string_reference(data):
+    domain = data.draw(domains())
+    code = data.draw(codes(domain))
+    radius_max, budget = data.draw(st.integers(0, 2)), data.draw(BUDGETS)
+    assert outcome(inverse_search, code, radius_max, budget) == outcome(
+        oracles.inverse_search_by_slide, code, radius_max, budget
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_endomorphism_check_matches_the_string_reference(data):
+    domain = data.draw(domains())
+    code = data.draw(codes(domain))
+    length = data.draw(st.none() | st.integers(0, 5))
+    if length is None and domain.count_words(8 + 2 * code.rule.radius) > 4000:
+        length = 5  # the default depth 8 of shifts with no forbidden words
+    assert endomorphism_check(code, length) == oracles.endomorphism_check_by_slide(code, length)
+
+
+# -- work gate -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "domain", [FullShift(BINARY), SftForbidden(BINARY, ["11"])], ids=["full", "sft"]
+)
+def test_range_profile_builds_rows_without_sliding_the_rule(monkeypatch, domain):
+    # a row is one successor lookup: the rule is never slid along a window,
+    # and no word longer than the code's own window is ever spelled out
+    slid = []
+    monkeypatch.setattr(blockcode, "apply_to_word", lambda *args: slid.append(args))
+    spelled = []
+    enumerate_words = domain._enumerate
+    monkeypatch.setattr(domain, "_enumerate", lambda n: spelled.append(n) or enumerate_words(n))
+    profile = range_profile(shift_power_code(domain, 1), 6)
+    assert profile.entries == (1, 2, 3, 4, 5, 6)
+    assert slid == []
+    assert max(spelled) <= 3

@@ -288,6 +288,27 @@ class TestAuditRuns:
         assert status == 1
         assert "not subadditive" in summary_rows(tmp_path / "out")[0][3]
 
+    def test_shift_power_audit_over_budget_names_the_first_power_out_of_reach(
+        self, tmp_path, capsys
+    ):
+        # sigma^3 on full-2 needs a 128-row table, sigma^-2 cubed on the
+        # golden mean one of 610 rows: both beyond 100
+        runs = [
+            {"name": "full", "operation": "audit_shift_power",
+             "params": {"shift": "full-2", "exponent": 1, "depth": 6}},
+            {"name": "golden", "operation": "audit_shift_power",
+             "params": {"shift": "golden-mean", "exponent": -2, "depth": 5}},
+        ]
+        doc = {"runs": runs, "budgets": {"table_rows": 100}, "out_dir": str(tmp_path / "out")}
+        status, _ = run_cli(capsys, "run", str(write_config(tmp_path, doc)))
+        assert status == 1
+        assert summary_rows(tmp_path / "out") == [
+            ["full", "audit_shift_power", "-",
+             "error: table rows budget exceeded: needed 128, limit 100 (compose)"],
+            ["golden", "audit_shift_power", "-",
+             "error: table rows budget exceeded: needed 610, limit 100 (compose)"],
+        ]
+
 
 class TestDeterminism:
     def test_reruns_across_processes_are_byte_identical(self, tmp_path):
@@ -317,23 +338,29 @@ class TestParameterErrors:
     and the parameter, and `run` turns them into an error row for that run
     while the sibling run still writes its file."""
 
+    # case id -> (the parameter named, operation, params)
     CASES = {
-        "ranks": ("growth_formula", {"formula": "bass_guivarch", "ranks": ["x", 1]}),
-        "cells_a": ("coding_check", {"shift": "full-2", "code": "full-2/flip",
-                                     "length": 3, "height": 2,
-                                     "cells_a": [["x", 0]], "cells_b": [[0, 1]]}),
-        "depth": ("complexity", {"shift": "fibonacci", "depth": "3"}),
-        "base": ("certificate", {"kind": "bs_horner", "m": 5}),
-        "side": ("special_words", {"shift": "golden-mean", "length": 3, "side": "up"}),
-        "dpeth": ("complexity", {"shift": "fibonacci", "dpeth": 3}),
+        "ranks": ("ranks", "growth_formula", {"formula": "bass_guivarch", "ranks": ["x", 1]}),
+        "cells_a": ("cells_a", "coding_check", {"shift": "full-2", "code": "full-2/flip",
+                                                "length": 3, "height": 2,
+                                                "cells_a": [["x", 0]], "cells_b": [[0, 1]]}),
+        "depth": ("depth", "complexity", {"shift": "fibonacci", "depth": "3"}),
+        "base": ("base", "certificate", {"kind": "bs_horner", "m": 5}),
+        "side": ("side", "special_words", {"shift": "golden-mean", "length": 3, "side": "up"}),
+        "dpeth": ("dpeth", "complexity", {"shift": "fibonacci", "dpeth": 3}),
+        "code-domain": ("code", "cyr_kra", {"shift": "golden-mean", "code": "full-2/flip",
+                                            "length": 3, "height": 2}),
+        "base-one": ("base", "certificate", {"kind": "bs_horner", "m": 5, "base": 1}),
+        "exponent-zero": ("exponent", "audit_shift_power",
+                          {"shift": "fibonacci", "exponent": 0, "depth": 3}),
     }
 
     @pytest.fixture(params=sorted(CASES))
     def case(self, request, tmp_path):
-        operation, params = self.CASES[request.param]
+        param, operation, params = self.CASES[request.param]
         bad = {"name": "bad", "operation": operation, "params": params}
         doc = {"runs": [bad, SIBLING], "out_dir": str(tmp_path / "out")}
-        return request.param, write_config(tmp_path, doc)
+        return param, write_config(tmp_path, doc)
 
     def test_validate_names_run_and_parameter(self, case, capsys, caplog):
         param, config = case
@@ -390,7 +417,8 @@ PLAUSIBLE = {
                                 min_size=1, max_size=2),
     "group": st.sampled_from(("z1", "z2", "heisenberg", "bs-2")),
     "positive": st.integers(1, 4),
-    "int": SMALL_INTS,
+    "nonzero": st.sampled_from((-2, -1, 1, 3)),
+    "base": st.integers(2, 4),
     "number": SMALL_INTS,
     "bool": st.booleans(),
     "word": st.sampled_from(WORDS),
@@ -470,6 +498,55 @@ class TestFuzzDocuments:
             if failed_checks:
                 assert validated == 1
                 assert failed_checks[0] in rejection
+
+
+class TestCatalogEntries:
+    """Shifts, codes and groups are built by name on first use: one bad
+    entry fails only the runs that use it, and `validate` rejects it."""
+
+    # section -> (bad name, bad spec, the error, a run on a sibling entry)
+    CASES = {
+        "groups": ("g", {"kind": "baumslag_solitar", "base": 2.5},
+                   "group 'g': base must be an integer",
+                   ("ball_growth", {"group": "z1", "radius": 3})),
+        "shifts": ("s", {"kind": "full"}, "shift 's' is missing field 'alphabet'",
+                   ("complexity", {"shift": "fibonacci", "depth": 3})),
+        "codes": ("c", {"kind": "power", "base": "later", "exponent": 2},
+                  "code 'c' references code 'later' which is not defined earlier",
+                  ("range_profile", {"code": "full-2/shift", "depth": 2})),
+    }
+
+    @pytest.mark.parametrize("section", sorted(CASES))
+    def test_bad_entry_fails_only_its_runs(self, section, tmp_path, capsys, caplog):
+        name, spec, error, (operation, params) = self.CASES[section]
+        kind = {"groups": "group", "shifts": "shift", "codes": "code"}[section]
+        uses_bad = {**params, kind: name}
+        doc = {section: {name: spec},
+               "runs": [{"name": "good", "operation": operation, "params": params},
+                        {"name": "bad", "operation": operation, "params": uses_bad}],
+               "out_dir": str(tmp_path / "out")}
+        if section == "codes":
+            doc["codes"]["later"] = {"kind": "shift_power", "domain": "full-2", "exponent": 1}
+        config = write_config(tmp_path, doc)
+        status, _ = run_cli(capsys, "validate", str(config))
+        assert status == 1 and error in caplog.text
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        (good, bad) = summary_rows(tmp_path / "out")
+        assert good[3] == "ok"
+        assert bad[3].startswith("error: ") and error in bad[3]
+
+    def test_long_chain_of_codes_builds(self, tmp_path, capsys):
+        # each code is a power of the one before; the chain is deeper than
+        # building each reference by recursion would allow
+        codes = {"c0": {"kind": "power", "base": "full-2/shift", "exponent": 1}}
+        for i in range(1, 400):
+            codes[f"c{i}"] = {"kind": "power", "base": f"c{i - 1}", "exponent": 1}
+        run = {"name": "last", "operation": "minimal_range", "params": {"code": "c399"}}
+        doc = {"codes": codes, "runs": [run], "out_dir": str(tmp_path / "out")}
+        status, _ = run_cli(capsys, "run", str(write_config(tmp_path, doc)))
+        assert status == 0
+        assert summary_rows(tmp_path / "out") == [["last", "minimal_range", "1", "ok"]]
 
 
 class TestValidate:

@@ -467,3 +467,55 @@ def test_word_set_matches_words_list(n):
     x = SftForbidden(BINARY, ["101"])
     assert x.word_set(n) == set(x.words_of_length(n))
     assert list(x.words_of_length(n)) == sorted(x.words_of_length(n))
+
+
+# -- sorted enumerations and the word index -------------------------------------
+
+
+@st.composite
+def presentations(draw):
+    """A fresh presentation of any kind on at most three symbols."""
+    symbols = draw(st.sampled_from(("01", "012")))
+    alphabet = Alphabet.of(symbols)
+    kind = draw(st.sampled_from(("full", "sft", "substitution", "periodic")))
+    if kind == "full":
+        return FullShift(alphabet)
+    if kind == "periodic":
+        return PeriodicOrbit(draw(st.text(alphabet=symbols, min_size=1, max_size=7)))
+    if kind == "substitution":
+        images = st.text(alphabet=symbols, min_size=1, max_size=3)
+        rules = {a: draw(images) for a in symbols}
+        try:
+            return SubstitutionShift(alphabet, rules)
+        except ValueError:
+            return SubstitutionShift(BINARY, fibonacci_rules())
+    forbidden = draw(st.lists(st.text(alphabet=symbols, min_size=1, max_size=3), max_size=4))
+    try:
+        return SftForbidden(alphabet, forbidden)
+    except ValueError:
+        return SftForbidden(alphabet, [symbols[-1] * 2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations(), st.integers(1, 7))
+def test_words_of_length_is_the_sorted_distinct_enumeration(x, n):
+    # full shifts and SFTs emit sorted words and skip the sort; the result
+    # must be what sorting the raw enumeration gives, for every kind
+    expected = tuple(sorted(set(x._enumerate(n)), key=x.alphabet.word_key))
+    assert x.words_of_length(n) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations(), st.integers(1, 7))
+def test_word_index_numbers_words_of_length_in_order(x, n):
+    words, shorter = x.words_of_length(n), x.words_of_length(n - 1)
+    index = x.word_index(n)
+    symbols, k = x.alphabet.symbols, x.alphabet.size
+    assert index.count == len(words)
+    for i, w in enumerate(words):
+        assert shorter[index.prefix[i]] == w[:-1]
+        assert shorter[index.suffix[i]] == w[1:]
+        assert symbols[index.last[i]] == w[-1]
+    number = {w: i for i, w in enumerate(words)}
+    expected = [number.get(u + a, len(words)) for u in shorter for a in symbols]
+    assert index.succ == expected + [len(words)] * k
