@@ -27,7 +27,6 @@ from .audit import (
     sigma_power_range_audit,
 )
 from .blockcode import (
-    DEFAULT_TABLE_BUDGET,
     endomorphism_check,
     inverse_search,
     minimal_range,
@@ -38,18 +37,18 @@ from .config import (
     Budgets,
     ExperimentConfig,
     RunSpec,
-    build_code,
-    build_group,
-    build_shift,
     check_run,
-    code_references,
     parse_config,
 )
 from .corpus import (
     BUILTIN_GROUP_SPECS,
     BUILTIN_SHIFT_SPECS,
+    Catalog,
     auto_certifier,
     builtin_code_specs,
+    builtin_codes,
+    builtin_groups,
+    builtin_shifts,
 )
 from .errors import BudgetExceededError, ConfigError
 from .grouplab import (
@@ -83,62 +82,28 @@ SUMMARY_HEADER = ("name", "operation", "result", "verdict")
 # -- run context ---------------------------------------------------------------
 
 
-class _Catalog:
-    """Named specs, each built by `build(name, spec)` on first use."""
-
-    def __init__(self, specs: dict, build):
-        self.specs, self._build, self._built = specs, build, {}
-
-    def __getitem__(self, name):
-        if name not in self._built:
-            self._built[name] = self._build(name, self.specs[name])
-        return self._built[name]
-
-    def __contains__(self, name):
-        return name in self.specs
-
-    def __iter__(self):
-        return iter(self.specs)
-
-
 class RunContext:
     """Catalogs for one run: built-in and document entries, each built by
     name on first use, so a bad entry fails only the runs that use it."""
 
     def __init__(self, config: ExperimentConfig, base_dir: Path):
-        self.config = config
-        self.base_dir = base_dir
         self.budgets = config.budgets
-        self._shifts = _Catalog({**BUILTIN_SHIFT_SPECS, **config.shifts}, build_shift)
-        self._codes = _Catalog({**builtin_code_specs(), **config.codes}, self._build_code)
-        self._groups = _Catalog({**BUILTIN_GROUP_SPECS, **config.groups}, build_group)
-
-    def _build_code(self, name: str, spec: dict):
-        names = list(self._codes.specs)
-        earlier = set(names[: names.index(name)])
-        # a code may use codes defined before it; build those it needs first,
-        # in document order, so that a long chain recurses one level at a time
-        needed, pending = set(), code_references(spec)
-        while pending:
-            ref = pending.pop()
-            if ref in earlier and ref not in needed:
-                needed.add(ref)
-                pending += code_references(self._codes.specs[ref])
-        built = {ref: self._codes[ref] for ref in names if ref in needed}
-        # built-in codes take the default budget, as the corpus builds them
-        budget = self.budgets.table_rows if name in self.config.codes else DEFAULT_TABLE_BUDGET
-        return build_code(name, spec, self.shifts, built, self.base_dir, budget)
+        self._shifts = builtin_shifts(config.shifts)
+        self._codes = builtin_codes(
+            self._shifts, config.codes, base_dir, self.budgets.table_rows
+        )
+        self._groups = builtin_groups(config.groups)
 
     @property
-    def shifts(self) -> _Catalog:
+    def shifts(self) -> Catalog:
         return self._shifts
 
     @property
-    def codes(self) -> _Catalog:
+    def codes(self) -> Catalog:
         return self._codes
 
     @property
-    def groups(self) -> _Catalog:
+    def groups(self) -> Catalog:
         return self._groups
 
 

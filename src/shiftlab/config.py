@@ -1,7 +1,8 @@
 """Experiment configuration: a JSON document describing shifts, codes,
 groups, and the runs to execute over them.
 
-Every reference failure names the offending element, and all budgets are
+The document round-trips (parse, serialize, parse) to an identical value,
+every reference failure names the offending element, and all budgets are
 explicit so reruns are reproducible byte for byte.
 """
 
@@ -429,6 +430,27 @@ def _checked_param(run: RunSpec, name: str, param: Param, catalogs):
         raise ConfigError(f"run {run.name!r}: parameter {name!r}: {exc}") from exc
 
 
+def serialize_config(config: ExperimentConfig) -> str:
+    """Canonical JSON text; parse(serialize(parse(t))) == parse(t)."""
+    doc = {
+        "shifts": config.shifts,
+        "codes": config.codes,
+        "groups": config.groups,
+        "runs": [
+            {
+                "name": run.name,
+                "operation": run.operation,
+                "params": run.params,
+                **({"fabricated": True} if run.fabricated else {}),
+            }
+            for run in config.runs
+        ],
+        "out_dir": config.out_dir,
+        "budgets": asdict(config.budgets),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 # -- rule tables -------------------------------------------------------------
 
 
@@ -494,11 +516,14 @@ def build_shift(name: str, spec: dict) -> ShiftPresentation:
     raise ConfigError(f"shift {name!r} has unknown kind {kind!r}")
 
 
-def code_references(spec: dict) -> list:
-    """The names of the codes a code spec is built from."""
-    kind = spec.get("kind")
-    fields = ("outer", "inner") if kind == "compose" else ("base",) if kind == "power" else ()
-    return [spec[f] for f in fields if isinstance(spec.get(f), str)]
+# code kind -> the fields of its spec that name the codes it is built from
+_CODE_REFERENCES = {"compose": ("outer", "inner"), "power": ("base",)}
+
+
+def code_references(spec: dict) -> dict:
+    """Field -> the code name it gives, for each reference field of a code
+    spec; build_code resolves references through this alone."""
+    return {key: spec.get(key) for key in _CODE_REFERENCES.get(spec.get("kind"), ())}
 
 
 def build_code(
@@ -518,8 +543,10 @@ def build_code(
             raise ConfigError(f"code {name!r} references unknown shift {ref!r}")
         return shifts[ref]
 
+    refs = code_references(spec)
+
     def code_ref(key: str) -> BlockCode:
-        ref = spec.get(key)
+        ref = refs[key]
         if ref not in built:
             raise ConfigError(
                 f"code {name!r} references code {ref!r} which is not defined "

@@ -1,12 +1,17 @@
 """Built-in corpus: named shifts, codes, and groups available to every
-experiment without being defined in the configuration document."""
+experiment without being defined in the configuration document.
+
+Catalogs hold the built-in entries and a document's, and build each entry
+by name on first use, so a bad entry fails only what uses it.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Mapping
 
-from .blockcode import BlockCode
-from .config import build_code, build_group, build_shift
+from .blockcode import DEFAULT_TABLE_BUDGET, BlockCode
+from .config import build_code, build_group, build_shift, code_references
 from .grouplab import (
     BS1nModel,
     GeneratingSet,
@@ -43,9 +48,33 @@ BUILTIN_GROUP_SPECS = {
 }
 
 
-def builtin_shifts() -> dict[str, ShiftPresentation]:
-    """Fresh instances of every built-in shift, in stable order."""
-    return {name: build_shift(name, spec) for name, spec in BUILTIN_SHIFT_SPECS.items()}
+class Catalog:
+    """Named specs, each built by `build(name, spec)` on first use."""
+
+    def __init__(self, specs: dict, build=None):
+        self.specs, self._built = specs, {}
+        if build is not None:
+            self.build = build
+
+    def __getitem__(self, name):
+        if name not in self._built:
+            self._built[name] = self.build(name, self.specs[name])
+        return self._built[name]
+
+    def __contains__(self, name):
+        return name in self.specs
+
+    def __iter__(self):
+        return iter(self.specs)
+
+    def items(self):
+        return ((name, self[name]) for name in self.specs)
+
+
+def builtin_shifts(document: Mapping | None = None) -> Catalog:
+    """Every built-in shift, then the `document` specs, each built fresh on
+    first use."""
+    return Catalog({**BUILTIN_SHIFT_SPECS, **(document or {})}, build_shift)
 
 
 def builtin_code_specs() -> dict[str, dict]:
@@ -82,17 +111,56 @@ def builtin_code_specs() -> dict[str, dict]:
     return specs
 
 
-def builtin_codes(shifts: dict[str, ShiftPresentation]) -> dict[str, BlockCode]:
-    """Fresh instances of every built-in code over `shifts`, in stable order."""
-    built: dict[str, BlockCode] = {}
-    for name, spec in builtin_code_specs().items():
-        built[name] = build_code(name, spec, shifts, built)
-    return built
+class _CodeCatalog(Catalog):
+    """Codes, each built after the earlier codes it references.
+
+    `build` is a method, not a stored closure over the catalog, so no
+    reference cycle keeps a catalog, and the word indexes of its shifts,
+    alive after its last user drops it.
+    """
+
+    def __init__(self, specs, shifts, document, base_dir, table_budget):
+        super().__init__(specs)
+        self.shifts, self.document = shifts, document
+        self.base_dir, self.table_budget = base_dir, table_budget
+
+    def build(self, name: str, spec: dict) -> BlockCode:
+        names = list(self.specs)
+        earlier = set(names[: names.index(name)])
+        needed, pending = set(), list(code_references(spec).values())
+        while pending:
+            ref = pending.pop()
+            if isinstance(ref, str) and ref in earlier and ref not in needed:
+                needed.add(ref)
+                pending += code_references(self.specs[ref]).values()
+        built = {ref: self[ref] for ref in names if ref in needed}
+        budget = self.table_budget if name in self.document else DEFAULT_TABLE_BUDGET
+        return build_code(name, spec, self.shifts, built, self.base_dir, budget)
 
 
-def builtin_groups() -> dict[str, tuple[GroupModel, GeneratingSet]]:
-    """Fresh instances of every built-in group with its standard set."""
-    return {name: build_group(name, spec) for name, spec in BUILTIN_GROUP_SPECS.items()}
+def builtin_codes(
+    shifts: Mapping[str, ShiftPresentation],
+    document: Mapping | None = None,
+    base_dir: Path | None = None,
+    table_budget: int = DEFAULT_TABLE_BUDGET,
+) -> Catalog:
+    """Every built-in code over `shifts`, then the `document` specs, each
+    built fresh on first use.  Document codes take `table_budget`,
+    built-in ones the default.
+
+    A code may use the codes defined before it.  Building one first builds
+    the earlier codes it references, transitively and in order, so a long
+    chain of references recurses one level at a time.
+    """
+    document = document or {}
+    specs = {**builtin_code_specs(), **document}
+    return _CodeCatalog(specs, shifts, document, base_dir, table_budget)
+
+
+def builtin_groups(document: Mapping | None = None) -> Catalog:
+    """Every built-in group with its standard set, then the `document`
+    specs, each built fresh on first use."""
+    return Catalog({**BUILTIN_GROUP_SPECS, **(document or {})}, build_group)
 
 
 def auto_certifier(model: GroupModel, word: WordExpr) -> Callable[[int], WordExpr] | None:

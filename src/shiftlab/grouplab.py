@@ -451,6 +451,9 @@ class DistortionProfile:
     trend_class: str
     radius_max: int
 
+    def known_values(self):
+        return tuple(e.value for e in self.entries if e.value is not None)
+
 
 def _trend_class_label(trend: TrendFit | None) -> str:
     if trend is None:

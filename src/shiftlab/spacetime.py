@@ -50,6 +50,10 @@ class SpacetimePatch:
     def cell(self, col: int, row: int) -> str:
         return self.rows[row][col]
 
+    def as_text(self) -> str:
+        """Plain-text grid, base row first."""
+        return "\n".join(self.rows)
+
 
 def _check_shape(domain: ShiftPresentation, code: BlockCode, n: int, k: int):
     if n < 1 or k < 1:

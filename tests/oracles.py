@@ -6,8 +6,6 @@ compared against these on small inputs, and frozen constants in the tests
 were produced by these functions once and pinned.
 """
 
-import json
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -313,49 +311,3 @@ def inverse_search_by_slide(code, radius_max: int, table_budget: int = 2_000_000
                 return psi
     return None
 
-
-def padded_to_radius(code, radius: int):
-    """Same map, re-tabulated at a larger declared radius."""
-    r = code.rule.radius
-    if radius < r:
-        raise ValueError("padding cannot shrink the radius")
-    if radius == r:
-        return code
-    cut = radius - r
-    words = code.domain.words_of_length(2 * radius + 1)
-    return code_from_table(code.domain, radius, {w: code.rule.table[w[cut:-cut]] for w in words})
-
-
-def finite_order_witness(code, max_power: int, table_budget: int = 2_000_000):
-    """Least n <= max_power with code^n the identity, if any."""
-    acc = minimized_by_scan(code)
-    for n in range(1, max_power + 1):
-        if n > 1:
-            acc = minimized_by_scan(compose_by_slide(acc, code, table_budget))
-        if is_identity_by_scan(acc):
-            return n
-    return None
-
-
-# -- configuration documents ------------------------------------------------------
-
-
-def serialize_config(config) -> str:
-    """Canonical JSON text; parse(serialize(parse(t))) == parse(t)."""
-    doc = {
-        "shifts": config.shifts,
-        "codes": config.codes,
-        "groups": config.groups,
-        "runs": [
-            {
-                "name": run.name,
-                "operation": run.operation,
-                "params": run.params,
-                **({"fabricated": True} if run.fabricated else {}),
-            }
-            for run in config.runs
-        ],
-        "out_dir": config.out_dir,
-        "budgets": asdict(config.budgets),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

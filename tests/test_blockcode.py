@@ -16,18 +16,19 @@ from shiftlab.blockcode import (
     codes_equal,
     compose,
     endomorphism_check,
+    finite_order_witness,
     identity_code,
     inverse_search,
     is_identity,
     minimal_range,
     minimized,
+    padded_to_radius,
     power,
     range_profile,
     shift_power_code,
     symbol_map_code,
 )
 from shiftlab.errors import BudgetExceededError
-from oracles import finite_order_witness, padded_to_radius
 from shiftlab.shiftlang import Alphabet, FullShift, PeriodicOrbit, SftForbidden, SubstitutionShift
 
 BINARY = Alphabet.of("01")

@@ -1,11 +1,13 @@
 """End-to-end runs of the command line driver."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import shiftlab
 from shiftlab import cli
 from shiftlab.cli import OPERATIONS, main
-from shiftlab.config import OPERATION_PARAMS
+from shiftlab.config import OPERATION_PARAMS, parse_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -547,6 +549,22 @@ class TestCatalogEntries:
         status, _ = run_cli(capsys, "run", str(write_config(tmp_path, doc)))
         assert status == 0
         assert summary_rows(tmp_path / "out") == [["last", "minimal_range", "1", "ok"]]
+
+    def test_catalogs_freed_when_the_run_context_goes(self):
+        # a reference cycle would keep every run's codes and word indexes
+        # alive until the cycle collector ran
+        config = parse_config(json.dumps({"codes": {
+            "sq": {"kind": "power", "base": "full-2/shift_flip", "exponent": 2},
+        }}))
+        gc.disable()
+        try:
+            ctx = cli.RunContext(config, Path("."))
+            ctx.codes["sq"]
+            gone = [weakref.ref(x) for x in (ctx.codes, ctx.shifts, ctx.shifts["full-2"])]
+            del ctx
+            assert [ref() for ref in gone] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestValidate:

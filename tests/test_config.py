@@ -17,10 +17,10 @@ from shiftlab.config import (
     check_run,
     load_rule_table,
     parse_config,
+    serialize_config,
 )
 from shiftlab.errors import ConfigError
 from shiftlab.grouplab import BS1nModel, HeisenbergModel, ZdModel
-from oracles import serialize_config
 from shiftlab.shiftlang import (
     Alphabet,
     FullShift,

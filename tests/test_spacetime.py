@@ -95,6 +95,7 @@ def test_patch_provenance_ignored_in_identity(full2):
     a = SpacetimePatch(1, 1, ("0",), source_word="x", code_name="p")
     b = SpacetimePatch(1, 1, ("0",), source_word="y", code_name="q")
     assert a == b and hash(a) == hash(b)
+    assert a.as_text() == "0"
 
 
 def test_build_patches_budget(full2):
