@@ -58,12 +58,6 @@ class LocalRule:
     radius: int
     table: dict
 
-    def output(self, window: str) -> str:
-        try:
-            return self.table[window]
-        except KeyError:
-            raise IllegalWindowError(window) from None
-
 
 @dataclass(frozen=True)
 class BlockCode:
@@ -82,7 +76,7 @@ class BlockCode:
         r = self.rule.radius
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        expected = self.domain.word_set(2 * r + 1)
+        expected = set(self.domain.words_of_length(2 * r + 1))
         keys = set(self.rule.table)
         if keys != expected:
             missing = sorted(expected - keys)[:3]

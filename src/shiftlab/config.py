@@ -20,6 +20,7 @@ from .blockcode import (
     BlockCode,
     RangeProfile,
     code_from_table,
+    _check_table_budget,
     compose,
     power,
     shift_power_code,
@@ -268,8 +269,8 @@ def parse_config(text: str, builtin_names: Mapping[str, frozenset] | None = None
         entries = _require_object(raw.get(section, {}), section)
         for name, spec in entries.items():
             spec = _require_object(spec, f"{section} entry {name!r}")
-            if "kind" not in spec:
-                raise ConfigError(f"{section} entry {name!r} needs a 'kind'")
+            if not isinstance(spec.get("kind"), str):
+                raise ConfigError(f"{section} entry {name!r} needs a 'kind' string")
         builtin = set((builtin_names or {}).get(section, ()))
         clashes = sorted(entries.keys() & builtin)
         if clashes:
@@ -498,8 +499,30 @@ def load_rule_table(text: str, origin: str = "rule table") -> dict:
 # -- object builders ----------------------------------------------------------
 
 
-def build_shift(name: str, spec: dict) -> ShiftPresentation:
+def _entry_kind(section: str, name: str, spec: dict, fields: Mapping[str, tuple]) -> str:
+    """The entry's kind, a key of `fields`; its spec may hold "kind" and
+    the fields[kind] that the builder reads, nothing else.  Failures raise
+    a ConfigError naming the entry."""
     kind = spec.get("kind")
+    if kind not in fields:
+        raise ConfigError(f"{section} {name!r} has unknown kind {kind!r}")
+    unknown = sorted(set(spec) - {"kind", *fields[kind]})
+    if unknown:
+        raise ConfigError(f"{section} {name!r}: unknown field {unknown[0]!r}")
+    return kind
+
+
+# shift, code and group kind -> the fields of its spec besides "kind"
+_SHIFT_FIELDS = {
+    "full": ("alphabet",),
+    "sft": ("alphabet", "forbidden"),
+    "substitution": ("alphabet", "rules"),
+    "periodic": ("seed",),
+}
+
+
+def build_shift(name: str, spec: dict) -> ShiftPresentation:
+    kind = _entry_kind("shift", name, spec, _SHIFT_FIELDS)
     try:
         if kind == "full":
             return FullShift(Alphabet.of(spec["alphabet"]))
@@ -507,17 +530,23 @@ def build_shift(name: str, spec: dict) -> ShiftPresentation:
             return SftForbidden(Alphabet.of(spec["alphabet"]), spec["forbidden"])
         if kind == "substitution":
             return SubstitutionShift(Alphabet.of(spec["alphabet"]), spec["rules"])
-        if kind == "periodic":
-            return PeriodicOrbit(spec["seed"])
+        return PeriodicOrbit(spec["seed"])
     except KeyError as exc:
         raise ConfigError(f"shift {name!r} is missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"shift {name!r}: {exc}") from exc
-    raise ConfigError(f"shift {name!r} has unknown kind {kind!r}")
 
 
 # code kind -> the fields of its spec that name the codes it is built from
 _CODE_REFERENCES = {"compose": ("outer", "inner"), "power": ("base",)}
+
+_CODE_FIELDS = {
+    "table": ("domain", "table", "file", "radius"),
+    "shift_power": ("domain", "exponent"),
+    "symbol_map": ("domain", "image"),
+    "compose": _CODE_REFERENCES["compose"],
+    "power": (*_CODE_REFERENCES["power"], "exponent"),
+}
 
 
 def code_references(spec: dict) -> dict:
@@ -534,13 +563,19 @@ def build_code(
     base_dir: Path | None = None,
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> BlockCode:
-    """Build one code; compose/power may reference earlier built codes."""
-    kind = spec.get("kind")
+    """Build one code; compose/power may reference earlier built codes.
 
-    def domain() -> ShiftPresentation:
+    A code whose table would outgrow `table_budget` rows raises
+    BudgetExceededError before any row is built."""
+    kind = _entry_kind("code", name, spec, _CODE_FIELDS)
+
+    def domain(radius) -> ShiftPresentation:
         ref = spec.get("domain")
         if ref not in shifts:
             raise ConfigError(f"code {name!r} references unknown shift {ref!r}")
+        # a radius that is not a nonnegative integer fails in the builder
+        if isinstance(radius, int) and radius >= 0:
+            _check_table_budget(shifts[ref], radius, table_budget, f"code {name!r}")
         return shifts[ref]
 
     refs = code_references(spec)
@@ -571,22 +606,22 @@ def build_code(
                     raise ConfigError(f"code {name!r}: empty table")
             width = len(next(iter(table)))
             radius = spec.get("radius", (width - 1) // 2)
-            return code_from_table(domain(), radius, table)
+            return code_from_table(domain(radius), radius, table)
         if kind == "shift_power":
-            return shift_power_code(domain(), spec["exponent"])
+            exponent = spec["exponent"]
+            radius = abs(exponent) if isinstance(exponent, int) else None
+            return shift_power_code(domain(radius), exponent)
         if kind == "symbol_map":
-            return symbol_map_code(domain(), spec["image"])
+            return symbol_map_code(domain(0), spec["image"])
         if kind == "compose":
             return compose(code_ref("outer"), code_ref("inner"), table_budget)
-        if kind == "power":
-            return power(code_ref("base"), spec["exponent"], table_budget)
+        return power(code_ref("base"), spec["exponent"], table_budget)
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"code {name!r} is missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"code {name!r}: {exc}") from exc
-    raise ConfigError(f"code {name!r} has unknown kind {kind!r}")
 
 
 def _parse_group_element(name: str, kind: str, value, rank: int):
@@ -628,17 +663,22 @@ def _group_int(name: str, spec: dict, field: str) -> int:
     return value
 
 
+_GROUP_FIELDS = {
+    "free_abelian": ("rank", "generators"),
+    "heisenberg": ("generators",),
+    "baumslag_solitar": ("base", "generators"),
+}
+
+
 def build_group(name: str, spec: dict) -> tuple[GroupModel, GeneratingSet]:
-    kind = spec.get("kind")
+    kind = _entry_kind("group", name, spec, _GROUP_FIELDS)
     try:
         if kind == "free_abelian":
             model: GroupModel = ZdModel(_group_int(name, spec, "rank"))
         elif kind == "heisenberg":
             model = HeisenbergModel()
-        elif kind == "baumslag_solitar":
-            model = BS1nModel(_group_int(name, spec, "base"))
         else:
-            raise ConfigError(f"group {name!r} has unknown kind {kind!r}")
+            model = BS1nModel(_group_int(name, spec, "base"))
         if "generators" in spec:
             named = _require_object(spec["generators"], f"group {name!r} generators")
             rank = spec.get("rank", 0)

@@ -202,14 +202,11 @@ class GeneratingSet:
 
     base pairs (name, element) list the declared generators; labeled()
     appends the formal inverses (suffix ^-1), deduplicated by value so an
-    involution contributes a single move.  Word metrics require symmetric
-    sets; the flag exists so asymmetric sets can be represented but they
-    are rejected by the searches.
+    involution contributes a single move.
     """
 
     model: GroupModel
     base: tuple
-    symmetric: bool = True
 
     def __post_init__(self):
         if not self.base:
@@ -241,12 +238,11 @@ class GeneratingSet:
             if element not in seen:
                 seen.add(element)
                 out.append((name, element))
-        if self.symmetric:
-            for name, element in self.base:
-                inv = self.model.inverse(element)
-                if inv not in seen:
-                    seen.add(inv)
-                    out.append((f"{name}^-1", inv))
+        for name, element in self.base:
+            inv = self.model.inverse(element)
+            if inv not in seen:
+                seen.add(inv)
+                out.append((f"{name}^-1", inv))
         return tuple(out)
 
 
@@ -313,8 +309,6 @@ def cayley_ball(
     """
     if radius_max < 0:
         raise ValueError("radius_max must be nonnegative")
-    if not gens.symmetric:
-        raise ValueError("word metrics need a symmetric generating set")
     if gens.model != model:
         raise ValueError("generating set belongs to a different model")
     moves = [element for _, element in gens.labeled()]

@@ -1,9 +1,9 @@
 """Finite presentations of one-dimensional subshifts and exact language queries.
 
 A presentation is a finite description of a closed, shift-invariant set of
-bi-infinite sequences: the full shift over an alphabet, a shift of finite
-type given by forbidden words, the shift of a primitive substitution, or a
-single periodic orbit.  Every presentation answers the same questions
+bi-infinite sequences: a shift of finite type given by forbidden words
+(the full shift over an alphabet forbids none), the shift of a primitive
+substitution, or a single periodic orbit.  Every presentation answers the same questions
 exactly: which words of length n occur in some bi-infinite point, how many
 there are, which of them extend in more than one way, and how fast the
 count grows.  "Legal" always means occurring in a bi-infinite point, which
@@ -49,14 +49,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, sym: str) -> int:
-        try:
-            return self._index[sym]
-        except KeyError:
-            raise ValueError(
-                f"symbol {sym!r} not in alphabet {''.join(self.symbols)!r}"
-            ) from None
-
     def word_key(self, word: str) -> str:
         """Sort key realizing the alphabet order on words over this alphabet.
 
@@ -88,30 +80,30 @@ class WordIndex:
     length also keep tail[i], the graph vertex of the word's last block.
     """
 
-    __slots__ = ("count", "prefix", "suffix", "last", "tail", "_shape", "_succ")
+    __slots__ = ("count", "prefix", "suffix", "last", "tail", "_shape", "_table")
 
     def __init__(self, prefix, suffix, last, k: int, previous: int, tail=None):
         self.count = len(prefix)
         self.prefix, self.suffix, self.last, self.tail = prefix, suffix, last, tail
-        self._shape, self._succ = (k, previous), None
+        self._shape, self._table = (k, previous), None
 
     @property
     def succ(self) -> list:
         # built on first use: a table's own length needs only prefix and suffix
-        if self._succ is None:
+        if self._table is None:
             k, previous = self._shape
-            self._succ = succ = [self.count] * ((previous + 1) * k)
+            self._table = succ = [self.count] * ((previous + 1) * k)
             for i, (p, a) in enumerate(zip(self.prefix, self.last)):
                 succ[p * k + a] = i
-        return self._succ
+        return self._table
 
 
-def _product_index(letters, alphabet: Alphabet, n: int) -> WordIndex:
-    """Index of all length-n words over `letters`: base-len(letters) digits."""
-    ranks = [alphabet.index(s) for s in letters]
+def _product_index(ranks: list, k: int, n: int) -> WordIndex:
+    """Index of all length-n words over the letters of alphabet index
+    `ranks`, k the alphabet size: base-len(ranks) digits."""
     m = len(ranks) ** (n - 1)
     prefix = [p for p in range(m) for _ in ranks]
-    return WordIndex(prefix, list(range(m)) * len(ranks), ranks * m, alphabet.size, m)
+    return WordIndex(prefix, list(range(m)) * len(ranks), ranks * m, k, m)
 
 
 class ShiftPresentation:
@@ -126,7 +118,6 @@ class ShiftPresentation:
 
     def __init__(self):
         self._word_cache: dict[int, tuple[str, ...]] = {}
-        self._set_cache: dict[int, frozenset[str]] = {}
         self._index_cache: dict[int, WordIndex] = {}
 
     # -- subclass hooks --------------------------------------------------
@@ -184,15 +175,8 @@ class ShiftPresentation:
                 built[length] = self._index(length)
         return built[n]
 
-    def word_set(self, n: int) -> frozenset[str]:
-        cached = self._set_cache.get(n)
-        if cached is None:
-            cached = frozenset(self.words_of_length(n))
-            self._set_cache[n] = cached
-        return cached
-
     def is_legal(self, word: str) -> bool:
-        return word in self.word_set(len(word))
+        return word in self.words_of_length(len(word))
 
     def __eq__(self, other):
         return (
@@ -206,46 +190,26 @@ class ShiftPresentation:
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-class FullShift(ShiftPresentation):
-    """Every sequence over the alphabet."""
-
-    def __init__(self, alphabet: Alphabet):
-        super().__init__()
-        self.alphabet = alphabet
-
-    def _enumerate(self, n):
-        return tuple(map("".join, product(self.alphabet.symbols, repeat=n)))
-
-    def _index(self, n):
-        return _product_index(self.alphabet.symbols, self.alphabet, n)
-
-    def count_words(self, n):
-        _check_length(n)
-        return self.alphabet.size ** n
-
-    def is_legal(self, word):
-        return self.alphabet.contains_word(word)
-
-    def descriptor(self):
-        return ("full", self.alphabet.symbols)
-
-    def describe(self):
-        return f"full shift on {{{','.join(self.alphabet.symbols)}}}"
-
-
 class SftForbidden(ShiftPresentation):
     """Shift of finite type: sequences avoiding a finite set of forbidden words.
 
     A finite word is legal when it occurs in some bi-infinite sequence that
     avoids the forbidden factors everywhere, so avoidance alone is not
     enough.  The constructor builds the de Bruijn-style graph whose vertices
-    are the avoidance-clean (m-1)-blocks (m the longest forbidden length)
-    and whose edges are the clean m-blocks, then trims it to its
+    are the avoidance-clean b-blocks (b = m-1, m the longest forbidden
+    length) and whose edges are the clean m-blocks, then trims it to its
     bi-essential part: vertices with no predecessor or no successor are
     deleted until none remain.  Surviving vertices are exactly the legal
-    (m-1)-words, and longer legal words are exactly the path labels of the
+    b-words, and longer legal words are exactly the path labels of the
     trimmed graph; shorter ones are their factors.  A presentation whose
     trimmed graph is empty admits no bi-infinite point and is rejected.
+
+    Vertex i is the i-th legal b-word in sorted order, and _edges[i] lists
+    (letter index, next vertex) for its out-edges in alphabet order, so
+    extending sorted words along them keeps them sorted.  When no forbidden
+    word is longer than one letter, the full shift among them, b = 0: the
+    graph is one vertex, the empty word, with a loop for each allowed
+    letter, and counts, enumerations and indexes take their product forms.
     """
 
     def __init__(self, alphabet: Alphabet, forbidden):
@@ -262,78 +226,47 @@ class SftForbidden(ShiftPresentation):
                 seen.add(f)
                 fset.append(f)
         self.forbidden = tuple(sorted(fset, key=lambda w: (len(w), alphabet.word_key(w))))
-        self._build()
-
-    def _build(self):
-        if not self.forbidden:
-            self._mode = "full"
-            self._letters = self.alphabet.symbols
-            return
-        m = max(len(f) for f in self.forbidden)
-        if m == 1:
-            banned = set(self.forbidden)
-            letters = tuple(s for s in self.alphabet.symbols if s not in banned)
-            if not letters:
-                raise ValueError("every symbol is forbidden: the presentation is empty")
-            self._mode = "letters"
-            self._letters = letters
-            return
-        self._mode = "graph"
-        self._block = m - 1
+        symbols = alphabet.symbols
+        b = max(map(len, self.forbidden), default=1) - 1
         clean = lambda w: not any(f in w for f in self.forbidden)
-        vertices = {
-            "".join(p)
-            for p in product(self.alphabet.symbols, repeat=m - 1)
-            if clean("".join(p))
-        }
+        vertices = {v for v in map("".join, product(symbols, repeat=b)) if clean(v)}
         # trim to the bi-essential subgraph
         while True:
-            has_out = set()
-            has_in = set()
-            for v in vertices:
-                for a in self.alphabet.symbols:
-                    w = v + a
-                    if w[1:] in vertices and clean(w):
-                        has_out.add(v)
-                        has_in.add(w[1:])
-            kept = vertices & has_out & has_in
+            out = {
+                v: [(a, (v + s)[1:]) for a, s in enumerate(symbols)
+                    if (v + s)[1:] in vertices and clean(v + s)]
+                for v in vertices
+            }
+            heads = {u for edges in out.values() for _, u in edges}
+            kept = {v for v in vertices if out[v] and v in heads}
             if kept == vertices:
                 break
             vertices = kept
         if not vertices:
             raise ValueError(
-                "forbidden set leaves no bi-infinite sequence: the presentation is empty"
+                "every symbol is forbidden: the presentation is empty" if b == 0
+                else "forbidden set leaves no bi-infinite sequence: the presentation is empty"
             )
-        self._vertices = tuple(sorted(vertices, key=self.alphabet.word_key))
-        self._succ = {
-            v: tuple(
-                a
-                for a in self.alphabet.symbols
-                if (v + a)[1:] in vertices and clean(v + a)
-            )
-            for v in self._vertices
-        }
-        # per vertex, (letter index, next vertex number) of each out-edge
-        number = {v: i for i, v in enumerate(self._vertices)}
-        self._edges = [
-            [(self.alphabet.index(a), number[(v + a)[1:]]) for a in self._succ[v]]
-            for v in self._vertices
-        ]
+        self._block = b
+        self._vertices = tuple(sorted(vertices, key=alphabet.word_key))
+        self._number = number = {v: i for i, v in enumerate(self._vertices)}
+        self._edges = [[(a, number[u]) for a, u in out[v]] for v in self._vertices]
 
     def _enumerate(self, n):
-        if self._mode in ("full", "letters"):
-            return tuple(map("".join, product(self._letters, repeat=n)))
-        b = self._block
+        b, edges, symbols = self._block, self._edges, self.alphabet.symbols
+        if b == 0:
+            return tuple(map("".join, product([symbols[a] for a, _ in edges[0]], repeat=n)))
         if n <= b:
             return {v[i : i + n] for v in self._vertices for i in range(b - n + 1)}
-        words = self._vertices
+        words, tails = self._vertices, range(len(edges))
         for _ in range(n - b):
-            words = [w + a for w in words for a in self._succ[w[-b:]]]
+            words = [w + symbols[a] for w, t in zip(words, tails) for a, _ in edges[t]]
+            tails = [u for t in tails for _, u in edges[t]]
         return tuple(words)
 
     def _index(self, n):
-        if self._mode in ("full", "letters"):
-            return _product_index(self._letters, self.alphabet, n)
+        if self._block == 0:
+            return _product_index([a for a, _ in self._edges[0]], self.alphabet.size, n)
         if n <= self._block:
             return super()._index(n)
         # extend each word of length n-1 along its last vertex's out-edges,
@@ -350,34 +283,36 @@ class SftForbidden(ShiftPresentation):
 
     def count_words(self, n):
         _check_length(n)
-        if self._mode in ("full", "letters"):
-            return len(self._letters) ** n
-        b = self._block
+        b, edges = self._block, self._edges
+        if b == 0:
+            return len(edges[0]) ** n
         if n <= b:
             return len(self.words_of_length(n))
         # path count: one matrix-vector pass per extra letter
-        counts = {v: 1 for v in self._vertices}
+        counts = [1] * len(edges)
         for _ in range(n - b):
-            nxt = dict.fromkeys(self._vertices, 0)
-            for v, c in counts.items():
-                for a in self._succ[v]:
-                    nxt[(v + a)[1:]] += c
+            nxt = [0] * len(edges)
+            for c, out in zip(counts, edges):
+                for _, u in out:
+                    nxt[u] += c
             counts = nxt
-        return sum(counts.values())
+        return sum(counts)
 
     def is_legal(self, word):
         if not self.alphabet.contains_word(word):
             return False
-        if self._mode in ("full", "letters"):
-            allowed = set(self._letters)
-            return all(c in allowed for c in word)
-        b = self._block
+        b, rank = self._block, self.alphabet._index
         if len(word) <= b:
             return any(word in v for v in self._vertices)
-        succ = self._succ
-        for i in range(len(word) - b):
-            v = word[i : i + b]
-            if v not in succ or word[i + b] not in succ[v]:
+        v = self._number.get(word[:b])
+        if v is None:
+            return False
+        for c in word[b:]:
+            for a, u in self._edges[v]:
+                if a == rank[c]:
+                    v = u
+                    break
+            else:
                 return False
         return True
 
@@ -387,6 +322,19 @@ class SftForbidden(ShiftPresentation):
     def describe(self):
         shown = ",".join(self.forbidden) if self.forbidden else "-"
         return f"SFT on {{{','.join(self.alphabet.symbols)}}} forbidding {{{shown}}}"
+
+
+class FullShift(SftForbidden):
+    """Every sequence over the alphabet: the SFT that forbids nothing."""
+
+    def __init__(self, alphabet: Alphabet):
+        super().__init__(alphabet, ())
+
+    def descriptor(self):
+        return ("full", self.alphabet.symbols)
+
+    def describe(self):
+        return f"full shift on {{{','.join(self.alphabet.symbols)}}}"
 
 
 class SubstitutionShift(ShiftPresentation):
@@ -504,12 +452,6 @@ class PeriodicOrbit(ShiftPresentation):
         copies = (self.period - 1 + n + self.period - 1) // self.period + 1
         s = self.seed * copies
         return {s[i : i + n] for i in range(self.period)}
-
-    def is_legal(self, word):
-        if not self.alphabet.contains_word(word):
-            return False
-        copies = len(word) // self.period + 2
-        return word in self.seed * copies
 
     def descriptor(self):
         return ("periodic", self.alphabet.symbols, self.seed)

@@ -213,10 +213,10 @@ def _build_first_column(domain, code, height: int, word_budget: int):
 # -- coding relation ---------------------------------------------------------
 
 
-def _resolve_cells(cells, width: int, height: int, origin_col: int):
+def _resolve_cells(cells, width: int, height: int):
     resolved = []
     for col, row in cells:
-        c = col + origin_col
+        c = col + width // 2
         if not (0 <= c < width):
             raise ValueError(f"cell column {col} falls outside patch width {width}")
         if not (0 <= row < height):
@@ -225,22 +225,19 @@ def _resolve_cells(cells, width: int, height: int, origin_col: int):
     return tuple(sorted(set(resolved)))
 
 
-def coding_check(patches, cells_a, cells_b, origin_col: int | None = None) -> bool:
+def coding_check(patches, cells_a, cells_b) -> bool:
     """Does agreement on cell set A force agreement on cell set B?
 
     True iff any two patches that agree on every A-cell also agree on
-    every B-cell.  Columns in the cell sets are relative to origin_col,
-    which defaults to the central column so symmetric segments like
-    {-k..k} x {0} read naturally.
+    every B-cell.  Columns in the cell sets are relative to the central
+    column, so symmetric segments like {-k..k} x {0} read naturally.
     """
     patches = tuple(patches)
     if not patches:
         raise ValueError("coding_check needs a nonempty patch family")
     width, height = patches[0].width, patches[0].height
-    if origin_col is None:
-        origin_col = width // 2
-    a = _resolve_cells(cells_a, width, height, origin_col)
-    b = _resolve_cells(cells_b, width, height, origin_col)
+    a = _resolve_cells(cells_a, width, height)
+    b = _resolve_cells(cells_b, width, height)
     groups: dict[tuple, tuple] = {}
     for p in patches:
         key = tuple(p.cell(c, r) for c, r in a)

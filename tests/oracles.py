@@ -301,7 +301,7 @@ def inverse_search_by_slide(code, radius_max: int, table_budget: int = 2_000_000
             if candidate.setdefault(apply_to_word(phi, w), w[r + r_inv]) != w[r + r_inv]:
                 break
         else:
-            if set(candidate) != phi.domain.word_set(2 * r_inv + 1):
+            if set(candidate) != set(phi.domain.words_of_length(2 * r_inv + 1)):
                 continue
             words = phi.domain.words_of_length(2 * r_inv + 1)
             psi = code_from_table(phi.domain, r_inv, {w: candidate[w] for w in words})

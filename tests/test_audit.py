@@ -21,6 +21,7 @@ from shiftlab.blockcode import (
     shift_power_code,
     symbol_map_code,
 )
+from shiftlab.errors import BudgetExceededError
 from shiftlab.grouplab import (
     DistortionProfile,
     GeneratingSet,
@@ -321,6 +322,14 @@ def test_periodic_orbit_not_applicable():
     report = sigma_power_range_audit(1, PeriodicOrbit("01"), 4)
     assert report.verdict == NOT_APPLICABLE
     assert "periodic" in report.reason
+
+
+def test_shift_power_table_is_checked_before_it_is_built():
+    # its 2**81 rows would exhaust memory, so any enumeration fails at once
+    full2 = FullShift(BINARY)
+    full2._enumerate = lambda n: pytest.fail(f"enumerated words of length {n}")
+    with pytest.raises(BudgetExceededError, match=f"needed {2**81}, limit 2000000"):
+        sigma_power_range_audit(40, full2, 1)
 
 
 def test_shift_exponent_must_be_nonzero(fibonacci):

@@ -18,6 +18,7 @@ import shiftlab
 from shiftlab import cli
 from shiftlab.cli import OPERATIONS, main
 from shiftlab.config import OPERATION_PARAMS, parse_config
+from shiftlab.shiftlang import ShiftPresentation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -471,6 +472,18 @@ def fuzz_runs(draw, index):
     return run
 
 
+def _forbid_long_words(monkeypatch, limit=20):
+    # a table of every 81-word would exhaust memory, so a regression fails
+    # here at the first long enumeration instead
+    words_of_length = ShiftPresentation.words_of_length
+
+    def guarded(shift, n):
+        assert n <= limit, f"enumerated words of length {n}"
+        return words_of_length(shift, n)
+
+    monkeypatch.setattr(ShiftPresentation, "words_of_length", guarded)
+
+
 class TestFuzzDocuments:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -506,21 +519,31 @@ class TestCatalogEntries:
     """Shifts, codes and groups are built by name on first use: one bad
     entry fails only the runs that use it, and `validate` rejects it."""
 
-    # section -> (bad name, bad spec, the error, a run on a sibling entry)
+    CODE_RUN = ("range_profile", {"code": "full-2/shift", "depth": 2})
+    # case id -> (section, bad name, bad spec, the error, a run on a sibling entry)
     CASES = {
-        "groups": ("g", {"kind": "baumslag_solitar", "base": 2.5},
+        "groups": ("groups", "g", {"kind": "baumslag_solitar", "base": 2.5},
                    "group 'g': base must be an integer",
                    ("ball_growth", {"group": "z1", "radius": 3})),
-        "shifts": ("s", {"kind": "full"}, "shift 's' is missing field 'alphabet'",
+        "shifts": ("shifts", "s", {"kind": "full"}, "shift 's' is missing field 'alphabet'",
                    ("complexity", {"shift": "fibonacci", "depth": 3})),
-        "codes": ("c", {"kind": "power", "base": "later", "exponent": 2},
-                  "code 'c' references code 'later' which is not defined earlier",
-                  ("range_profile", {"code": "full-2/shift", "depth": 2})),
+        "codes": ("codes", "c", {"kind": "power", "base": "later", "exponent": 2},
+                  "code 'c' references code 'later' which is not defined earlier", CODE_RUN),
+        # 2**81 rows: the table budget must stop these before a row is built
+        "shift-power-over-budget": (
+            "codes", "c", {"kind": "shift_power", "domain": "full-2", "exponent": 40},
+            f"table rows budget exceeded: needed {2**81}, limit 2000000 (code 'c')", CODE_RUN),
+        "table-over-budget": (
+            "codes", "c", {"kind": "table", "domain": "golden-mean", "radius": 40,
+                           "table": {"0": "0", "1": "1"}},
+            "table rows budget exceeded: needed 99194853094755497, limit 2000000 (code 'c')",
+            CODE_RUN),
     }
 
-    @pytest.mark.parametrize("section", sorted(CASES))
-    def test_bad_entry_fails_only_its_runs(self, section, tmp_path, capsys, caplog):
-        name, spec, error, (operation, params) = self.CASES[section]
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_entry_fails_only_its_runs(self, case, tmp_path, capsys, caplog, monkeypatch):
+        section, name, spec, error, (operation, params) = self.CASES[case]
+        _forbid_long_words(monkeypatch)
         kind = {"groups": "group", "shifts": "shift", "codes": "code"}[section]
         uses_bad = {**params, kind: name}
         doc = {section: {name: spec},

@@ -103,6 +103,8 @@ class TestParse:
     def test_section_entry_needs_kind(self):
         with pytest.raises(ConfigError, match="entry 'x' needs a 'kind'"):
             parse({"shifts": {"x": {"alphabet": "01"}}})
+        with pytest.raises(ConfigError, match="entry 'x' needs a 'kind' string"):
+            parse({"codes": {"x": {"kind": ["table"]}}})
 
     def test_unknown_budget_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown budget keys"):
@@ -408,6 +410,25 @@ class TestBuildGroup:
             build_group(
                 "g", {"kind": "baumslag_solitar", "base": 2, "generators": {"a": [1]}}
             )
+
+
+@pytest.mark.parametrize(
+    "section, spec, error",
+    [
+        ("shift", {"kind": "periodic", "seed": "01", "alphabet": "01"}, "'alphabet'"),
+        ("code", {"kind": "table", "domain": "bits", "raduis": 2,
+                  "table": {"0": "1", "1": "0"}}, "'raduis'"),
+        ("group", {"kind": "free_abelian", "rank": 1, "generatos": {"a": [2]}}, "'generatos'"),
+    ],
+)
+def test_misspelled_field_names_entry_and_field(section, spec, error):
+    build = {
+        "shift": lambda: build_shift("x", spec),
+        "code": lambda: build_code("x", spec, {"bits": FullShift(Alphabet.of("01"))}, {}),
+        "group": lambda: build_group("x", spec),
+    }[section]
+    with pytest.raises(ConfigError, match=f"^{section} 'x': unknown field {error}$"):
+        build()
 
 
 class TestSpecGuards:

@@ -214,13 +214,6 @@ def test_labeled_deduplicates_explicit_inverses():
     assert len(labels) == 2  # formal inverses coincide with the given pair
 
 
-def test_asymmetric_set_rejected_by_search():
-    z1 = ZdModel(1)
-    gens = GeneratingSet(z1, (("a", (1,)),), symmetric=False)
-    with pytest.raises(ValueError):
-        cayley_ball(z1, gens, 3)
-
-
 # -- Cayley balls -------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Language-level behavior of the four presentation kinds."""
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -58,8 +59,6 @@ def test_word_key_orders_by_declared_order():
     letters = Alphabet.of("ba")
     words = ["aa", "ab", "ba", "bb"]
     assert sorted(words, key=letters.word_key) == ["bb", "ba", "ab", "aa"]
-    with pytest.raises(ValueError):
-        letters.index("c")
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,7 +110,7 @@ def test_golden_mean_complexity_matches_frozen_values(golden):
 
 def test_golden_mean_against_brute_force(golden):
     for n in range(1, 9):
-        assert golden.word_set(n) == golden_mean_words(n)
+        assert set(golden.words_of_length(n)) == golden_mean_words(n)
 
 
 def test_golden_mean_path_count_agrees_with_enumeration(golden):
@@ -121,7 +120,7 @@ def test_golden_mean_path_count_agrees_with_enumeration(golden):
 
 def test_sft_three_letter_forbidden_words_frozen():
     x = SftForbidden(BINARY, ["11"])
-    assert x.word_set(3) == {"000", "001", "010", "100", "101"}
+    assert set(x.words_of_length(3)) == {"000", "001", "010", "100", "101"}
 
 
 def test_sft_legality_is_two_sided_extendability():
@@ -129,13 +128,13 @@ def test_sft_legality_is_two_sided_extendability():
     # in 1 must continue with 1s forever, which is fine, but '10' forces the
     # suffix 0^inf, also fine.  All of 00, 10, 11 survive; 01 does not.
     x = SftForbidden(BINARY, ["01"])
-    assert x.word_set(2) == {"00", "10", "11"}
+    assert set(x.words_of_length(2)) == {"00", "10", "11"}
 
 
 def test_sft_trimming_removes_dead_ends():
     # forbidding 00 and 11 leaves only the alternating orbit
     x = SftForbidden(BINARY, ["00", "11"])
-    assert x.word_set(4) == {"0101", "1010"}
+    assert set(x.words_of_length(4)) == {"0101", "1010"}
     assert complexity(x, 9) == 2
 
 
@@ -148,13 +147,13 @@ def test_sft_empty_presentation_rejected():
 
 def test_sft_single_letter_forbidden_reduces_alphabet():
     x = SftForbidden(Alphabet.of("abc"), ["b"])
-    assert x.word_set(2) == {"aa", "ac", "ca", "cc"}
+    assert set(x.words_of_length(2)) == {"aa", "ac", "ca", "cc"}
 
 
 def test_sft_mixed_length_forbidden_against_brute_force():
     x = SftForbidden(BINARY, ["111", "00"])
     for n in range(1, 8):
-        assert x.word_set(n) == sft_words_brute("01", ["111", "00"], n)
+        assert set(x.words_of_length(n)) == sft_words_brute("01", ["111", "00"], n)
 
 
 def test_sft_rejects_garbage_forbidden_words():
@@ -174,7 +173,7 @@ def test_fibonacci_complexity_is_n_plus_one(fibonacci):
 
 def test_fibonacci_against_brute_force(fibonacci):
     for n in range(1, 11):
-        assert fibonacci.word_set(n) == substitution_words(fibonacci_rules(), n)
+        assert set(fibonacci.words_of_length(n)) == substitution_words(fibonacci_rules(), n)
 
 
 def test_fibonacci_unique_right_special_word(fibonacci):
@@ -186,7 +185,7 @@ def test_thue_morse_complexity_values():
     x = SubstitutionShift(BINARY, {"0": "01", "1": "10"})
     # classical counts for the doubling rule's shift
     for n in range(1, 9):
-        assert x.word_set(n) == substitution_words({"0": "01", "1": "10"}, n)
+        assert set(x.words_of_length(n)) == substitution_words({"0": "01", "1": "10"}, n)
     assert [complexity(x, n) for n in range(1, 7)] == [2, 4, 6, 10, 12, 16]
 
 
@@ -223,13 +222,13 @@ def test_periodic_seed_normalization():
 
 def test_periodic_words_frozen_example():
     x = PeriodicOrbit("01")
-    assert x.word_set(5) == {"01010", "10101"}
+    assert set(x.words_of_length(5)) == {"01010", "10101"}
 
 
 def test_periodic_against_brute_force():
     x = PeriodicOrbit("0010111")
     for n in range(1, 12):
-        assert x.word_set(n) == periodic_words("0010111", n)
+        assert set(x.words_of_length(n)) == periodic_words("0010111", n)
 
 
 def test_periodic_complexity_caps_at_period():
@@ -461,14 +460,6 @@ def test_periodic_profile_consistency(seed):
     assert morse_hedlund_test(x, x.period + 1).certifies_periodic
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=7))
-def test_word_set_matches_words_list(n):
-    x = SftForbidden(BINARY, ["101"])
-    assert x.word_set(n) == set(x.words_of_length(n))
-    assert list(x.words_of_length(n)) == sorted(x.words_of_length(n))
-
-
 # -- sorted enumerations and the word index -------------------------------------
 
 
@@ -519,3 +510,52 @@ def test_word_index_numbers_words_of_length_in_order(x, n):
     number = {w: i for i, w in enumerate(words)}
     expected = [number.get(u + a, len(words)) for u in shorter for a in symbols]
     assert index.succ == expected + [len(words)] * k
+
+
+# -- the one-graph SFT against brute force ---------------------------------------
+
+
+@st.composite
+def sft_specs(draw):
+    """(symbols, forbidden) on at most three symbols, forbidding nothing,
+    only single letters, or single letters mixed with longer words."""
+    symbols = draw(st.sampled_from(("0", "01", "012")))
+    shape = draw(st.sampled_from(("none", "letters", "mixed")))
+    forbidden = [] if shape == "none" else draw(st.lists(st.sampled_from(symbols), max_size=2))
+    if shape == "mixed":
+        longer = st.text(alphabet=symbols, min_size=2, max_size=3)
+        forbidden += draw(st.lists(longer, min_size=1, max_size=3))
+    return symbols, draw(st.permutations(forbidden))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sft_specs(), st.integers(1, 6))
+def test_sft_graph_answers_like_brute_force(spec, n):
+    symbols, forbidden = spec
+    alphabet = Alphabet.of(symbols)
+    words_of = lambda m: sorted(sft_words_brute(symbols, forbidden, m), key=alphabet.word_key)
+    try:
+        shifts = [SftForbidden(alphabet, forbidden)]
+    except ValueError:
+        assert not words_of(1)
+        return
+    if not forbidden:
+        # the full shift is this SFT under another name
+        shifts.append(FullShift(alphabet))
+        assert shifts[1] != shifts[0] and shifts[1].describe() != shifts[0].describe()
+    words, shorter = words_of(n), words_of(n - 1)
+    number = {w: i for i, w in enumerate(shorter)}
+    block = max(map(len, forbidden), default=1) - 1
+    for x in shifts:
+        assert x.words_of_length(n) == tuple(words)
+        assert x.count_words(n) == len(words)
+        index = x.word_index(n)
+        assert index.prefix == [number[w[:-1]] for w in words]
+        assert index.suffix == [number[w[1:]] for w in words]
+        assert index.last == [symbols.index(w[-1]) for w in words]
+        assert x.is_legal("")
+        for length in sorted({n, block + 1, block + 2}):
+            legal = set(words_of(length))
+            for w in map("".join, product(symbols, repeat=length)):
+                assert x.is_legal(w) == (w in legal)
+                assert not x.is_legal(w[:-1] + "x")
