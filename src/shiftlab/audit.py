@@ -38,6 +38,7 @@ DEFAULT_ENTROPY_TOLERANCE = 0.05
 DEFAULT_RATIO_FLOOR = 1e-3
 
 NATURAL_LOG_NOTE = "logarithms natural (base e)"
+_EQUALITY_NOTE = "equality holds at every checked power"
 
 
 def _fmt(value) -> str:
@@ -63,8 +64,8 @@ class AuditReport:
     the generating set, distortion_log_constant the certified constant
     of a logarithmic word-length fit, and combined_range_constant their
     product (or a directly fitted equivalent), whichever the audit uses.
-    A Violation always carries the first violating index together with
-    both side values; nothing else may carry one.
+    Exactly a Violation carries a counterexample (index, left, right), the
+    witness of the failed inequality; violation_index is its index.
     """
 
     inequality: str
@@ -72,7 +73,6 @@ class AuditReport:
     indices: tuple[int, ...]
     left: tuple
     right: tuple
-    violation_index: int | None = None
     counterexample: tuple | None = None
     reason: str = ""
     max_generator_range: int | None = None
@@ -88,12 +88,14 @@ class AuditReport:
         has_witness = self.counterexample is not None
         if (self.verdict == VIOLATION) != has_witness:
             raise ValueError("exactly the Violation verdict carries a counterexample")
-        if self.verdict == VIOLATION and self.violation_index is None:
-            raise ValueError("a Violation must name the violating index")
 
     @property
     def consistent(self) -> bool:
         return self.verdict == CONSISTENT
+
+    @property
+    def violation_index(self) -> int | None:
+        return None if self.counterexample is None else self.counterexample[0]
 
     def to_text(self) -> str:
         """Structured-text record with the measured sequences inlined."""
@@ -104,9 +106,9 @@ class AuditReport:
             f"left: {_seq(self.left)}",
             f"right: {_seq(self.right)}",
         ]
-        if self.violation_index is not None:
+        if self.counterexample is not None:
             idx, lhs, rhs = self.counterexample
-            lines.append(f"violation_index: {self.violation_index}")
+            lines.append(f"violation_index: {idx}")
             lines.append(f"counterexample: index={idx} left={_fmt(lhs)} right={_fmt(rhs)}")
         if self.reason:
             lines.append(f"reason: {self.reason}")
@@ -123,6 +125,24 @@ class AuditReport:
 
 def _not_applicable(inequality: str, reason: str, **fields) -> AuditReport:
     return AuditReport(inequality, NOT_APPLICABLE, (), (), (), reason=reason, **fields)
+
+
+def _report(
+    inequality: str, indices, lefts, rights, witness, reason, notes=(),
+    consistent_note: str | None = None, **constants,
+) -> AuditReport:
+    """The Violation report at witness (index, left, right), with
+    reason(*witness) as its reason, else the Consistent report, whose
+    notes end with consistent_note when one is given."""
+    if witness is None:
+        verdict, text = CONSISTENT, ""
+        notes = (*notes, consistent_note) if consistent_note else notes
+    else:
+        verdict, text = VIOLATION, reason(*witness)
+    return AuditReport(
+        inequality, verdict, tuple(indices), tuple(lefts), tuple(rights),
+        counterexample=witness, reason=text, notes=tuple(notes), **constants,
+    )
 
 
 def _finite_order_report(inequality: str, entries) -> AuditReport | None:
@@ -208,34 +228,13 @@ def range_vs_wordlength_audit(
             max_generator_range=gen_range,
             notes=tuple(notes),
         )
-    if witness is not None:
-        m, lhs, rhs = witness
-        return AuditReport(
-            RANGE_VS_WORD_LENGTH,
-            VIOLATION,
-            tuple(indices),
-            tuple(lefts),
-            tuple(rights),
-            violation_index=m,
-            counterexample=witness,
-            reason=f"r(g^{m}) = {lhs} exceeds the word-length bound {rhs}",
-            max_generator_range=gen_range,
-            distortion_log_constant=log_constant,
-            combined_range_constant=combined,
-            notes=tuple(notes),
-        )
-    if lefts == rights:
-        notes.append("equality holds at every checked power")
-    return AuditReport(
-        RANGE_VS_WORD_LENGTH,
-        CONSISTENT,
-        tuple(indices),
-        tuple(lefts),
-        tuple(rights),
+    return _report(
+        RANGE_VS_WORD_LENGTH, indices, lefts, rights, witness,
+        lambda m, lhs, rhs: f"r(g^{m}) = {lhs} exceeds the word-length bound {rhs}",
+        notes, _EQUALITY_NOTE if lefts == rights else None,
         max_generator_range=gen_range,
         distortion_log_constant=log_constant,
         combined_range_constant=combined,
-        notes=tuple(notes),
     )
 
 
@@ -279,33 +278,15 @@ def entropy_bound_audit(
             f"tail-window constant {fit.constant_tail!r} is smaller; "
             "the all-m form is the one enforced"
         )
-    indices = tuple(range(1, count + 1))
-    rights = (threshold,) * count
-    if estimates[low] >= threshold:
-        notes.append(f"entropy estimate attains its minimum at n = {low + 1}")
-        return AuditReport(
-            ENTROPY_VS_LOG_RANGE,
-            CONSISTENT,
-            indices,
-            estimates,
-            rights,
-            combined_range_constant=constant,
-            notes=tuple(notes),
-        )
-    return AuditReport(
-        ENTROPY_VS_LOG_RANGE,
-        VIOLATION,
-        indices,
-        estimates,
-        rights,
-        violation_index=low + 1,
-        counterexample=(low + 1, estimates[low], threshold),
-        reason=(
-            f"entropy estimate {estimates[low]!r} at n = {low + 1} falls below "
+    witness = None if estimates[low] >= threshold else (low + 1, estimates[low], threshold)
+    return _report(
+        ENTROPY_VS_LOG_RANGE, range(1, count + 1), estimates, (threshold,) * count, witness,
+        lambda n, estimate, _: (
+            f"entropy estimate {estimate!r} at n = {n} falls below "
             f"the floor 1/(2R) with R = {constant!r}"
         ),
+        notes, f"entropy estimate attains its minimum at n = {low + 1}",
         combined_range_constant=constant,
-        notes=tuple(notes),
     )
 
 
@@ -316,9 +297,8 @@ def polynomial_bound_audit(
     *,
     root: int | None = None,
     require_sublinear: bool = True,
-    floor: float = DEFAULT_RATIO_FLOOR,
 ) -> AuditReport:
-    """Check min P(n)/n^(root+1) >= floor for n = 1..depth.
+    """Check min P(n)/n^(root+1) >= DEFAULT_RATIO_FLOOR for n = 1..depth.
 
     A range profile growing like n^(1/root) forces complexity to grow at
     least like n^(root+1); the liminf itself is untestable, so a positive
@@ -337,8 +317,6 @@ def polynomial_bound_audit(
             f"complexity profile covers n <= {len(complexity_prof.values)}, "
             f"the audit needs n <= {depth}"
         )
-    if floor <= 0:
-        raise ValueError("floor must be positive")
     if root is not None and root < 1:
         raise ValueError("root must be >= 1")
 
@@ -378,33 +356,14 @@ def polynomial_bound_audit(
         for n, p in zip(range(1, depth + 1), complexity_prof.values[:depth])
     )
     low = min(range(depth), key=ratios.__getitem__)
-    indices = tuple(range(1, depth + 1))
-    rights = (floor,) * depth
-    notes = (
-        f"minimum P(n)/n^{exponent} = {ratios[low]!r} attained at n = {low + 1}",
-    )
-    if ratios[low] >= floor:
-        return AuditReport(
-            COMPLEXITY_VS_POLYNOMIAL_RANGE,
-            CONSISTENT,
-            indices,
-            ratios,
-            rights,
-            notes=notes,
-        )
-    return AuditReport(
-        COMPLEXITY_VS_POLYNOMIAL_RANGE,
-        VIOLATION,
-        indices,
-        ratios,
-        rights,
-        violation_index=low + 1,
-        counterexample=(low + 1, ratios[low], floor),
-        reason=(
-            f"P({low + 1})/{low + 1}^{exponent} = {ratios[low]!r} falls below "
-            f"the floor {floor!r}"
+    floor = DEFAULT_RATIO_FLOOR
+    return _report(
+        COMPLEXITY_VS_POLYNOMIAL_RANGE, range(1, depth + 1), ratios, (floor,) * depth,
+        None if ratios[low] >= floor else (low + 1, ratios[low], floor),
+        lambda n, ratio, _: (
+            f"P({n})/{n}^{exponent} = {ratio!r} falls below the floor {floor!r}"
         ),
-        notes=notes,
+        (f"minimum P(n)/n^{exponent} = {ratios[low]!r} attained at n = {low + 1}",),
     )
 
 
@@ -437,34 +396,14 @@ def sigma_power_range_audit(
     if profile.truncated_at is not None:
         # raises the budget error of the first power out of reach
         power(base, profile.truncated_at, table_budget)
-    lefts = list(profile.entries)
-    rights = [abs(j) * m for m in range(1, depth + 1)]
+    indices = range(1, depth + 1)
+    lefts = profile.entries
+    rights = tuple(abs(j) * m for m in indices)
     witness = next(
-        ((m, lhs, rhs) for m, lhs, rhs in zip(range(1, depth + 1), lefts, rights) if lhs < rhs),
-        None,
+        ((m, lhs, rhs) for m, lhs, rhs in zip(indices, lefts, rights) if lhs < rhs), None
     )
-
-    indices = tuple(range(1, depth + 1))
-    if witness is not None:
-        m, lhs, rhs = witness
-        return AuditReport(
-            SHIFT_POWER_RANGE_FLOOR,
-            VIOLATION,
-            indices,
-            tuple(lefts),
-            tuple(rights),
-            violation_index=m,
-            counterexample=witness,
-            reason=f"range {lhs} of the {m}-th power falls below the floor {rhs}",
-        )
-    notes = ()
-    if lefts == rights:
-        notes = ("equality holds at every checked power",)
-    return AuditReport(
-        SHIFT_POWER_RANGE_FLOOR,
-        CONSISTENT,
-        indices,
-        tuple(lefts),
-        tuple(rights),
-        notes=notes,
+    return _report(
+        SHIFT_POWER_RANGE_FLOOR, indices, lefts, rights, witness,
+        lambda m, lhs, rhs: f"range {lhs} of the {m}-th power falls below the floor {rhs}",
+        consistent_note=_EQUALITY_NOTE if lefts == rights else None,
     )

@@ -34,6 +34,7 @@ from .blockcode import (
 )
 from .config import (
     OPERATION_PARAMS,
+    _CODE_FIELDS,
     Budgets,
     ExperimentConfig,
     RunSpec,
@@ -171,6 +172,9 @@ def _op_morse_hedlund(budgets: Budgets, shift, limit) -> RunResult:
 
 
 def _op_special_words(budgets: Budgets, shift, length, side) -> RunResult:
+    count = shift.count_words(length + 1)
+    if count > budgets.table_rows:
+        raise BudgetExceededError("words", budgets.table_rows, count, "special_words")
     words = special_words(shift, length, side)
     body = _record_text((("side", side), ("length", length), ("count", len(words))))
     body += "".join(f"{w}\n" for w in words)
@@ -463,21 +467,10 @@ def _load_config(path: Path) -> tuple[ExperimentConfig, Path]:
     return parse_config(text, builtin_names), path.resolve().parent
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    budgets = config.budgets
-    if args.budget_tables is not None:
-        budgets = dataclasses.replace(budgets, table_rows=args.budget_tables)
-    if args.budget_bfs is not None:
-        budgets = dataclasses.replace(budgets, bfs_states=args.budget_bfs)
-    updates = {"budgets": budgets}
-    if args.out_dir is not None:
-        updates["out_dir"] = args.out_dir
-    return dataclasses.replace(config, **updates)
-
-
 def _cmd_run(args) -> int:
     config, base_dir = _load_config(Path(args.config))
-    config = _apply_overrides(config, args)
+    if args.out_dir is not None:
+        config = dataclasses.replace(config, out_dir=args.out_dir)
     status, summary = execute_config(config, base_dir)
     sys.stdout.write(summary)
     return status
@@ -509,7 +502,7 @@ def _cmd_list_builtins(_args) -> int:
     lines += [f"  {name}" for name in BUILTIN_SHIFT_SPECS]
     lines.append("codes:")
     lines += [f"  {name}" for name in builtin_code_specs()]
-    lines.append("code constructors: table shift_power symbol_map compose power")
+    lines.append("code constructors: " + " ".join(_CODE_FIELDS))
     lines.append("groups:")
     lines += [f"  {name}" for name in BUILTIN_GROUP_SPECS]
     lines.append("operations:")
@@ -528,8 +521,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a configuration document")
     run_p.add_argument("config", help="path to the JSON configuration")
     run_p.add_argument("--out-dir", help="override the configured output directory")
-    run_p.add_argument("--budget-tables", type=int, help="override the table-row budget")
-    run_p.add_argument("--budget-bfs", type=int, help="override the BFS state budget")
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="check a configuration without running it")

@@ -591,6 +591,8 @@ def build_code(
 
     try:
         if kind == "table":
+            if "file" in spec and "table" in spec:
+                raise ConfigError(f"code {name!r}: give 'table' or 'file', not both")
             if "file" in spec:
                 path = Path(spec["file"])
                 if base_dir is not None and not path.is_absolute():

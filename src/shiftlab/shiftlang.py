@@ -433,19 +433,15 @@ class PeriodicOrbit(ShiftPresentation):
     get equal presentations.
     """
 
-    def __init__(self, seed: str, alphabet: Alphabet | None = None):
+    def __init__(self, seed: str):
         super().__init__()
         if not isinstance(seed, str) or len(seed) == 0:
             raise ValueError("seed must be a nonempty word")
-        if alphabet is None:
-            alphabet = Alphabet.of(sorted(set(seed)))
-        if not alphabet.contains_word(seed):
-            raise ValueError("seed uses symbols outside the alphabet")
-        self.alphabet = alphabet
+        self.alphabet = Alphabet.of(sorted(set(seed)))
         r = (seed + seed).index(seed, 1)
         root = seed[:r] if r < len(seed) else seed
         rotations = [root[i:] + root[:i] for i in range(len(root))]
-        self.seed = min(rotations, key=alphabet.word_key)
+        self.seed = min(rotations, key=self.alphabet.word_key)
         self.period = len(self.seed)
 
     def _enumerate(self, n):

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 import shiftlab
 from shiftlab import cli
 from shiftlab.cli import OPERATIONS, main
-from shiftlab.config import OPERATION_PARAMS, parse_config
-from shiftlab.shiftlang import ShiftPresentation
+from shiftlab.blockcode import shift_power_code
+from shiftlab.config import OPERATION_PARAMS, build_code, parse_config
+from shiftlab.errors import ConfigError
+from shiftlab.shiftlang import Alphabet, FullShift, ShiftPresentation
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -113,12 +115,34 @@ class TestRun:
                 "runs": [{"name": "ball", "operation": "ball_growth",
                           "params": {"group": "heisenberg", "radius": 8}}],
                 "out_dir": str(tmp_path / "out"),
+                "budgets": {"bfs_states": 50},
             },
         )
-        status, _ = run_cli(capsys, "run", str(config), "--budget-bfs", "50")
+        status, _ = run_cli(capsys, "run", str(config))
         assert status == 1
         verdict = summary_rows(tmp_path / "out")[0][3]
         assert verdict.startswith("error") and "50" in verdict
+
+    def test_special_words_is_checked_before_it_enumerates(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the 2**29 words of length 29 would exhaust memory, so any long
+        # enumeration fails at once
+        _forbid_long_words(monkeypatch)
+        runs = [
+            {"name": "big", "operation": "special_words",
+             "params": {"shift": "full-2", "length": 28}},
+            {"name": "small", "operation": "special_words",
+             "params": {"shift": "golden-mean", "length": 5}},
+        ]
+        config = write_config(tmp_path, {"runs": runs, "out_dir": str(tmp_path / "out")})
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        big, small = summary_rows(tmp_path / "out")
+        assert big[3] == (
+            f"error: words budget exceeded: needed {2**29}, limit 2000000 (special_words)"
+        )
+        assert small[2:] == ["8", "ok"]
 
     @pytest.mark.parametrize(
         "budget, verdicts",
@@ -152,9 +176,10 @@ class TestRun:
                                 "cols": 3, "rows": 3}},
                 ],
                 "out_dir": str(tmp_path / "out"),
+                "budgets": {"table_rows": budget},
             },
         )
-        status, out = run_cli(capsys, "run", str(config), "--budget-tables", str(budget))
+        status, out = run_cli(capsys, "run", str(config))
         assert status == 1
         assert out.splitlines()[1:] == [
             f"full,rectangle_complexity,-,{verdicts[0]}",
@@ -538,6 +563,10 @@ class TestCatalogEntries:
                            "table": {"0": "0", "1": "1"}},
             "table rows budget exceeded: needed 99194853094755497, limit 2000000 (code 'c')",
             CODE_RUN),
+        "table-and-file": (
+            "codes", "c", {"kind": "table", "domain": "full-2", "table": {"0": "0", "1": "1"},
+                           "file": str(SCRIPTS / "rules" / "parity_rule.txt")},
+            "code 'c': give 'table' or 'file', not both", CODE_RUN),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -632,3 +661,21 @@ class TestListBuiltins:
         assert "  heisenberg" in out
         assert "  fibonacci/shift" in out
         assert "  audit_entropy" in out
+
+    def test_code_constructors_are_the_kinds_build_code_accepts(self, capsys):
+        _, out = run_cli(capsys, "list-builtins")
+        (line,) = [l for l in out.splitlines() if l.startswith("code constructors: ")]
+        full2 = FullShift(Alphabet.of("01"))
+        specs = {
+            "table": {"domain": "full-2", "table": {"0": "1", "1": "0"}},
+            "shift_power": {"domain": "full-2", "exponent": 1},
+            "symbol_map": {"domain": "full-2", "image": {"0": "1", "1": "0"}},
+            "compose": {"outer": "s", "inner": "s"},
+            "power": {"base": "s", "exponent": 2},
+        }
+        assert line.split(": ")[1].split() == list(specs)
+        for kind, spec in specs.items():
+            build_code("c", {"kind": kind, **spec}, {"full-2": full2},
+                       {"s": shift_power_code(full2, 1)})
+        with pytest.raises(ConfigError, match="unknown kind 'full'"):
+            build_code("c", {"kind": "full", "alphabet": "01"}, {"full-2": full2}, {})
