@@ -91,10 +91,6 @@ class BlockCode:
             if not self.domain.alphabet.contains_word(out):
                 raise ValueError(f"table output {out!r} for {w!r} is outside the alphabet")
 
-    @property
-    def declared_range(self) -> int:
-        return self.rule.radius
-
 
 def _code(domain: ShiftPresentation, radius: int, outputs: list) -> BlockCode:
     """A code on a table built here: total by construction, so unchecked."""
@@ -139,21 +135,6 @@ def symbol_map_code(domain: ShiftPresentation, mapping: dict) -> BlockCode:
 
 def identity_code(domain: ShiftPresentation) -> BlockCode:
     return symbol_map_code(domain, {a: a for a in domain.words_of_length(1)})
-
-
-def padded_to_radius(code: BlockCode, radius: int) -> BlockCode:
-    """Same map, re-tabulated at a larger declared radius."""
-    r = code.rule.radius
-    if radius < r:
-        raise ValueError("padding cannot shrink the radius")
-    if radius == r:
-        return code
-    cut = radius - r
-    table = {
-        w: code.rule.table[w[cut:-cut]]
-        for w in code.domain.words_of_length(2 * radius + 1)
-    }
-    return code_from_table(code.domain, radius, table)
 
 
 # -- core operations ------------------------------------------------------
@@ -370,17 +351,6 @@ def inverse_search(
                 compose(phi, psi, table_budget)
             ):
                 return psi
-    return None
-
-
-def finite_order_witness(
-    code: BlockCode, max_power: int, table_budget: int = DEFAULT_TABLE_BUDGET
-) -> int | None:
-    """Least n <= max_power with code^n the identity, if any."""
-    powers = islice(_powers(code, table_budget), max_power)
-    for n, (r, outs) in enumerate(powers, start=1):
-        if is_identity(_code(code.domain, r, outs)):
-            return n
     return None
 
 

@@ -42,11 +42,11 @@ from .config import (
     parse_config,
 )
 from .corpus import (
+    BUILTIN_CODE_SPECS,
     BUILTIN_GROUP_SPECS,
     BUILTIN_SHIFT_SPECS,
     Catalog,
     auto_certifier,
-    builtin_code_specs,
     builtin_codes,
     builtin_groups,
     builtin_shifts,
@@ -461,7 +461,7 @@ def _load_config(path: Path) -> tuple[ExperimentConfig, Path]:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
     builtin_names = {
         "shifts": BUILTIN_SHIFT_SPECS.keys(),
-        "codes": builtin_code_specs().keys(),
+        "codes": BUILTIN_CODE_SPECS.keys(),
         "groups": BUILTIN_GROUP_SPECS.keys(),
     }
     return parse_config(text, builtin_names), path.resolve().parent
@@ -501,7 +501,7 @@ def _cmd_list_builtins(_args) -> int:
     lines = ["shifts:"]
     lines += [f"  {name}" for name in BUILTIN_SHIFT_SPECS]
     lines.append("codes:")
-    lines += [f"  {name}" for name in builtin_code_specs()]
+    lines += [f"  {name}" for name in BUILTIN_CODE_SPECS]
     lines.append("code constructors: " + " ".join(_CODE_FIELDS))
     lines.append("groups:")
     lines += [f"  {name}" for name in BUILTIN_GROUP_SPECS]

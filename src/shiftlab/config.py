@@ -9,6 +9,7 @@ explicit so reruns are reproducible byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -379,6 +380,11 @@ def _is_cells(value) -> bool:
     )
 
 
+def _is_number(value) -> bool:
+    # json.loads reads Infinity, NaN and overflowing literals such as 1e400
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _is_naturals(value) -> bool:
     return isinstance(value, list) and bool(value) and all(
         _is_int(v) and v >= 0 for v in value
@@ -390,7 +396,7 @@ _VALUE_KINDS = {
     "nonzero": (lambda v: _is_int(v) and v != 0, "a nonzero integer", None),
     "positive": (lambda v: _is_int(v) and v >= 1, "an integer >= 1", None),
     "base": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", None),
-    "number": (lambda v: _is_int(v) or isinstance(v, float), "a number", None),
+    "number": (_is_number, "a finite number", None),
     "bool": (lambda v: isinstance(v, bool), "true or false", None),
     "word": (lambda v: isinstance(v, str), "a word such as 'a b^-2'", WordExpr.parse),
     "cells": (_is_cells, "a list of [col, row] integer pairs", None),
@@ -512,6 +518,15 @@ def _entry_kind(section: str, name: str, spec: dict, fields: Mapping[str, tuple]
     return kind
 
 
+def _field(section: str, name: str, spec: dict, field: str, accepts, what: str):
+    """spec[field], which must pass `accepts`, else a ConfigError naming
+    the entry and the field."""
+    value = spec[field]
+    if not accepts(value):
+        raise ConfigError(f"{section} {name!r}: {field} must be {what}")
+    return value
+
+
 # shift, code and group kind -> the fields of its spec besides "kind"
 _SHIFT_FIELDS = {
     "full": ("alphabet",),
@@ -524,13 +539,22 @@ _SHIFT_FIELDS = {
 def build_shift(name: str, spec: dict) -> ShiftPresentation:
     kind = _entry_kind("shift", name, spec, _SHIFT_FIELDS)
     try:
+        if kind == "periodic":
+            return PeriodicOrbit(spec["seed"])
+        symbols = _field("shift", name, spec, "alphabet",
+                         lambda v: isinstance(v, (str, list)), "a string or a JSON list")
+        alphabet = Alphabet.of(symbols)
         if kind == "full":
-            return FullShift(Alphabet.of(spec["alphabet"]))
+            return FullShift(alphabet)
         if kind == "sft":
-            return SftForbidden(Alphabet.of(spec["alphabet"]), spec["forbidden"])
-        if kind == "substitution":
-            return SubstitutionShift(Alphabet.of(spec["alphabet"]), spec["rules"])
-        return PeriodicOrbit(spec["seed"])
+            forbidden = _field("shift", name, spec, "forbidden",
+                               lambda v: isinstance(v, list), "a JSON list")
+            return SftForbidden(alphabet, forbidden)
+        rules = _field("shift", name, spec, "rules",
+                       lambda v: isinstance(v, dict), "a JSON object")
+        return SubstitutionShift(alphabet, rules)
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"shift {name!r} is missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
@@ -569,12 +593,12 @@ def build_code(
     BudgetExceededError before any row is built."""
     kind = _entry_kind("code", name, spec, _CODE_FIELDS)
 
-    def domain(radius) -> ShiftPresentation:
+    def domain(radius: int) -> ShiftPresentation:
         ref = spec.get("domain")
         if ref not in shifts:
             raise ConfigError(f"code {name!r} references unknown shift {ref!r}")
-        # a radius that is not a nonnegative integer fails in the builder
-        if isinstance(radius, int) and radius >= 0:
+        # a negative radius fails in the builder
+        if radius >= 0:
             _check_table_budget(shifts[ref], radius, table_budget, f"code {name!r}")
         return shifts[ref]
 
@@ -607,17 +631,19 @@ def build_code(
                 if not table:
                     raise ConfigError(f"code {name!r}: empty table")
             width = len(next(iter(table)))
-            radius = spec.get("radius", (width - 1) // 2)
+            radius = (width - 1) // 2
+            if "radius" in spec:
+                radius = _field("code", name, spec, "radius", _is_int, "an integer")
             return code_from_table(domain(radius), radius, table)
         if kind == "shift_power":
-            exponent = spec["exponent"]
-            radius = abs(exponent) if isinstance(exponent, int) else None
-            return shift_power_code(domain(radius), exponent)
+            exponent = _field("code", name, spec, "exponent", _is_int, "an integer")
+            return shift_power_code(domain(abs(exponent)), exponent)
         if kind == "symbol_map":
             return symbol_map_code(domain(0), spec["image"])
         if kind == "compose":
             return compose(code_ref("outer"), code_ref("inner"), table_budget)
-        return power(code_ref("base"), spec["exponent"], table_budget)
+        exponent = _field("code", name, spec, "exponent", _is_int, "an integer")
+        return power(code_ref("base"), exponent, table_budget)
     except ConfigError:
         raise
     except KeyError as exc:
@@ -658,13 +684,6 @@ def _parse_group_element(name: str, kind: str, value, rank: int):
     return tuple(value)
 
 
-def _group_int(name: str, spec: dict, field: str) -> int:
-    value = spec[field]
-    if not _is_int(value):
-        raise ConfigError(f"group {name!r}: {field} must be an integer")
-    return value
-
-
 _GROUP_FIELDS = {
     "free_abelian": ("rank", "generators"),
     "heisenberg": ("generators",),
@@ -676,11 +695,11 @@ def build_group(name: str, spec: dict) -> tuple[GroupModel, GeneratingSet]:
     kind = _entry_kind("group", name, spec, _GROUP_FIELDS)
     try:
         if kind == "free_abelian":
-            model: GroupModel = ZdModel(_group_int(name, spec, "rank"))
+            model: GroupModel = ZdModel(_field("group", name, spec, "rank", _is_int, "an integer"))
         elif kind == "heisenberg":
             model = HeisenbergModel()
         else:
-            model = BS1nModel(_group_int(name, spec, "base"))
+            model = BS1nModel(_field("group", name, spec, "base", _is_int, "an integer"))
         if "generators" in spec:
             named = _require_object(spec["generators"], f"group {name!r} generators")
             rank = spec.get("rank", 0)

@@ -39,6 +39,20 @@ INFINITE_BUILTIN_SHIFTS = ("full-2", "golden-mean", "fibonacci")
 # the letter swap preserves exactly the languages that are swap-invariant
 FLIP_COMPATIBLE = ("full-2", "periodic-01")
 
+# codes named `<shift>/<code>`: every shift carries the two shift powers,
+# and the codes using the letter swap exist only where it is an endomorphism
+BUILTIN_CODE_SPECS = {
+    f"{shift}/{code}": spec
+    for shift in BUILTIN_SHIFT_SPECS
+    for code, spec in {
+        "shift": {"kind": "shift_power", "domain": shift, "exponent": 1},
+        "shift_inverse": {"kind": "shift_power", "domain": shift, "exponent": -1},
+        "flip": {"kind": "symbol_map", "domain": shift, "image": {"0": "1", "1": "0"}},
+        "shift_flip": {"kind": "compose", "outer": f"{shift}/shift", "inner": f"{shift}/flip"},
+    }.items()
+    if "flip" not in code or shift in FLIP_COMPATIBLE
+}
+
 BUILTIN_GROUP_SPECS = {
     "z1": {"kind": "free_abelian", "rank": 1},
     "z2": {"kind": "free_abelian", "rank": 2},
@@ -75,40 +89,6 @@ def builtin_shifts(document: Mapping | None = None) -> Catalog:
     """Every built-in shift, then the `document` specs, each built fresh on
     first use."""
     return Catalog({**BUILTIN_SHIFT_SPECS, **(document or {})}, build_shift)
-
-
-def builtin_code_specs() -> dict[str, dict]:
-    """Specs for the built-in codes, named `<shift>/<code>`.
-
-    Every shift carries the two shift powers; the letter swap and its
-    composition with the shift exist only where the swap is an
-    endomorphism.
-    """
-    specs: dict[str, dict] = {}
-    swap = {"0": "1", "1": "0"}
-    for shift_name in BUILTIN_SHIFT_SPECS:
-        specs[f"{shift_name}/shift"] = {
-            "kind": "shift_power",
-            "domain": shift_name,
-            "exponent": 1,
-        }
-        specs[f"{shift_name}/shift_inverse"] = {
-            "kind": "shift_power",
-            "domain": shift_name,
-            "exponent": -1,
-        }
-        if shift_name in FLIP_COMPATIBLE:
-            specs[f"{shift_name}/flip"] = {
-                "kind": "symbol_map",
-                "domain": shift_name,
-                "image": dict(swap),
-            }
-            specs[f"{shift_name}/shift_flip"] = {
-                "kind": "compose",
-                "outer": f"{shift_name}/shift",
-                "inner": f"{shift_name}/flip",
-            }
-    return specs
 
 
 class _CodeCatalog(Catalog):
@@ -153,7 +133,7 @@ def builtin_codes(
     chain of references recurses one level at a time.
     """
     document = document or {}
-    specs = {**builtin_code_specs(), **document}
+    specs = {**BUILTIN_CODE_SPECS, **document}
     return _CodeCatalog(specs, shifts, document, base_dir, table_budget)
 
 

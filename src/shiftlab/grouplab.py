@@ -675,10 +675,17 @@ def min_growth_degree(step: int) -> int:
 
 
 def embedding_step_bound(complexity_exponent) -> int:
-    """Least step d whose threshold (d+1)(d+2)/2 + 2 reaches the exponent."""
+    """Least step d >= 1 whose threshold (d+1)(d+2)/2 + 2 reaches the
+    exponent, a finite number.
+
+    With m = d+1 the threshold reaches x exactly when the integer m(m+1)
+    reaches c = ceil(2x - 4), computed exactly; the least such m is
+    isqrt(c) or one more.
+    """
     if complexity_exponent <= 0:
         raise ValueError("exponent must be positive")
-    d = 1
-    while (d + 1) * (d + 2) // 2 + 2 < complexity_exponent:
-        d += 1
-    return d
+    c = math.ceil(2 * Fraction(complexity_exponent) - 4)
+    m = math.isqrt(max(c, 0))
+    if m * (m + 1) < c:
+        m += 1
+    return max(m - 1, 1)

@@ -175,9 +175,6 @@ class ShiftPresentation:
                 built[length] = self._index(length)
         return built[n]
 
-    def is_legal(self, word: str) -> bool:
-        return word in self.words_of_length(len(word))
-
     def __eq__(self, other):
         return (
             isinstance(other, ShiftPresentation) and self.descriptor() == other.descriptor()
@@ -249,7 +246,7 @@ class SftForbidden(ShiftPresentation):
             )
         self._block = b
         self._vertices = tuple(sorted(vertices, key=alphabet.word_key))
-        self._number = number = {v: i for i, v in enumerate(self._vertices)}
+        number = {v: i for i, v in enumerate(self._vertices)}
         self._edges = [[(a, number[u]) for a, u in out[v]] for v in self._vertices]
 
     def _enumerate(self, n):
@@ -297,24 +294,6 @@ class SftForbidden(ShiftPresentation):
                     nxt[u] += c
             counts = nxt
         return sum(counts)
-
-    def is_legal(self, word):
-        if not self.alphabet.contains_word(word):
-            return False
-        b, rank = self._block, self.alphabet._index
-        if len(word) <= b:
-            return any(word in v for v in self._vertices)
-        v = self._number.get(word[:b])
-        if v is None:
-            return False
-        for c in word[b:]:
-            for a, u in self._edges[v]:
-                if a == rank[c]:
-                    v = u
-                    break
-            else:
-                return False
-        return True
 
     def descriptor(self):
         return ("sft", self.alphabet.symbols, self.forbidden)
@@ -400,13 +379,10 @@ class SubstitutionShift(ShiftPresentation):
                 return blocks
             blocks = grown
 
-    def apply_rule(self, word: str) -> str:
-        return "".join(self.rules[c] for c in word)
-
     def _enumerate(self, n):
         images = {a: self.rules[a] for a in self.alphabet.symbols}
         while min(len(w) for w in images.values()) < n:
-            images = {a: self.apply_rule(w) for a, w in images.items()}
+            images = {a: "".join(map(self.rules.__getitem__, w)) for a, w in images.items()}
         found = set()
         for bc in self._two_blocks:
             w = images[bc[0]] + images[bc[1]]

@@ -143,16 +143,6 @@ def build_patches(
     return tuple(seen.values())
 
 
-def rectangle_complexity(
-    domain: ShiftPresentation,
-    code: BlockCode,
-    n: int,
-    k: int,
-    word_budget: int = DEFAULT_TABLE_BUDGET,
-) -> int:
-    return len(build_patches(domain, code, n, k, word_budget))
-
-
 def rectangle_counts(
     domain: ShiftPresentation,
     code: BlockCode,
@@ -160,13 +150,13 @@ def rectangle_counts(
     rows: int,
     word_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> dict[tuple[int, int], int]:
-    """{(n, k): rectangle_complexity(domain, code, n, k)} for n <= cols, k <= rows.
+    """{(n, k): the number of distinct n x k patches} for n <= cols, k <= rows.
 
     Keys run k outer, n inner.  Builds only the cols x rows family: the
     n x k rectangles are exactly the lower-left corners of its patches,
     because every legal word extends on both sides.  Budget and
-    illegal-window errors are the ones calling rectangle_complexity for
-    each (n, k) in key order would raise first.
+    illegal-window errors are the ones that building the n x k family
+    for each (n, k) in key order would raise first.
     """
     _check_shape(domain, code, cols, rows)
     r = minimized(code).rule.radius

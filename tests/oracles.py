@@ -154,6 +154,14 @@ def subadditive_closure_loop(upper: dict, exact: dict, max_power: int) -> dict:
     return hull
 
 
+def embedding_step_bound_by_loop(complexity_exponent) -> int:
+    """Least step d >= 1 with (d+1)(d+2)/2 + 2 >= the exponent, counting d up."""
+    d = 1
+    while (d + 1) * (d + 2) // 2 + 2 < complexity_exponent:
+        d += 1
+    return d
+
+
 def build_patches_by_slide(domain, code, n: int, k: int, word_budget: int = 2_000_000):
     """n x k spacetime patches, applying the code to each row from scratch.
 
@@ -285,9 +293,9 @@ def endomorphism_check_by_slide(code, output_length: int | None = None) -> bool:
         output_length = max(map(len, forbidden)) if forbidden else 8
     r = code.rule.radius
     return all(
-        domain.is_legal(apply_to_word(code, w))
+        {apply_to_word(code, w) for w in domain.words_of_length(n + 2 * r)}
+        <= set(domain.words_of_length(n))
         for n in range(1, output_length + 1)
-        for w in domain.words_of_length(n + 2 * r)
     )
 
 

@@ -16,13 +16,11 @@ from shiftlab.blockcode import (
     codes_equal,
     compose,
     endomorphism_check,
-    finite_order_witness,
     identity_code,
     inverse_search,
     is_identity,
     minimal_range,
     minimized,
-    padded_to_radius,
     power,
     range_profile,
     shift_power_code,
@@ -100,8 +98,6 @@ def test_shift_flip_composition_hand_value(full2):
     # flip-then-shift at combined radius 1 maps 01101 through three windows
     code = compose(shift_power_code(full2, 1), flip(full2))
     assert apply_to_word(code, "01101") == "010"
-    # same composite re-declared at radius 2 sees 01101 as one window
-    assert apply_to_word(padded_to_radius(code, 2), "01101") == "1"
 
 
 # -- composition ------------------------------------------------------------
@@ -114,7 +110,7 @@ def test_compose_flip_flip_is_identity(full2):
 
 def test_compose_shift_shift(full2):
     s2 = compose(shift_power_code(full2, 1), shift_power_code(full2, 1))
-    assert s2.declared_range == 2
+    assert s2.rule.radius == 2
     assert codes_equal(s2, shift_power_code(full2, 2))
     for w in full2.words_of_length(5):
         assert apply_to_word(s2, w) == w[4]
@@ -143,8 +139,6 @@ def test_compose_rejects_non_endomorphic_inner(golden):
 
 def test_power_of_flip_has_order_two(full2):
     assert is_identity(power(flip(full2), 2))
-    assert finite_order_witness(flip(full2), 5) == 2
-    assert finite_order_witness(shift_power_code(full2, 1), 5) is None
 
 
 def test_power_of_shift_has_exact_range(full2, golden, fibonacci):
@@ -160,10 +154,10 @@ def test_power_of_shift_flip_cancels_flips(full2):
 
 
 def test_minimal_range_of_padded_shift(full2):
-    fat = padded_to_radius(shift_power_code(full2, 1), 5)
-    assert fat.declared_range == 5
+    fat = compose(shift_power_code(full2, 3), shift_power_code(full2, -2))
+    assert fat.rule.radius == 5
     assert minimal_range(fat) == 1
-    assert minimized(fat).declared_range == 1
+    assert minimized(fat).rule.radius == 1
     assert codes_equal(fat, shift_power_code(full2, 1))
 
 
@@ -171,7 +165,7 @@ def test_minimal_range_via_composition_with_inverse(full2):
     s2 = power(shift_power_code(full2, 1), 2)
     back = shift_power_code(full2, -1)
     declared3 = compose(s2, back)
-    assert declared3.declared_range == 3
+    assert declared3.rule.radius == 3
     assert minimal_range(declared3) == 1
 
 

@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -381,6 +382,13 @@ class TestParameterErrors:
         "base-one": ("base", "certificate", {"kind": "bs_horner", "m": 5, "base": 1}),
         "exponent-zero": ("exponent", "audit_shift_power",
                           {"shift": "fibonacci", "exponent": 0, "depth": 3}),
+        # json.loads reads Infinity, NaN and the overflowing 1e400 as floats
+        "exponent-infinity": ("complexity_exponent", "growth_formula",
+                              {"formula": "embedding_step_bound", "complexity_exponent": math.inf}),
+        "exponent-nan": ("complexity_exponent", "growth_formula",
+                         {"formula": "embedding_step_bound", "complexity_exponent": math.nan}),
+        "exponent-1e400": ("complexity_exponent", "growth_formula",
+                           '{"formula": "embedding_step_bound", "complexity_exponent": 1e400}'),
     }
 
     @pytest.fixture(params=sorted(CASES))
@@ -388,7 +396,11 @@ class TestParameterErrors:
         param, operation, params = self.CASES[request.param]
         bad = {"name": "bad", "operation": operation, "params": params}
         doc = {"runs": [bad, SIBLING], "out_dir": str(tmp_path / "out")}
-        return param, write_config(tmp_path, doc)
+        config = write_config(tmp_path, doc)
+        if isinstance(params, str):
+            # params given as JSON text, for a literal json.dumps never writes
+            config.write_text(config.read_text().replace(json.dumps(params), params))
+        return param, config
 
     def test_validate_names_run_and_parameter(self, case, capsys, caplog):
         param, config = case
@@ -545,13 +557,31 @@ class TestCatalogEntries:
     entry fails only the runs that use it, and `validate` rejects it."""
 
     CODE_RUN = ("range_profile", {"code": "full-2/shift", "depth": 2})
+    SHIFT_RUN = ("complexity", {"shift": "fibonacci", "depth": 3})
+    COPY_RULE = {a + b + c: b for a in "01" for b in "01" for c in "01"}
     # case id -> (section, bad name, bad spec, the error, a run on a sibling entry)
     CASES = {
         "groups": ("groups", "g", {"kind": "baumslag_solitar", "base": 2.5},
                    "group 'g': base must be an integer",
                    ("ball_growth", {"group": "z1", "radius": 3})),
         "shifts": ("shifts", "s", {"kind": "full"}, "shift 's' is missing field 'alphabet'",
-                   ("complexity", {"shift": "fibonacci", "depth": 3})),
+                   SHIFT_RUN),
+        # a string of forbidden words would forbid each of its letters
+        "forbidden-string": ("shifts", "s", {"kind": "sft", "alphabet": "01", "forbidden": "11"},
+                             "shift 's': forbidden must be a JSON list", SHIFT_RUN),
+        "alphabet-object": ("shifts", "s", {"kind": "full", "alphabet": {"0": 0, "1": 1}},
+                            "shift 's': alphabet must be a string or a JSON list", SHIFT_RUN),
+        "rules-string": ("shifts", "s", {"kind": "substitution", "alphabet": "01", "rules": "01"},
+                         "shift 's': rules must be a JSON object", SHIFT_RUN),
+        "radius-bool": ("codes", "c", {"kind": "table", "domain": "full-2", "radius": True,
+                                       "table": COPY_RULE},
+                        "code 'c': radius must be an integer", CODE_RUN),
+        "shift-power-exponent-bool": (
+            "codes", "c", {"kind": "shift_power", "domain": "full-2", "exponent": True},
+            "code 'c': exponent must be an integer", CODE_RUN),
+        "power-exponent-bool": (
+            "codes", "c", {"kind": "power", "base": "full-2/shift", "exponent": True},
+            "code 'c': exponent must be an integer", CODE_RUN),
         "codes": ("codes", "c", {"kind": "power", "base": "later", "exponent": 2},
                   "code 'c' references code 'later' which is not defined earlier", CODE_RUN),
         # 2**81 rows: the table budget must stop these before a row is built

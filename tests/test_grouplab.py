@@ -30,7 +30,12 @@ from shiftlab.grouplab import (
     min_growth_degree,
 )
 
-from oracles import bs_multiply, power_by_squaring, subadditive_closure_loop
+from oracles import (
+    bs_multiply,
+    embedding_step_bound_by_loop,
+    power_by_squaring,
+    subadditive_closure_loop,
+)
 
 HEIS = HeisenbergModel()
 BS2 = BS1nModel(2)
@@ -585,3 +590,23 @@ def test_embedding_step_bound_is_least(c):
     assert c <= (d + 1) * (d + 2) // 2 + 2
     if d > 1:
         assert c > d * (d + 1) // 2 + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**6)
+    | st.integers(min_value=1, max_value=4000).map(lambda q: q / 4)
+    | st.floats(min_value=1e-300, max_value=1e6, allow_nan=False, allow_infinity=False)
+)
+@example(2.0000000001)
+@example(5e-324)
+def test_embedding_step_bound_matches_loop(x):
+    assert embedding_step_bound(x) == embedding_step_bound_by_loop(x)
+
+
+@pytest.mark.parametrize("x", [10**30, 1e300, 10**400])
+def test_embedding_step_bound_of_huge_exponents(x):
+    # the loop would take about sqrt(2x) steps; the closed form is exact
+    # integer arithmetic, so each call returns at once
+    d = embedding_step_bound(x)
+    assert (d + 1) * (d + 2) // 2 + 2 >= x > d * (d + 1) // 2 + 2

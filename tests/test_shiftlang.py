@@ -1,7 +1,6 @@
 """Language-level behavior of the four presentation kinds."""
 
 import math
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -88,8 +87,8 @@ def test_full_shift_counts_and_membership():
     x = FullShift(BINARY)
     assert complexity(x, 5) == 32
     assert x.count_words(20) == 2**20
-    assert x.is_legal("0101010")
-    assert not x.is_legal("012")
+    assert "0101010" in x.words_of_length(7)
+    assert "012" not in x.words_of_length(3)
     assert x.words_of_length(0) == ("",)
 
 
@@ -240,8 +239,8 @@ def test_periodic_complexity_caps_at_period():
 
 def test_periodic_membership():
     x = PeriodicOrbit("010")
-    assert x.is_legal("0010")
-    assert not x.is_legal("11")
+    assert "0010" in x.words_of_length(4)
+    assert "11" not in x.words_of_length(2)
 
 
 # -- special words ---------------------------------------------------------
@@ -434,8 +433,8 @@ def test_sft_every_word_extends_both_ways(forbidden):
     except ValueError:
         return
     for w in x.words_of_length(4):
-        assert any(x.is_legal(w + a) for a in "01")
-        assert any(x.is_legal(a + w) for a in "01")
+        assert any(w + a in x.words_of_length(5) for a in "01")
+        assert any(a + w in x.words_of_length(5) for a in "01")
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,7 +447,7 @@ def test_sft_factors_of_legal_words_are_legal(forbidden):
     for w in x.words_of_length(6):
         for i in range(6):
             for j in range(i + 1, 7):
-                assert x.is_legal(w[i:j])
+                assert w[i:j] in x.words_of_length(j - i)
 
 
 @settings(max_examples=40, deadline=None)
@@ -553,9 +552,6 @@ def test_sft_graph_answers_like_brute_force(spec, n):
         assert index.prefix == [number[w[:-1]] for w in words]
         assert index.suffix == [number[w[1:]] for w in words]
         assert index.last == [symbols.index(w[-1]) for w in words]
-        assert x.is_legal("")
+        assert x.words_of_length(0) == ("",)
         for length in sorted({n, block + 1, block + 2}):
-            legal = set(words_of(length))
-            for w in map("".join, product(symbols, repeat=length)):
-                assert x.is_legal(w) == (w in legal)
-                assert not x.is_legal(w[:-1] + "x")
+            assert x.words_of_length(length) == tuple(words_of(length))

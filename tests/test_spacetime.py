@@ -33,7 +33,6 @@ from shiftlab.spacetime import (
     coding_check,
     cyr_kra_audit,
     horizontal_segment,
-    rectangle_complexity,
     rectangle_counts,
     uniform_vertical_period,
 )
@@ -107,7 +106,7 @@ def test_rectangle_complexity_matches_1d(full2, fibonacci, orbit01):
     for domain in (full2, fibonacci, orbit01):
         sigma = shift_power_code(domain, 1)
         for n in range(1, 7):
-            assert rectangle_complexity(domain, sigma, n, 1) == complexity(domain, n)
+            assert rectangle_counts(domain, sigma, n, 1)[n, 1] == complexity(domain, n)
 
 
 def test_rectangle_complexity_shift_diagonals(fibonacci):
@@ -115,20 +114,20 @@ def test_rectangle_complexity_shift_diagonals(fibonacci):
     for n in range(1, 5):
         for k in range(1, 5):
             expected = complexity(fibonacci, n + k - 1)
-            got = rectangle_complexity(fibonacci, shift_power_code(fibonacci, 1), n, k)
+            got = rectangle_counts(fibonacci, shift_power_code(fibonacci, 1), n, k)[n, k]
             assert got == expected == n + k
 
 
 def test_rectangle_complexity_flip_powers(full2):
     for n in range(1, 6):
         for k in range(1, 5):
-            assert rectangle_complexity(full2, flip(full2), n, k) == 2**n
+            assert rectangle_counts(full2, flip(full2), n, k)[n, k] == 2**n
 
 
 def test_rectangle_complexity_monotone(fibonacci):
     sigma = shift_power_code(fibonacci, 1)
     vals = {
-        (n, k): rectangle_complexity(fibonacci, sigma, n, k)
+        (n, k): rectangle_counts(fibonacci, sigma, n, k)[n, k]
         for n in range(1, 6)
         for k in range(1, 5)
     }
@@ -433,7 +432,7 @@ def test_patch_count_bounded_by_words(n, k):
     for p in patches:
         assert p.width == n and p.height == k
         for row in p.rows:
-            assert domain.is_legal(row)
+            assert row in domain.words_of_length(n)
 
 
 @settings(max_examples=20, deadline=None)
