@@ -31,6 +31,7 @@ from .errors import ConfigError
 from .grouplab import (
     DEFAULT_BFS_STATES,
     DEFAULT_RADIUS,
+    MIN_GROWTH_RADIUS,
     BS1nModel,
     GeneratingSet,
     GroupModel,
@@ -182,7 +183,7 @@ OPERATION_PARAMS = {
         {**_PATCH_FAMILY, "cells_a": Param("cells"), "cells_b": Param("cells")},
         code_on_shift=True,
     ),
-    "ball_growth": Operation({"group": GROUP, "radius": POSITIVE}),
+    "ball_growth": Operation({"group": GROUP, "radius": Param("growth_radius")}),
     "word_length": Operation({"group": GROUP, "element": ELEMENT, "radius": RADIUS}),
     "distortion": Operation(
         {"group": GROUP, "element": ELEMENT, "depth": POSITIVE, "radius": RADIUS,
@@ -346,8 +347,9 @@ def check_run(run: RunSpec, catalogs) -> dict:
     Returns every parameter's checked value by name, with defaults filled
     in and references resolved.  `catalogs` supplies the run's `budgets`
     and the `shifts`, `codes` and `groups` catalogs; only those a
-    reference names are read.  A failure raises ConfigError naming the run
-    and the parameter.
+    reference names are read.  An `element` word may use only the
+    generators of the run's group.  A failure raises ConfigError naming
+    the run and the parameter.
     """
     op = OPERATION_PARAMS.get(run.operation)
     if op is None:
@@ -370,6 +372,15 @@ def check_run(run: RunSpec, catalogs) -> dict:
             f"run {run.name!r}: parameter 'code': the code is not defined on shift "
             f"{run.params['shift']!r}"
         )
+    # every operation with an element word also takes the group it lives in
+    if "element" in values:
+        _, gens = values["group"]
+        binding = gens.binding()
+        for gen, _ in values["element"].tokens:
+            if gen not in binding:
+                raise ConfigError(
+                    f"run {run.name!r}: parameter 'element': word uses unbound generator {gen!r}"
+                )
     return values
 
 
@@ -396,6 +407,11 @@ _VALUE_KINDS = {
     "nonzero": (lambda v: _is_int(v) and v != 0, "a nonzero integer", None),
     "positive": (lambda v: _is_int(v) and v >= 1, "an integer >= 1", None),
     "base": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", None),
+    "growth_radius": (
+        lambda v: _is_int(v) and v >= MIN_GROWTH_RADIUS,
+        f"an integer >= {MIN_GROWTH_RADIUS}",
+        None,
+    ),
     "number": (_is_number, "a finite number", None),
     "bool": (lambda v: isinstance(v, bool), "true or false", None),
     "word": (lambda v: isinstance(v, str), "a word such as 'a b^-2'", WordExpr.parse),

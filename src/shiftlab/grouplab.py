@@ -13,15 +13,21 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import partial
+from itertools import accumulate, filterfalse, repeat
+from operator import add, mul
 
 from .errors import BudgetExceededError
 from .trends import TrendFit, fit_trend
 
 DEFAULT_BFS_STATES = 5_000_000
 DEFAULT_RADIUS = 14
+# ball_growth fits lines over radii max(2, radius // 2)..radius, and a line
+# needs two of them
+MIN_GROWTH_RADIUS = 3
 
 
 # -- models ----------------------------------------------------------------
@@ -298,49 +304,243 @@ def cayley_ball(
     radius_max: int,
     state_budget: int = DEFAULT_BFS_STATES,
     targets=None,
-) -> dict:
+) -> Mapping:
     """Exact distances to every element within radius_max, by level BFS.
 
-    Returns {element: word length}.  With targets given, the search stops
-    as soon as every target has a distance (the recorded distances are
-    still exact).  Exceeding the state budget is an error naming the last
-    completed radius; distances already assigned at that point were exact,
-    but the partial dict is deliberately not returned.
+    Returns a read-only Mapping {element: word length}.  With targets
+    given, the search stops as soon as every target has a distance (the
+    recorded distances are still exact).  Exceeding the state budget is an
+    error naming the last completed radius; distances already assigned at
+    that point were exact, but the partial ball is deliberately not
+    returned.
+
+    The three built-in models search packed integer states (see
+    _PACKINGS): each generator moves a whole level at once, and the
+    Mapping encodes lookup keys and decodes iterated ones.  BS(1,n) over
+    its standard {a, b} is searched by left multiplication.  That gives
+    the same distances as right multiplication: both reach exactly the
+    products of r generators at level r, and B(r) = S^r either way.  Any
+    other model, a BS(1,n) set other than {a, b}, or a generator with a
+    non-int entry steps by model.multiply, and the ball is a plain dict.
     """
     if radius_max < 0:
         raise ValueError("radius_max must be nonnegative")
     if gens.model != model:
         raise ValueError("generating set belongs to a different model")
     moves = [element for _, element in gens.labeled()]
-    multiply = model.multiply
-    dist = {model.identity(): 0}
-    wanted = set(targets) if targets is not None else None
+    packing = _PACKINGS.get(type(model))
+    packed = packing(model, moves, radius_max) if packing else None
+    if packed is None:
+        multiply = model.multiply
+        steps = [
+            lambda level, m=m: map(multiply, level, repeat(m)) for m in moves
+        ]
+        wanted = None if targets is None else set(targets)
+        return _level_search(model.identity(), steps, radius_max, state_budget, wanted)
+    start, steps, encode, decode = packed
+    wanted = None if targets is None else set(map(encode, targets))
+    dist = _level_search(start, steps, radius_max, state_budget, wanted)
+    return _PackedBall(dist, encode, decode)
+
+
+def _level_search(start, steps, radius_max: int, state_budget: int, wanted) -> dict:
+    """{state: distance from start} over breadth-first levels.
+
+    Each step maps a whole level to its neighbours along one generator,
+    injectively, and states already seen are dropped as they are
+    generated.  The budget is checked after each step; it trips exactly
+    when a state-at-a-time search would, with the same count.  A wanted
+    state that no level can reach (None for a key outside a packing box)
+    keeps the search going to radius_max.
+    """
+    dist = {start: 0}
     if wanted is not None and wanted <= dist.keys():
         return dist
-    frontier = [model.identity()]
+    # a state-at-a-time search adds the identity before it checks anything
+    cap = max(state_budget, 1)
+    frontier = [start]
     for radius in range(1, radius_max + 1):
         nxt = []
-        for g in frontier:
-            for m in moves:
-                h = multiply(g, m)
-                if h not in dist:
-                    if len(dist) >= state_budget:
-                        raise BudgetExceededError(
-                            "bfs states",
-                            state_budget,
-                            len(dist) + 1,
-                            f"last completed radius {radius - 1}",
-                        )
-                    dist[h] = radius
-                    nxt.append(h)
+        for step in steps:
+            fresh = list(filterfalse(dist.__contains__, step(frontier)))
+            dist.update(dict.fromkeys(fresh, radius))
+            if len(dist) > cap:
+                raise BudgetExceededError(
+                    "bfs states", state_budget, cap + 1, f"last completed radius {radius - 1}"
+                )
+            nxt += fresh
         if wanted is not None:
-            wanted -= dist.keys()
+            wanted = set(filterfalse(dist.__contains__, wanted))
             if not wanted:
                 return dist
         if not nxt:
             return dist
         frontier = nxt
     return dist
+
+
+class _PackedBall(Mapping):
+    """Read-only {element: distance} over a ball kept under packed keys.
+
+    Lookups encode the key, and a key outside the packing box is missing;
+    iteration decodes lazily; values() is the packed dict's.
+    """
+
+    __slots__ = ("_dist", "_encode", "_decode")
+
+    def __init__(self, dist: dict, encode, decode):
+        self._dist, self._encode, self._decode = dist, encode, decode
+
+    def __len__(self):
+        return len(self._dist)
+
+    def __iter__(self):
+        return map(self._decode, self._dist)
+
+    def __getitem__(self, key):
+        try:
+            return self._dist[self._encode(key)]
+        except KeyError:
+            raise KeyError(key) from None
+
+    def get(self, key, default=None):
+        return self._dist.get(self._encode(key), default)
+
+    def values(self):
+        return self._dist.values()
+
+
+class _Box:
+    """Integer tuples with |coordinate i| <= reach[i], packed into one int.
+
+    Coordinate i is a digit of base 2*reach[i] + 1 offset by reach[i], the
+    first coordinate least significant, so adding delta(g) to a packed
+    state adds g coordinatewise while the sum stays in the box.
+    """
+
+    def __init__(self, reach):
+        self.reach = tuple(reach)
+        self.bases = [2 * r + 1 for r in self.reach]
+        self.weights = list(accumulate(self.bases[:-1], mul, initial=1))
+        self.centre = self.delta(self.reach)
+
+    def delta(self, g) -> int:
+        return sum(map(mul, g, self.weights))
+
+    def encode(self, g):
+        if (
+            isinstance(g, tuple)
+            and len(g) == len(self.reach)
+            and all(isinstance(x, int) and -r <= x <= r for x, r in zip(g, self.reach))
+        ):
+            return self.centre + self.delta(g)
+        return None
+
+    def decode(self, packed: int) -> tuple:
+        coords = []
+        for base, r in zip(self.bases, self.reach):
+            packed, digit = divmod(packed, base)
+            coords.append(digit - r)
+        return tuple(coords)
+
+
+def _entry_reach(moves, radius: int):
+    """radius times the largest |entry| of the moves, None for a non-int entry."""
+    entries = [x for g in moves for x in g]
+    if not all(isinstance(x, int) for x in entries):
+        return None
+    return radius * max(map(abs, entries))
+
+
+def _zd_packing(model: ZdModel, moves, radius: int):
+    """Z^d, any generating set: every generator is a constant delta."""
+    reach = _entry_reach(moves, radius)
+    if reach is None:
+        return None
+    box = _Box([reach] * model.dimension)
+    steps = [partial(map, box.delta(g).__add__) for g in moves]
+    return box.centre, steps, box.encode, box.decode
+
+
+def _twisted_step(shift: int, coefficient: int, x_base: int, level):
+    # packed % x_base is the x digit, x + reach
+    x_digits = map(x_base.__rmod__, level)
+    return map(add, map(shift.__add__, level), map(coefficient.__mul__, x_digits))
+
+
+def _heisenberg_packing(model: HeisenbergModel, moves, radius: int):
+    """Heisenberg, any generating set, by right multiplication.
+
+    (x,y,z)(a,b,c) = (x+a, y+b, z+c+x*b): a constant delta on the packed
+    (x, y, z) plus b*x on the z digit.  Within the radius |x|, |y| <= reach
+    and |z| <= reach + reach^2, each step adding at most c + |x*b|.
+    """
+    reach = _entry_reach(moves, radius)
+    if reach is None:
+        return None
+    box = _Box([reach, reach, reach + reach * reach])
+    _, x_base, z_weight = box.weights
+    steps = []
+    for a, b, c in moves:
+        shift = box.delta((a, b, c)) - b * reach * z_weight
+        if b:
+            steps.append(partial(_twisted_step, shift, b * z_weight, x_base))
+        else:
+            steps.append(partial(map, shift.__add__))
+    return box.centre, steps, box.encode, box.decode
+
+
+def _bs_packing(model: BS1nModel, moves, radius: int):
+    """BS(1,n) over {a, b}, by left multiplication.
+
+    a^±1 (k, m) = (k, m ± 1), b (k, m) = (k+1, n*m), b^-1 (k, m) =
+    (k-1, m/n).  Every element of B(R) has |k| <= R and M = m*n^R an
+    integer, since m is a sum of ±n^e with e >= -R.  The state packs into
+    M*width + n^(k+R) with width = n^(2R) + 1, so a^±1 adds ±n^R*width,
+    b multiplies by n and b^-1 divides by n, exactly inside B(R).
+    """
+    n = model.n
+    if set(moves) != {(0, 1), (0, -1), (1, 0), (-1, 0)}:
+        return None
+    scale = n**radius
+    width = n ** (2 * radius) + 1
+    exponent_of = {n**j: j - radius for j in range(2 * radius + 1)}
+    translate = scale * width
+    steps = [
+        partial(map, translate.__add__),
+        partial(map, (-translate).__add__),
+        partial(map, n.__mul__),
+        partial(map, n.__rfloordiv__),
+    ]
+
+    def encode(g):
+        if not (isinstance(g, tuple) and len(g) == 2):
+            return None
+        k, m = g
+        if not (isinstance(k, int) and -radius <= k <= radius):
+            return None
+        if isinstance(m, int):
+            big = m * scale
+        elif isinstance(m, Fraction):
+            big, rest = divmod(m.numerator * scale, m.denominator)
+            if rest:
+                return None
+        else:
+            return None
+        return big * width + n ** (k + radius)
+
+    def decode(packed: int) -> tuple:
+        big, low = divmod(packed, width)
+        whole, rest = divmod(big, scale)
+        return exponent_of[low], Fraction(big, scale) if rest else whole
+
+    # the identity (0, 0) packs to n^R
+    return scale, steps, encode, decode
+
+
+# exact model type -> packing(model, moves, radius) giving (start, steps,
+# encode, decode), or None to step by model.multiply
+_PACKINGS = {ZdModel: _zd_packing, HeisenbergModel: _heisenberg_packing, BS1nModel: _bs_packing}
 
 
 def bfs_word_length(
@@ -397,8 +597,8 @@ def ball_growth(
     radius: int,
     state_budget: int = DEFAULT_BFS_STATES,
 ) -> BallGrowth:
-    if radius < 3:
-        raise ValueError("growth fitting needs radius >= 3")
+    if radius < MIN_GROWTH_RADIUS:
+        raise ValueError(f"growth fitting needs radius >= {MIN_GROWTH_RADIUS}")
     dist = cayley_ball(model, gens, radius, state_budget)
     sizes = [0] * (radius + 1)
     for d in dist.values():

@@ -131,6 +131,49 @@ def bs_multiply(n: int, a, b):
     return (k1 + k2, int(m) if m.denominator == 1 else m)
 
 
+def cayley_ball_by_multiply(model, gens, radius_max: int, state_budget: int, targets=None) -> dict:
+    """{element: word length} by a state-at-a-time BFS on model.multiply.
+
+    The search shiftlab used before packed states, kept as the reference:
+    one multiply per (state, generator) pair, the budget checked before
+    each new state.
+    """
+    if radius_max < 0:
+        raise ValueError("radius_max must be nonnegative")
+    if gens.model != model:
+        raise ValueError("generating set belongs to a different model")
+    moves = [element for _, element in gens.labeled()]
+    multiply = model.multiply
+    dist = {model.identity(): 0}
+    wanted = set(targets) if targets is not None else None
+    if wanted is not None and wanted <= dist.keys():
+        return dist
+    frontier = [model.identity()]
+    for radius in range(1, radius_max + 1):
+        nxt = []
+        for g in frontier:
+            for m in moves:
+                h = multiply(g, m)
+                if h not in dist:
+                    if len(dist) >= state_budget:
+                        raise BudgetExceededError(
+                            "bfs states",
+                            state_budget,
+                            len(dist) + 1,
+                            f"last completed radius {radius - 1}",
+                        )
+                    dist[h] = radius
+                    nxt.append(h)
+        if wanted is not None:
+            wanted -= dist.keys()
+            if not wanted:
+                return dist
+        if not nxt:
+            return dist
+        frontier = nxt
+    return dist
+
+
 def subadditive_closure_loop(upper: dict, exact: dict, max_power: int) -> dict:
     """{n: bound} closed under bound(n) <= bound(k) + bound(n - k), by a double loop.
 

@@ -389,6 +389,16 @@ class TestParameterErrors:
                          {"formula": "embedding_step_bound", "complexity_exponent": math.nan}),
         "exponent-1e400": ("complexity_exponent", "growth_formula",
                            '{"formula": "embedding_step_bound", "complexity_exponent": 1e400}'),
+        # ball_growth fits its line from radius 2 up
+        "growth-radius-1": ("radius", "ball_growth", {"group": "z2", "radius": 1}),
+        "growth-radius-2": ("radius", "ball_growth", {"group": "z2", "radius": 2}),
+        # an element may name only generators of its group
+        "unbound-word-length": ("element", "word_length", {"group": "z2", "element": "x^2"}),
+        "unbound-distortion": ("element", "distortion",
+                               {"group": "heisenberg", "element": "s e1", "depth": 4}),
+        "unbound-audit": ("element", "audit_range_word",
+                          {"group": "z1", "element": "e2", "codes": {"step": "full-2/shift"},
+                           "range_entries": [1, 2, 3], "depth": 3}),
     }
 
     @pytest.fixture(params=sorted(CASES))
@@ -459,6 +469,7 @@ PLAUSIBLE = {
     "positive": st.integers(1, 4),
     "nonzero": st.sampled_from((-2, -1, 1, 3)),
     "base": st.integers(2, 4),
+    "growth_radius": st.integers(3, 5),
     "number": SMALL_INTS,
     "bool": st.booleans(),
     "word": st.sampled_from(WORDS),

@@ -2,7 +2,9 @@
 
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +34,7 @@ from shiftlab.grouplab import (
 
 from oracles import (
     bs_multiply,
+    cayley_ball_by_multiply,
     embedding_step_bound_by_loop,
     power_by_squaring,
     subadditive_closure_loop,
@@ -288,6 +291,168 @@ def test_metric_symmetry_and_triangle(gpair):
         assert ball[gh] <= ball[g] + ball[h]
 
 
+# -- packed search against the multiply loop ----------------------------------------
+
+
+@st.composite
+def generated_groups(draw):
+    """A model of each kind with its standard set, that set renamed with an
+    explicit inverse, or up to three drawn generators.  Fractional BS
+    translations, and any BS set but {a, b}, take the generic search."""
+    kind = draw(st.sampled_from(["zd", "heisenberg", "bs"]))
+    if kind == "zd":
+        model = ZdModel(draw(st.integers(min_value=1, max_value=3)))
+        element = st.tuples(*[st.integers(min_value=-3, max_value=3)] * model.dimension)
+    elif kind == "heisenberg":
+        model = HEIS
+        element = st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3)
+    else:
+        model = draw(st.sampled_from([BS2, BS3]))
+        translations = [0, 1, -1, 2, Fraction(1, model.n), Fraction(-2, model.n)]
+        element = st.tuples(st.integers(min_value=-1, max_value=1), st.sampled_from(translations))
+    choice = draw(st.sampled_from(["standard", "renamed", "drawn"]))
+    if choice == "standard":
+        return model, GeneratingSet.standard(model)
+    if choice == "renamed":
+        first, *rest = model.generators().values()
+        elements = [*rest, model.inverse(first), first]
+    else:
+        elements = draw(
+            st.lists(
+                element.filter(lambda g: g != model.identity()),
+                min_size=1, max_size=3, unique=True,
+            )
+        )
+    return model, GeneratingSet.from_named(model, {f"g{i}": g for i, g in enumerate(elements)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    generated_groups(),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=3000),
+    st.data(),
+)
+def test_packed_search_matches_multiply_loop(group, radius, budget, data):
+    model, gens = group
+    targets = None
+    if data.draw(st.booleans()):
+        # elements of the radius+1 ball, the identity among them at times
+        moves = [g for _, g in gens.labeled()]
+        words = data.draw(
+            st.lists(st.lists(st.sampled_from(moves), max_size=radius + 1), max_size=4)
+        )
+        targets = [reduce(model.multiply, word, model.identity()) for word in words]
+    try:
+        expected = cayley_ball_by_multiply(model, gens, radius, budget, targets)
+    except BudgetExceededError as exc:
+        with pytest.raises(BudgetExceededError) as raised:
+            cayley_ball(model, gens, radius, budget, targets)
+        assert str(raised.value) == str(exc)
+        return
+    ball = cayley_ball(model, gens, radius, budget, targets)
+    assert len(ball) == len(expected)
+    assert dict(ball) == expected
+    for target in targets or ():
+        assert ball.get(target) == expected.get(target)
+
+
+BS3_FRACTIONAL = GeneratingSet.from_named(BS3, {"a": (0, Fraction(1, 3)), "b": (1, 0)})
+
+# pinned from the state-at-a-time search: id -> (model, gens, radius,
+# budget, targets, error text)
+BUDGET_ERRORS = {
+    "zd": (ZdModel(2), None, 10, 20, None,
+           "needed 21, limit 20 (last completed radius 2)"),
+    "zd-targeted": (ZdModel(2), None, 10, 20, [(9, 0)],
+                    "needed 21, limit 20 (last completed radius 2)"),
+    "heisenberg": (HEIS, None, 6, 100, None,
+                   "needed 101, limit 100 (last completed radius 3)"),
+    "heisenberg-targeted": (HEIS, None, 6, 100, [(0, 0, 9)],
+                            "needed 101, limit 100 (last completed radius 3)"),
+    "bs": (BS2, None, 9, 50, None, "needed 51, limit 50 (last completed radius 3)"),
+    "bs-targeted": (BS2, None, 9, 50, [(0, 11)],
+                    "needed 51, limit 50 (last completed radius 3)"),
+    "fallback": (BS3, BS3_FRACTIONAL, 9, 30, None,
+                 "needed 31, limit 30 (last completed radius 2)"),
+    "fallback-targeted": (BS3, BS3_FRACTIONAL, 9, 30, [(0, 5)],
+                          "needed 31, limit 30 (last completed radius 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_ERRORS))
+def test_budget_error_text_pinned(case):
+    model, gens, radius, budget, targets, text = BUDGET_ERRORS[case]
+    gens = gens or GeneratingSet.standard(model)
+    with pytest.raises(BudgetExceededError) as raised:
+        cayley_ball(model, gens, radius, budget, targets)
+    assert str(raised.value) == f"bfs states budget exceeded: {text}"
+
+
+@pytest.mark.parametrize(
+    "model, gens",
+    [(ZdModel(2), None), (HEIS, None), (BS2, None), (BS3, BS3_FRACTIONAL)],
+    ids=["zd", "heisenberg", "bs", "fallback"],
+)
+def test_targets_with_the_identity(model, gens):
+    gens = gens or GeneratingSet.standard(model)
+    ident = model.identity()
+    assert dict(cayley_ball(model, gens, 5, targets=[ident])) == {ident: 0}
+    far = reduce(model.multiply, [g for _, g in gens.base] * 2)
+    targets = [ident, far]
+    ball = cayley_ball(model, gens, 5, targets=targets)
+    assert dict(ball) == cayley_ball_by_multiply(model, gens, 5, 10**6, targets)
+    assert ball[ident] == 0 and ball[far] >= 1
+
+
+def test_zd_target_outside_the_packing_box_is_missing():
+    z2 = ZdModel(2)
+    gens = GeneratingSet.standard(z2)
+    ball = cayley_ball(z2, gens, 5, targets=[(40, 0)])
+    assert len(ball) == 2 * 5 * 5 + 2 * 5 + 1  # no early stop
+    for key in [(40, 0), (1,), (1, 0, 0), "e1", (0.5, 0)]:
+        assert key not in ball and ball.get(key) is None
+    with pytest.raises(KeyError):
+        ball[(40, 0)]
+    assert bfs_word_length(z2, gens, (40, 0), 5) is None
+
+
+def test_bs_target_finer_than_the_radius_is_missing():
+    # a translation by 1/2^6 has a denominator beyond 2^5, so no word of
+    # length 5 reaches it
+    gens = GeneratingSet.standard(BS2)
+    target = (0, Fraction(1, 64))
+    assert bfs_word_length(BS2, gens, target, 5) is None
+    ball = cayley_ball(BS2, gens, 5)
+    assert target not in ball
+    assert (0, Fraction(1, 32)) not in ball  # b^-5 a b^5 has length 11
+    assert ball[(-5, 0)] == 5 and ball[(0, Fraction(1, 2))] == 3
+
+
+def test_packed_ball_is_a_read_only_mapping():
+    ball = cayley_ball(BS2, GeneratingSet.standard(BS2), 3)
+    assert isinstance(ball, Mapping)
+    items = dict(ball.items())
+    assert items == dict(zip(ball, ball.values())) == {g: ball[g] for g in ball}
+    assert sorted(ball.values()) == sorted(items.values())
+    assert (0, Fraction(1, 2)) in items
+    # decoded keys are canonical: an integral translation is an int
+    assert all(type(m) is int or m.denominator > 1 for _, m in ball)
+    with pytest.raises(TypeError):
+        ball[(0, 0)] = 1
+
+
+@pytest.mark.parametrize(
+    "model, radius, size",
+    [(HEIS, 16, 28417), (ZdModel(3), 20, 11521), (ZdModel(2), 60, 7321),
+     (BS2, 9, 2403), (BS3, 8, 2929)],
+    ids=["heisenberg-r16", "z3-r20", "z2-r60", "bs2-r9", "bs3-r8"],
+)
+def test_ball_sizes_of_the_word_metrics_searches(model, radius, size):
+    # the bfs_states work count: every state is searched once
+    assert len(cayley_ball(model, GeneratingSet.standard(model), radius)) == size
+
+
 # -- ball growth -----------------------------------------------------------------------
 
 
@@ -425,7 +590,7 @@ def test_profile_rejects_closure_below_a_broken_ball(monkeypatch):
     true_ball = grouplab.cayley_ball
 
     def broken_ball(*args, **kwargs):
-        ball = true_ball(*args, **kwargs)
+        ball = dict(true_ball(*args, **kwargs))
         ball[(4,)] = 9
         return ball
 
