@@ -10,9 +10,8 @@ full shift, the two-dimensional analog of the same counting.
 import argparse
 from pathlib import Path
 
-from shiftlab.config import load_rule_table
 from shiftlab.blockcode import code_from_table
-from shiftlab.corpus import INFINITE_BUILTIN_SHIFTS, builtin_shifts
+from shiftlab.corpus import INFINITE_BUILTIN_SHIFTS, builtin_shifts, load_rule_table
 from shiftlab.shiftlang import entropy_profile, morse_hedlund_test
 from shiftlab.spacetime import rectangle_counts
 

@@ -25,9 +25,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError
-from .shiftlang import ShiftPresentation
+
+if TYPE_CHECKING:
+    from .shiftlang import ShiftPresentation
 
 DEFAULT_TABLE_BUDGET = 2_000_000
 

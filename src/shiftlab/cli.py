@@ -2,9 +2,11 @@
 
 `shiftlab run config.json` executes every run in the document and writes
 one output file per run plus a summary table; `validate` checks a document
-without running it; `list-builtins` prints the built-in catalog.  Logs go
-to standard error, data to files and standard output, and repeated runs of
-one configuration produce byte-identical output trees.
+without running it; `list-builtins` prints the built-in catalog.  The
+document is parsed and each run checked by `config`; the entries it names
+come from `corpus` catalogs.  One line per written file and per failure
+goes to standard error, data to files and standard output, and repeated
+runs of one configuration produce byte-identical output trees.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import logging
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,6 @@ from .blockcode import (
 )
 from .config import (
     OPERATION_PARAMS,
-    _CODE_FIELDS,
     Budgets,
     ExperimentConfig,
     RunSpec,
@@ -42,9 +42,8 @@ from .config import (
     parse_config,
 )
 from .corpus import (
-    BUILTIN_CODE_SPECS,
-    BUILTIN_GROUP_SPECS,
-    BUILTIN_SHIFT_SPECS,
+    BUILTIN_NAMES,
+    CODE_KINDS,
     Catalog,
     auto_certifier,
     builtin_codes,
@@ -74,8 +73,6 @@ from .spacetime import (
     rectangle_counts,
     uniform_vertical_period,
 )
-
-log = logging.getLogger("shiftlab")
 
 SUMMARY_HEADER = ("name", "operation", "result", "verdict")
 
@@ -417,7 +414,7 @@ def _execute_run(config: ExperimentConfig, base_dir: Path, run: RunSpec) -> RunR
     try:
         return OPERATIONS[run.operation](ctx.budgets, **check_run(run, ctx))
     except (BudgetExceededError, ValueError, LookupError) as exc:  # ConfigError too
-        log.error("run %s: %s", run.name, exc)
+        print(f"run {run.name}: {exc}", file=sys.stderr)
         return RunResult("-", f"error: {exc}", "txt", "")
 
 
@@ -438,12 +435,12 @@ def execute_config(config: ExperimentConfig, base_dir: Path) -> tuple[int, str]:
         if result.body:
             path = out_dir / f"{run.name}.{result.extension}"
             path.write_text(result.body)
-            log.info("run %s -> %s", run.name, path)
+            print(f"run {run.name} -> {path}", file=sys.stderr)
         rows.append((run.name, run.operation, result.key, result.verdict))
         if result.verdict.startswith("error"):
             failed = True
         elif result.verdict == VIOLATION and not run.fabricated:
-            log.error("run %s: Violation on non-fabricated data", run.name)
+            print(f"run {run.name}: Violation on non-fabricated data", file=sys.stderr)
             failed = True
 
     summary = _csv_text(SUMMARY_HEADER, rows)
@@ -459,12 +456,7 @@ def _load_config(path: Path) -> tuple[ExperimentConfig, Path]:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    builtin_names = {
-        "shifts": BUILTIN_SHIFT_SPECS.keys(),
-        "codes": BUILTIN_CODE_SPECS.keys(),
-        "groups": BUILTIN_GROUP_SPECS.keys(),
-    }
-    return parse_config(text, builtin_names), path.resolve().parent
+    return parse_config(text, BUILTIN_NAMES), path.resolve().parent
 
 
 def _cmd_run(args) -> int:
@@ -486,27 +478,19 @@ def _cmd_validate(args) -> int:
     for run in config.runs:
         check_run(run, ctx)
     sys.stdout.write(
-        "ok: %d shifts, %d codes, %d groups, %d runs\n"
-        % (
-            len(config.shifts),
-            len(config.codes),
-            len(config.groups),
-            len(config.runs),
-        )
+        f"ok: {len(config.shifts)} shifts, {len(config.codes)} codes, "
+        f"{len(config.groups)} groups, {len(config.runs)} runs\n"
     )
     return 0
 
 
 def _cmd_list_builtins(_args) -> int:
-    lines = ["shifts:"]
-    lines += [f"  {name}" for name in BUILTIN_SHIFT_SPECS]
-    lines.append("codes:")
-    lines += [f"  {name}" for name in BUILTIN_CODE_SPECS]
-    lines.append("code constructors: " + " ".join(_CODE_FIELDS))
-    lines.append("groups:")
-    lines += [f"  {name}" for name in BUILTIN_GROUP_SPECS]
-    lines.append("operations:")
-    lines += [f"  {name}" for name in OPERATIONS]
+    lines = []
+    for section, names in BUILTIN_NAMES.items():
+        lines += [f"{section}:", *(f"  {name}" for name in names)]
+        if section == "codes":
+            lines.append("code constructors: " + " ".join(CODE_KINDS))
+    lines += ["operations:", *(f"  {name}" for name in OPERATIONS)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -531,11 +515,10 @@ def main(argv=None) -> int:
     lb_p.set_defaults(func=_cmd_list_builtins)
 
     args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         return args.func(args)
     except (ConfigError, BudgetExceededError) as exc:
-        log.error("%s", exc)
+        print(exc, file=sys.stderr)
         return 1
 
 

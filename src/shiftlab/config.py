@@ -1,7 +1,10 @@
 """Experiment configuration: a JSON document describing shifts, codes,
 groups, and the runs to execute over them.
 
-The document round-trips (parse, serialize, parse) to an identical value,
+This module owns the document grammar and the run parameters
+(OPERATION_PARAMS, checked by check_run); the entries of the shifts,
+codes and groups sections are checked and built by `corpus`.  The
+document round-trips (parse, serialize, parse) to an identical value,
 every reference failure names the offending element, and all budgets are
 explicit so reruns are reproducible byte for byte.
 """
@@ -12,41 +15,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
-from .blockcode import (
-    DEFAULT_TABLE_BUDGET,
-    SUBLINEAR_TREND,
-    BlockCode,
-    RangeProfile,
-    code_from_table,
-    _check_table_budget,
-    compose,
-    power,
-    shift_power_code,
-    symbol_map_code,
-)
+from .blockcode import DEFAULT_TABLE_BUDGET, SUBLINEAR_TREND, RangeProfile
 from .errors import ConfigError
-from .grouplab import (
-    DEFAULT_BFS_STATES,
-    DEFAULT_RADIUS,
-    MIN_GROWTH_RADIUS,
-    BS1nModel,
-    GeneratingSet,
-    GroupModel,
-    HeisenbergModel,
-    WordExpr,
-    ZdModel,
-)
-from .shiftlang import (
-    Alphabet,
-    FullShift,
-    PeriodicOrbit,
-    SftForbidden,
-    ShiftPresentation,
-    SubstitutionShift,
-)
+from .grouplab import DEFAULT_BFS_STATES, DEFAULT_RADIUS, MIN_GROWTH_RADIUS, WordExpr
 
 RUN_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
@@ -249,7 +222,9 @@ def _require_object(value, what: str) -> dict:
     return value
 
 
-def parse_config(text: str, builtin_names: Mapping[str, frozenset] | None = None) -> ExperimentConfig:
+def parse_config(
+    text: str, builtin_names: Mapping[str, AbstractSet[str]] | None = None
+) -> ExperimentConfig:
     """Parse and validate a configuration document.
 
     builtin_names optionally maps each section ("shifts", "codes",
@@ -472,264 +447,3 @@ def serialize_config(config: ExperimentConfig) -> str:
         "budgets": asdict(config.budgets),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-# -- rule tables -------------------------------------------------------------
-
-
-def load_rule_table(text: str, origin: str = "rule table") -> dict:
-    """Parse `window symbol` lines into a table, with row diagnostics.
-
-    Blank lines and lines starting with '#' are skipped.
-    """
-    table = {}
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
-        if len(fields) != 2:
-            raise ConfigError(
-                f"{origin} line {lineno}: expected 'window symbol', got {line!r}"
-            )
-        window, symbol = fields
-        if len(symbol) != 1:
-            raise ConfigError(
-                f"{origin} line {lineno}: output {symbol!r} must be one symbol"
-            )
-        if width is None:
-            width = len(window)
-            if width % 2 == 0:
-                raise ConfigError(
-                    f"{origin} line {lineno}: window length must be odd, "
-                    f"got {width}"
-                )
-        elif len(window) != width:
-            raise ConfigError(
-                f"{origin} line {lineno}: window {window!r} has length "
-                f"{len(window)}, earlier rows have {width}"
-            )
-        if window in table:
-            raise ConfigError(f"{origin} line {lineno}: duplicate window {window!r}")
-        table[window] = symbol
-    if not table:
-        raise ConfigError(f"{origin}: no rules found")
-    return table
-
-
-# -- object builders ----------------------------------------------------------
-
-
-def _entry_kind(section: str, name: str, spec: dict, fields: Mapping[str, tuple]) -> str:
-    """The entry's kind, a key of `fields`; its spec may hold "kind" and
-    the fields[kind] that the builder reads, nothing else.  Failures raise
-    a ConfigError naming the entry."""
-    kind = spec.get("kind")
-    if kind not in fields:
-        raise ConfigError(f"{section} {name!r} has unknown kind {kind!r}")
-    unknown = sorted(set(spec) - {"kind", *fields[kind]})
-    if unknown:
-        raise ConfigError(f"{section} {name!r}: unknown field {unknown[0]!r}")
-    return kind
-
-
-def _field(section: str, name: str, spec: dict, field: str, accepts, what: str):
-    """spec[field], which must pass `accepts`, else a ConfigError naming
-    the entry and the field."""
-    value = spec[field]
-    if not accepts(value):
-        raise ConfigError(f"{section} {name!r}: {field} must be {what}")
-    return value
-
-
-# shift, code and group kind -> the fields of its spec besides "kind"
-_SHIFT_FIELDS = {
-    "full": ("alphabet",),
-    "sft": ("alphabet", "forbidden"),
-    "substitution": ("alphabet", "rules"),
-    "periodic": ("seed",),
-}
-
-
-def build_shift(name: str, spec: dict) -> ShiftPresentation:
-    kind = _entry_kind("shift", name, spec, _SHIFT_FIELDS)
-    try:
-        if kind == "periodic":
-            return PeriodicOrbit(spec["seed"])
-        symbols = _field("shift", name, spec, "alphabet",
-                         lambda v: isinstance(v, (str, list)), "a string or a JSON list")
-        alphabet = Alphabet.of(symbols)
-        if kind == "full":
-            return FullShift(alphabet)
-        if kind == "sft":
-            forbidden = _field("shift", name, spec, "forbidden",
-                               lambda v: isinstance(v, list), "a JSON list")
-            return SftForbidden(alphabet, forbidden)
-        rules = _field("shift", name, spec, "rules",
-                       lambda v: isinstance(v, dict), "a JSON object")
-        return SubstitutionShift(alphabet, rules)
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"shift {name!r} is missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"shift {name!r}: {exc}") from exc
-
-
-# code kind -> the fields of its spec that name the codes it is built from
-_CODE_REFERENCES = {"compose": ("outer", "inner"), "power": ("base",)}
-
-_CODE_FIELDS = {
-    "table": ("domain", "table", "file", "radius"),
-    "shift_power": ("domain", "exponent"),
-    "symbol_map": ("domain", "image"),
-    "compose": _CODE_REFERENCES["compose"],
-    "power": (*_CODE_REFERENCES["power"], "exponent"),
-}
-
-
-def code_references(spec: dict) -> dict:
-    """Field -> the code name it gives, for each reference field of a code
-    spec; build_code resolves references through this alone."""
-    return {key: spec.get(key) for key in _CODE_REFERENCES.get(spec.get("kind"), ())}
-
-
-def build_code(
-    name: str,
-    spec: dict,
-    shifts: Mapping[str, ShiftPresentation],
-    built: Mapping[str, BlockCode],
-    base_dir: Path | None = None,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> BlockCode:
-    """Build one code; compose/power may reference earlier built codes.
-
-    A code whose table would outgrow `table_budget` rows raises
-    BudgetExceededError before any row is built."""
-    kind = _entry_kind("code", name, spec, _CODE_FIELDS)
-
-    def domain(radius: int) -> ShiftPresentation:
-        ref = spec.get("domain")
-        if ref not in shifts:
-            raise ConfigError(f"code {name!r} references unknown shift {ref!r}")
-        # a negative radius fails in the builder
-        if radius >= 0:
-            _check_table_budget(shifts[ref], radius, table_budget, f"code {name!r}")
-        return shifts[ref]
-
-    refs = code_references(spec)
-
-    def code_ref(key: str) -> BlockCode:
-        ref = refs[key]
-        if ref not in built:
-            raise ConfigError(
-                f"code {name!r} references code {ref!r} which is not defined "
-                "earlier in the document"
-            )
-        return built[ref]
-
-    try:
-        if kind == "table":
-            if "file" in spec and "table" in spec:
-                raise ConfigError(f"code {name!r}: give 'table' or 'file', not both")
-            if "file" in spec:
-                path = Path(spec["file"])
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                try:
-                    text = path.read_text()
-                except OSError as exc:
-                    raise ConfigError(f"code {name!r}: cannot read {path}: {exc}")
-                table = load_rule_table(text, origin=str(path))
-            else:
-                table = dict(spec["table"])
-                if not table:
-                    raise ConfigError(f"code {name!r}: empty table")
-            width = len(next(iter(table)))
-            radius = (width - 1) // 2
-            if "radius" in spec:
-                radius = _field("code", name, spec, "radius", _is_int, "an integer")
-            return code_from_table(domain(radius), radius, table)
-        if kind == "shift_power":
-            exponent = _field("code", name, spec, "exponent", _is_int, "an integer")
-            return shift_power_code(domain(abs(exponent)), exponent)
-        if kind == "symbol_map":
-            return symbol_map_code(domain(0), spec["image"])
-        if kind == "compose":
-            return compose(code_ref("outer"), code_ref("inner"), table_budget)
-        exponent = _field("code", name, spec, "exponent", _is_int, "an integer")
-        return power(code_ref("base"), exponent, table_budget)
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"code {name!r} is missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"code {name!r}: {exc}") from exc
-
-
-def _parse_group_element(name: str, kind: str, value, rank: int):
-    if not isinstance(value, list):
-        raise ConfigError(f"group {name!r}: generator values must be lists")
-    if kind == "baumslag_solitar":
-        if len(value) != 2:
-            raise ConfigError(f"group {name!r}: elements are [power, translation]")
-        k, m = value
-        if not _is_int(k):
-            raise ConfigError(f"group {name!r}: an element's power must be an integer")
-        if isinstance(m, str):
-            try:
-                m = Fraction(m)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(
-                    f"group {name!r}: translation {m!r} is not a fraction"
-                ) from None
-            if m.denominator == 1:
-                m = int(m)
-        elif not _is_int(m):
-            raise ConfigError(
-                f"group {name!r}: an element's translation must be an integer "
-                "or a fraction string"
-            )
-        return (k, m)
-    expected = 3 if kind == "heisenberg" else rank
-    if len(value) != expected or not all(_is_int(v) for v in value):
-        raise ConfigError(
-            f"group {name!r}: elements are lists of {expected} integers"
-        )
-    return tuple(value)
-
-
-_GROUP_FIELDS = {
-    "free_abelian": ("rank", "generators"),
-    "heisenberg": ("generators",),
-    "baumslag_solitar": ("base", "generators"),
-}
-
-
-def build_group(name: str, spec: dict) -> tuple[GroupModel, GeneratingSet]:
-    kind = _entry_kind("group", name, spec, _GROUP_FIELDS)
-    try:
-        if kind == "free_abelian":
-            model: GroupModel = ZdModel(_field("group", name, spec, "rank", _is_int, "an integer"))
-        elif kind == "heisenberg":
-            model = HeisenbergModel()
-        else:
-            model = BS1nModel(_field("group", name, spec, "base", _is_int, "an integer"))
-        if "generators" in spec:
-            named = _require_object(spec["generators"], f"group {name!r} generators")
-            rank = spec.get("rank", 0)
-            elements = {
-                gen: _parse_group_element(name, kind, value, rank)
-                for gen, value in named.items()
-            }
-            gens = GeneratingSet.from_named(model, elements)
-        else:
-            gens = GeneratingSet.standard(model)
-        return model, gens
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"group {name!r} is missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"group {name!r}: {exc}") from exc

@@ -43,28 +43,32 @@ def sft_words_brute(alphabet: str, forbidden: list[str], n: int, pad: int = 12) 
     than span (the longest forbidden length less one) is first extended on
     the right to that length in every way; no forbidden factor can touch
     letters added on both sides of such a w + y, so its sides extend
-    independently.
+    independently.  Every forbidden factor that an added letter completes
+    lies within that letter and the span letters next to it, so whether a
+    clean word extends on the right (left) depends only on its last (first)
+    span letters, and the searches are cached on those.
     """
     clean = lambda w: not any(f in w for f in forbidden)
     span = max(map(len, forbidden), default=1) - 1
+    last = lambda w: w[max(len(w) - span, 0):]
 
     @cache
     def grow_right(w, steps):
         if steps == 0:
             return True
-        return any(clean(w + a) and grow_right((w + a)[-pad:], steps - 1) for a in alphabet)
+        return any(clean(w + a) and grow_right(last(w + a), steps - 1) for a in alphabet)
 
     @cache
     def grow_left(w, steps):
         if steps == 0:
             return True
-        return any(clean(a + w) and grow_left((a + w)[:pad], steps - 1) for a in alphabet)
+        return any(clean(a + w) and grow_left((a + w)[:span], steps - 1) for a in alphabet)
 
     out = set()
     for p in product(alphabet, repeat=n):
         w = "".join(p)
         if any(
-            clean(w + y) and grow_right((w + y)[-pad:], pad) and grow_left((w + y)[:pad], pad)
+            clean(w + y) and grow_right(last(w + y), pad) and grow_left((w + y)[:span], pad)
             for y in map("".join, product(alphabet, repeat=max(span - n, 0)))
         ):
             out.add(w)

@@ -19,7 +19,8 @@ import shiftlab
 from shiftlab import cli
 from shiftlab.cli import OPERATIONS, main
 from shiftlab.blockcode import shift_power_code
-from shiftlab.config import OPERATION_PARAMS, build_code, parse_config
+from shiftlab.config import OPERATION_PARAMS, parse_config
+from shiftlab.corpus import build_code
 from shiftlab.errors import ConfigError
 from shiftlab.shiftlang import Alphabet, FullShift, ShiftPresentation
 
@@ -33,9 +34,14 @@ def write_config(tmp_path, doc, name="exp.json"):
 
 
 def run_cli(capsys, *argv):
+    return run_cli_err(capsys, *argv)[:2]
+
+
+def run_cli_err(capsys, *argv):
+    """run_cli, also returning what the command wrote to standard error."""
     status = main(list(argv))
     captured = capsys.readouterr()
-    return status, captured.out
+    return status, captured.out, captured.err
 
 
 def tree_bytes(root: Path) -> dict:
@@ -187,7 +193,7 @@ class TestRun:
             f"golden,rectangle_complexity,-,{verdicts[1]}",
         ]
 
-    def test_bad_bs_generator_is_an_error_row(self, tmp_path, capsys, caplog):
+    def test_bad_bs_generator_is_an_error_row(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             {
@@ -200,16 +206,16 @@ class TestRun:
             },
         )
         message = "group 'g': an element's translation must be an integer or a fraction string"
-        status, out = run_cli(capsys, "validate", str(config))
+        status, out, err = run_cli_err(capsys, "validate", str(config))
         assert status == 1 and out == ""
-        assert message in caplog.text
+        assert message in err
         status, _ = run_cli(capsys, "run", str(config))
         assert status == 1
         bad, sibling = summary_rows(tmp_path / "out")
         assert bad[3] == f"error: {message}"
         assert sibling[3] == "ok"
 
-    def test_missing_param_names_the_run(self, tmp_path, capsys, caplog):
+    def test_missing_param_names_the_run(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             {
@@ -273,12 +279,14 @@ class TestAuditRuns:
         assert status == 1
 
     @pytest.mark.parametrize("flag", ["false", "no", 0, None])
-    def test_fabricated_flag_must_be_a_boolean(self, tmp_path, capsys, caplog, flag):
+    def test_fabricated_flag_must_be_a_boolean(self, tmp_path, capsys, flag):
         config = write_config(tmp_path, self.audit_doc(tmp_path, flag))
+        errors = ""
         for command in ("validate", "run"):
-            status, _ = run_cli(capsys, command, str(config))
+            status, _, err = run_cli_err(capsys, command, str(config))
             assert status == 1
-        assert "fabricated must be true or false" in caplog.text
+            errors += err
+        assert "fabricated must be true or false" in errors
         assert not (tmp_path / "out").exists()
 
     def test_corrupted_element_profile_flagged_by_word_audit(self, tmp_path, capsys):
@@ -362,6 +370,42 @@ SIBLING = {"name": "sibling", "operation": "complexity",
            "params": {"shift": "fibonacci", "depth": 4}}
 
 
+class TestStandardError:
+    """The exact bytes a fresh `shiftlab` process writes to standard error:
+    one line per written file, per error row, per Violation on
+    non-fabricated data, and per rejected document."""
+
+    def cli(self, tmp_path, *argv):
+        src = Path(shiftlab.__file__).resolve().parent.parent
+        return subprocess.run(
+            [sys.executable, "-m", "shiftlab.cli", *argv],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, timeout=120,
+        )
+
+    def test_run(self, tmp_path):
+        probe = {"name": "probe", "operation": "audit_entropy",
+                 "params": {"range_entries": TestAuditRuns.STAIRCASE,
+                            "shift": "fibonacci", "depth_complexity": 16}}
+        bad = {"name": "bad", "operation": "complexity", "params": {"shift": "fibonacci"}}
+        write_config(tmp_path, {"runs": [SIBLING, bad, probe]})
+        result = self.cli(tmp_path, "run", "exp.json", "--out-dir", "out")
+        assert result.returncode == 1
+        assert result.stderr == (
+            b"run sibling -> out/sibling.csv\n"
+            b"run bad: run 'bad' needs parameter 'depth'\n"
+            b"run probe -> out/probe.txt\n"
+            b"run probe: Violation on non-fabricated data\n"
+        )
+
+    def test_validate_config_error(self, tmp_path):
+        write_config(tmp_path, {"runs": [SIBLING], "budgets": {"table_rows": "many"}})
+        result = self.cli(tmp_path, "validate", "exp.json")
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr == b"budget table_rows must be an integer\n"
+
+
 class TestParameterErrors:
     """Documents with one bad run: `validate` rejects them naming the run
     and the parameter, and `run` turns them into an error row for that run
@@ -412,12 +456,12 @@ class TestParameterErrors:
             config.write_text(config.read_text().replace(json.dumps(params), params))
         return param, config
 
-    def test_validate_names_run_and_parameter(self, case, capsys, caplog):
+    def test_validate_names_run_and_parameter(self, case, capsys):
         param, config = case
-        status, out = run_cli(capsys, "validate", str(config))
+        status, out, err = run_cli_err(capsys, "validate", str(config))
         assert status == 1
         assert out == ""
-        assert "run 'bad'" in caplog.text and repr(param) in caplog.text
+        assert "run 'bad'" in err and repr(param) in err
 
     def test_run_reports_an_error_row_only_for_that_run(self, case, tmp_path, capsys):
         param, config = case
@@ -431,12 +475,12 @@ class TestParameterErrors:
         assert not (tmp_path / "out" / "bad.txt").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_string_budget_is_a_config_error(self, tmp_path, capsys, caplog, command):
+    def test_string_budget_is_a_config_error(self, tmp_path, capsys, command):
         doc = {"runs": [SIBLING], "budgets": {"table_rows": "many"},
                "out_dir": str(tmp_path / "out")}
-        status, _ = run_cli(capsys, command, str(write_config(tmp_path, doc)))
+        status, _, err = run_cli_err(capsys, command, str(write_config(tmp_path, doc)))
         assert status == 1
-        assert "budget table_rows must be an integer" in caplog.text
+        assert "budget table_rows must be an integer" in err
 
     def test_every_handler_has_a_parameter_table(self):
         handlers = {name[len("_op_"):] for name in vars(cli) if name.startswith("_op_")}
@@ -536,15 +580,13 @@ class TestFuzzDocuments:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(runs=st.tuples(fuzz_runs(0), fuzz_runs(1)))
-    def test_every_document_ends_in_an_exit_status(self, runs, capsys, caplog):
+    def test_every_document_ends_in_an_exit_status(self, runs, capsys):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             doc = {"runs": list(runs), "out_dir": str(out),
                    "budgets": {"table_rows": 4000, "bfs_states": 4000, "radius_cap": 4}}
             config = write_config(Path(tmp), doc)
-            caplog.clear()
-            validated, _ = run_cli(capsys, "validate", str(config))
-            rejection = caplog.text
+            validated, _, rejection = run_cli_err(capsys, "validate", str(config))
             status, _ = run_cli(capsys, "run", str(config))
             assert validated in (0, 1) and status in (0, 1)
             if not out.exists():
@@ -611,7 +653,7 @@ class TestCatalogEntries:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bad_entry_fails_only_its_runs(self, case, tmp_path, capsys, caplog, monkeypatch):
+    def test_bad_entry_fails_only_its_runs(self, case, tmp_path, capsys, monkeypatch):
         section, name, spec, error, (operation, params) = self.CASES[case]
         _forbid_long_words(monkeypatch)
         kind = {"groups": "group", "shifts": "shift", "codes": "code"}[section]
@@ -623,8 +665,8 @@ class TestCatalogEntries:
         if section == "codes":
             doc["codes"]["later"] = {"kind": "shift_power", "domain": "full-2", "exponent": 1}
         config = write_config(tmp_path, doc)
-        status, _ = run_cli(capsys, "validate", str(config))
-        assert status == 1 and error in caplog.text
+        status, _, err = run_cli_err(capsys, "validate", str(config))
+        assert status == 1 and error in err
         status, _ = run_cli(capsys, "run", str(config))
         assert status == 1
         (good, bad) = summary_rows(tmp_path / "out")
@@ -682,15 +724,15 @@ class TestValidate:
         status, _ = run_cli(capsys, "validate", str(config))
         assert status == 1
 
-    def test_code_over_budget_rejected(self, tmp_path, capsys, caplog):
+    def test_code_over_budget_rejected(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
             {"codes": {"big": {"kind": "power", "base": "full-2/shift", "exponent": 30}},
              "budgets": {"table_rows": 10}, "runs": []},
         )
-        status, _ = run_cli(capsys, "validate", str(config))
+        status, _, err = run_cli_err(capsys, "validate", str(config))
         assert status == 1
-        assert "table rows budget exceeded" in caplog.text
+        assert "table rows budget exceeded" in err
 
 
 class TestListBuiltins:

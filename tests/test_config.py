@@ -1,24 +1,25 @@
 """Configuration parsing, serialization, and object building."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import shiftlab
 from shiftlab.blockcode import apply_to_word, codes_equal, shift_power_code
 from shiftlab.config import (
     Budgets,
     ExperimentConfig,
     RunSpec,
-    build_code,
-    build_group,
-    build_shift,
     check_run,
-    load_rule_table,
     parse_config,
     serialize_config,
 )
+from shiftlab.corpus import build_code, build_group, build_shift, load_rule_table
 from shiftlab.errors import ConfigError
 from shiftlab.grouplab import BS1nModel, HeisenbergModel, ZdModel
 from shiftlab.shiftlang import (
@@ -506,3 +507,18 @@ class TestCheckRun:
     def test_unknown_operation_rejected(self):
         with pytest.raises(ConfigError, match="uses unknown operation 'x'"):
             self.check("x")
+
+
+def test_config_loads_no_entry_or_runner_module():
+    # config parses documents and checks run parameters; building the
+    # entries they name belongs to corpus and the layers behind it
+    src = Path(shiftlab.__file__).resolve().parent.parent
+    probe = "import sys, shiftlab.config; print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = set(result.stdout.split())
+    assert "shiftlab.config" in loaded
+    for name in ("corpus", "shiftlang", "spacetime", "audit", "cli"):
+        assert f"shiftlab.{name}" not in loaded
