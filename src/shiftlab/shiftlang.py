@@ -98,6 +98,47 @@ class WordIndex:
         return self._table
 
 
+def _extend(prev: WordIndex, out: list, k: int, tail=None) -> WordIndex:
+    """Index of prev's words, in order, each followed by the letters of its
+    entry of `out`, (letter index, next state) pairs in alphabet order."""
+    prefix = [p for p, o in enumerate(out) for _ in o]
+    last = [a for o in out for a, _ in o]
+    succ, shorter = prev.succ, prev.suffix
+    suffix = [succ[shorter[p] * k + a] for p, a in zip(prefix, last)]
+    return WordIndex(prefix, suffix, last, k, prev.count, tail)
+
+
+def _suffix_automaton(text: str):
+    """Suffix automaton (Blumer et al., TCS 40, 1985) of a text over chr(letter
+    index), whose paths from state 0 spell its factors: per state, its out-edges
+    (letter index, next state) in alphabet order and its first end position."""
+    nxt, link, length, ends = [{}], [-1], [0], [-1]
+    last = 0
+    for i, c in enumerate(map(ord, text)):
+        p, cur = last, len(nxt)
+        nxt.append({})
+        link.append(0)
+        length.append(length[p] + 1)
+        ends.append(i)
+        while p >= 0 and c not in nxt[p]:
+            nxt[p][c], p = cur, link[p]
+        if p >= 0:
+            q = nxt[p][c]
+            if length[q] == length[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(nxt)
+                nxt.append(nxt[q].copy())
+                link.append(link[q])
+                length.append(length[p] + 1)
+                ends.append(ends[q])
+                while p >= 0 and nxt[p].get(c) == q:
+                    nxt[p][c], p = clone, link[p]
+                link[q] = link[cur] = clone
+        last = cur
+    return [sorted(out.items()) for out in nxt], ends
+
+
 def _product_index(ranks: list, k: int, n: int) -> WordIndex:
     """Index of all length-n words over the letters of alphabet index
     `ranks`, k the alphabet size: base-len(ranks) digits."""
@@ -122,9 +163,8 @@ class ShiftPresentation:
 
     # -- subclass hooks --------------------------------------------------
 
-    def _enumerate(self, n: int):
-        """The legal words of length n >= 1: a tuple when they come sorted
-        and distinct, else any iterable, which words_of_length sorts."""
+    def _enumerate(self, n: int) -> tuple[str, ...]:
+        """The legal words of length n >= 1, sorted and distinct."""
         raise NotImplementedError
 
     def _index(self, n: int) -> WordIndex:
@@ -157,10 +197,7 @@ class ShiftPresentation:
             return ("",)
         cached = self._word_cache.get(n)
         if cached is None:
-            cached = self._enumerate(n)
-            if type(cached) is not tuple:
-                cached = tuple(sorted(set(cached), key=self.alphabet.word_key))
-            self._word_cache[n] = cached
+            cached = self._word_cache[n] = self._enumerate(n)
         return cached
 
     def word_index(self, n: int) -> WordIndex:
@@ -254,7 +291,8 @@ class SftForbidden(ShiftPresentation):
         if b == 0:
             return tuple(map("".join, product([symbols[a] for a, _ in edges[0]], repeat=n)))
         if n <= b:
-            return {v[i : i + n] for v in self._vertices for i in range(b - n + 1)}
+            # every legal word extends right: the prefixes of the sorted vertices
+            return tuple(dict.fromkeys(v[:n] for v in self._vertices))
         words, tails = self._vertices, range(len(edges))
         for _ in range(n - b):
             words = [w + symbols[a] for w, t in zip(words, tails) for a, _ in edges[t]]
@@ -269,14 +307,8 @@ class SftForbidden(ShiftPresentation):
         # extend each word of length n-1 along its last vertex's out-edges,
         # which keeps the sorted order of _enumerate
         prev = self.word_index(n - 1)
-        edges = [self._edges[v] for v in prev.tail or range(prev.count)]
-        prefix = [p for p, out in enumerate(edges) for _ in out]
-        last = [a for out in edges for a, _ in out]
-        k, succ, suffix = self.alphabet.size, prev.succ, prev.suffix
-        return WordIndex(
-            prefix, [succ[suffix[p] * k + a] for p, a in zip(prefix, last)],
-            last, k, prev.count, [u for out in edges for _, u in out],
-        )
+        out = [self._edges[v] for v in prev.tail or range(prev.count)]
+        return _extend(prev, out, self.alphabet.size, [u for o in out for _, u in o])
 
     def count_words(self, n):
         _check_length(n)
@@ -324,15 +356,18 @@ class SubstitutionShift(ShiftPresentation):
     guarantees every symbol occurs, that the orbit closure is minimal, and
     that the legal words are exactly the factors of the rule iterates.
 
-    Length-n words are extracted in two certified stages.  First the legal
-    two-letter blocks are computed as the least fixed point of the block
+    The legal two-letter blocks are the least fixed point of the block
     propagation map T -> base ∪ {2-factors of rule(b)+rule(c) : bc in T};
-    the map is deterministic and monotone on a finite lattice, so a single
-    repeat certifies the fixed point.  Then each legal 2-block is inflated
-    k times, k chosen so every inflated letter image has length >= n.  A
-    length-n factor of a concatenation of blocks of length >= n touches at
-    most two consecutive blocks, so collecting the n-factors of the
-    inflated 2-blocks is exact, not just a lower approximation.
+    the map is monotone on a finite lattice, so a single repeat certifies
+    it.  For a depth N, a walk w through every legal 2-block and no other
+    is inflated K times, K the least with every |rule^K(a)| >= N: a factor
+    of rule^K(w) of length n <= N touches at most two letter images, so the
+    n-factors are exactly the legal n-words.  One suffix automaton over
+    rule^K(w) carries each legal word as a state, and the (n+1)-words are
+    the n-words extended along their states' edges in alphabet order, so
+    counts and indexes spell nothing and words come out sorted.  N is the
+    deepest length asked for; a deeper one rebuilds at the larger of it
+    and 2N.
     """
 
     def __init__(self, alphabet: Alphabet, rules: dict):
@@ -347,7 +382,10 @@ class SubstitutionShift(ShiftPresentation):
                 raise ValueError(f"image of {a!r} uses symbols outside the alphabet")
         self.rules = dict(rules)
         self._check_primitive()
-        self._two_blocks = self._block_closure()
+        if all(len(img) == 1 for img in rules.values()):
+            raise ValueError("substitution never grows: every image is a single letter")
+        self._walk = self._block_walk()
+        self._depth, self._states, self._edges = 0, [[0]], []
 
     def _check_primitive(self):
         syms = self.alphabet.symbols
@@ -364,30 +402,62 @@ class SubstitutionShift(ShiftPresentation):
             ]
         raise ValueError("substitution is not primitive (no positive matrix power)")
 
-    def _block_closure(self):
+    def _block_walk(self) -> str:
+        """A word whose 2-factors are exactly the legal 2-blocks (the fixed
+        point above): each block in turn, reached by a shortest path if the
+        walk lacks it."""
         two = lambda w: {w[i : i + 2] for i in range(len(w) - 1)}
-        base = set()
-        for a in self.alphabet.symbols:
-            base |= two(self.rules[a])
-        blocks = frozenset(base)
-        while True:
-            grown = set(base)
-            for bc in blocks:
-                grown |= two(self.rules[bc[0]] + self.rules[bc[1]])
-            grown = frozenset(grown)
-            if grown == blocks:
-                return blocks
+        base = set().union(*map(two, self.rules.values()))
+        blocks, grown = None, base
+        while grown != blocks:
             blocks = grown
+            grown = base.union(*(two(self.rules[b] + self.rules[c]) for b, c in blocks))
+        blocks = sorted(blocks)
+        walk = blocks[0]
+        for block in blocks:
+            paths = {walk[-1]: ""}
+            while block not in walk and block[0] not in paths:
+                paths = {**{b[1]: paths[b[0]] + b[1] for b in blocks if b[0] in paths}, **paths}
+            walk += "" if block in walk else paths[block[0]] + block[1]
+        return walk
+
+    def _word_states(self, n: int) -> list:
+        """The automaton states of the legal n-words, in sorted order.  Past the
+        depth, rebuild at max(n, twice the depth) and find the states again:
+        cached words and indexes depend on the words only, so they stay."""
+        if n > self._depth:
+            self._depth = depth = max(n, 2 * self._depth)
+            images = self.rules
+            while min(map(len, images.values())) < depth:
+                images = {a: "".join(map(images.__getitem__, w)) for a, w in self.rules.items()}
+            self._text = "".join(map(images.__getitem__, self._walk))
+            self._edges, self._ends = _suffix_automaton(self._text.translate(self.alphabet._rank))
+            self._states = [[0]]
+        states, edges = self._states, self._edges
+        while len(states) <= n:
+            states.append([u for t in states[-1] for _, u in edges[t]])
+        return states[n]
+
+    def word_index(self, n):
+        # deepen once for the length asked, not for each shorter one built
+        self._word_states(n)
+        return super().word_index(n)
+
+    def _index(self, n):
+        k = self.alphabet.size
+        if n == 1:
+            return _product_index([a for a, _ in self._edges[0]], k, 1)
+        prev, tails, edges = self.word_index(n - 1), self._word_states(n - 1), self._edges
+        return _extend(prev, [edges[t] for t in tails], k)
 
     def _enumerate(self, n):
-        images = {a: self.rules[a] for a in self.alphabet.symbols}
-        while min(len(w) for w in images.values()) < n:
-            images = {a: "".join(map(self.rules.__getitem__, w)) for a, w in images.items()}
-        found = set()
-        for bc in self._two_blocks:
-            w = images[bc[0]] + images[bc[1]]
-            found |= {w[i : i + n] for i in range(len(w) - n + 1)}
-        return found
+        tails = self._word_states(n)
+        text, ends = self._text, self._ends
+        return tuple([text[ends[t] - n + 1 : ends[t] + 1] for t in tails])
+
+    def count_words(self, n):
+        _check_length(n)
+        return len(self._word_states(n))
 
     def descriptor(self):
         return (
@@ -423,7 +493,8 @@ class PeriodicOrbit(ShiftPresentation):
     def _enumerate(self, n):
         copies = (self.period - 1 + n + self.period - 1) // self.period + 1
         s = self.seed * copies
-        return {s[i : i + n] for i in range(self.period)}
+        words = {s[i : i + n] for i in range(self.period)}
+        return tuple(sorted(words, key=self.alphabet.word_key))
 
     def descriptor(self):
         return ("periodic", self.alphabet.symbols, self.seed)

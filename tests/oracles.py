@@ -100,6 +100,37 @@ def substitution_words(rules: dict, n: int, iterations: int = 16) -> set[str]:
     return a
 
 
+def substitution_factors(rules: dict, n: int, floor: int | None = None) -> set[str]:
+    """Legal n-words of a primitive substitution by per-length inflation.
+
+    The legal 2-blocks are the least fixed point of T -> base ∪ {2-factors
+    of rule(b)+rule(c) : bc in T}; each is inflated K times, K the least
+    with every |rule^K(a)| >= floor (n by default), and the n-factors of
+    the inflated blocks are collected.  This is how SubstitutionShift
+    enumerated words before it read them off one suffix automaton.
+    """
+    two = lambda w: {w[i : i + 2] for i in range(len(w) - 1)}
+    base = set()
+    for image in rules.values():
+        base |= two(image)
+    blocks = frozenset(base)
+    while True:
+        grown = set(base)
+        for bc in blocks:
+            grown |= two(rules[bc[0]] + rules[bc[1]])
+        if grown == blocks:
+            break
+        blocks = frozenset(grown)
+    images = dict(rules)
+    while min(len(w) for w in images.values()) < (n if floor is None else floor):
+        images = {a: "".join(map(rules.__getitem__, w)) for a, w in images.items()}
+    found = set()
+    for bc in blocks:
+        w = images[bc[0]] + images[bc[1]]
+        found |= {w[i : i + n] for i in range(len(w) - n + 1)}
+    return found
+
+
 def periodic_words(seed: str, n: int) -> set[str]:
     s = seed * (n // len(seed) + 2)
     return {s[i : i + n] for i in range(len(seed))}

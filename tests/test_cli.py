@@ -626,6 +626,10 @@ class TestCatalogEntries:
                             "shift 's': alphabet must be a string or a JSON list", SHIFT_RUN),
         "rules-string": ("shifts", "s", {"kind": "substitution", "alphabet": "01", "rules": "01"},
                          "shift 's': rules must be a JSON object", SHIFT_RUN),
+        # primitive, but no inflation ever lengthens its images
+        "substitution-never-grows": (
+            "shifts", "s", {"kind": "substitution", "alphabet": "0", "rules": {"0": "0"}},
+            "shift 's': substitution never grows: every image is a single letter", SHIFT_RUN),
         "radius-bool": ("codes", "c", {"kind": "table", "domain": "full-2", "radius": True,
                                        "table": COPY_RULE},
                         "code 'c': radius must be an integer", CODE_RUN),

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab import shiftlang
+from shiftlab.blockcode import range_profile, shift_power_code
 from shiftlab.shiftlang import (
     Alphabet,
     FullShift,
@@ -24,6 +26,7 @@ from oracles import (
     golden_mean_words,
     periodic_words,
     sft_words_brute,
+    substitution_factors,
     substitution_words,
     word_key_tuple,
 )
@@ -206,6 +209,117 @@ def test_substitution_validates_rule_shape():
 
 def test_substitution_primitivity_exponent_recorded(fibonacci):
     assert 1 <= fibonacci.primitivity_exponent <= 4
+
+
+def test_substitution_that_never_grows_rejected():
+    # its images never lengthen, so no inflation reaches any length
+    with pytest.raises(ValueError, match="never grows: every image is a single letter"):
+        SubstitutionShift(Alphabet.of("0"), {"0": "0"})
+
+
+def test_one_letter_growing_substitution():
+    x = SubstitutionShift(Alphabet.of("0"), {"0": "00"})
+    assert [x.count_words(n) for n in (1, 7, 3)] == [1, 1, 1]
+    assert x.words_of_length(5) == ("00000",)
+    assert morse_hedlund_test(x, 4).witness == 1
+
+
+# -- substitution languages off one suffix automaton ---------------------------------
+
+
+@st.composite
+def primitive_substitutions(draw):
+    """Rules on two or three letters, images 1-3 letters long and not all of
+    one length, that pass the primitivity check.  Under a third of the
+    drawn rules do, so up to 50 are drawn (filtering them out would trip
+    Hypothesis' health check), and the Fibonacci rule stands in after
+    that."""
+    symbols = draw(st.sampled_from(("01", "012")))
+    for _ in range(50):
+        images = st.text(alphabet=symbols, min_size=1, max_size=3)
+        rules = {a: draw(images) for a in symbols}
+        if len({len(w) for w in rules.values()}) > 1:
+            try:
+                SubstitutionShift(Alphabet.of(symbols), rules)
+                return rules
+            except ValueError:
+                pass
+    return fibonacci_rules()
+
+
+def _sorted_factors(alphabet, rules, n):
+    return sorted(substitution_factors(rules, n), key=alphabet.word_key) if n else [""]
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_substitutions(), st.lists(st.integers(1, 40), min_size=1, max_size=4))
+def test_substitution_language_matches_inflation(rules, lengths):
+    # lengths out of order: deeper requests rebuild the automaton, and
+    # shorter ones are then answered from the rebuilt one
+    alphabet = Alphabet.of(sorted(rules))
+    x = SubstitutionShift(alphabet, rules)
+    symbols, k = alphabet.symbols, alphabet.size
+    for n in lengths:
+        words = _sorted_factors(alphabet, rules, n)
+        shorter = _sorted_factors(alphabet, rules, n - 1)
+        assert x.count_words(n) == len(words)
+        index = x.word_index(n)
+        number = {w: i for i, w in enumerate(shorter)}
+        assert index.count == len(words)
+        assert index.prefix == [number[w[:-1]] for w in words]
+        assert index.suffix == [number[w[1:]] for w in words]
+        assert index.last == [symbols.index(w[-1]) for w in words]
+        number = {w: i for i, w in enumerate(words)}
+        expected = [number.get(u + a, len(words)) for u in shorter for a in symbols]
+        assert index.succ == expected + [len(words)] * k
+        assert x.words_of_length(n) == tuple(words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions())
+def test_deepest_inflation_has_the_same_short_factors(rules):
+    # the automaton is built once at the deepest length N asked for; its
+    # n-factors for n <= N are those of the least inflation that suffices
+    for n in range(1, 41):
+        assert substitution_factors(rules, n, floor=40) == substitution_factors(rules, n)
+    for n in range(1, 21):
+        assert substitution_factors(fibonacci_rules(), n, floor=40) == substitution_words(
+            fibonacci_rules(), n
+        )
+
+
+def _count_automata(monkeypatch):
+    built = []
+    automaton = shiftlang._suffix_automaton
+
+    def counting(text):
+        built.append(len(text))
+        return automaton(text)
+
+    monkeypatch.setattr(shiftlang, "_suffix_automaton", counting)
+    return built
+
+
+def test_deep_profile_builds_few_automata_and_spells_nothing(monkeypatch):
+    # work gate: depths double, so a profile to depth 400 builds at most
+    # ceil(log2(400)) + 1 automata, and counting never spells a word
+    built = _count_automata(monkeypatch)
+    x = SubstitutionShift(BINARY, fibonacci_rules())
+    profile = entropy_profile(x, 400)
+    assert profile.values == tuple(range(2, 402))
+    assert len(built) <= math.ceil(math.log2(400)) + 1
+    assert not x._word_cache
+
+
+def test_deep_range_profile_does_not_inflate_per_length(monkeypatch):
+    # r(sigma^n) = n needs words of length 2n + 1 up to 401: a handful of
+    # automata, and only the code's own table length is spelled
+    built = _count_automata(monkeypatch)
+    x = SubstitutionShift(BINARY, fibonacci_rules())
+    profile = range_profile(shift_power_code(x, 1), 200)
+    assert profile.entries == tuple(range(1, 201))
+    assert len(built) <= math.ceil(math.log2(401)) + 1
+    assert set(x._word_cache) == {3}
 
 
 # -- periodic orbits ---------------------------------------------------------
@@ -489,9 +603,13 @@ def presentations(draw):
 @settings(max_examples=80, deadline=None)
 @given(presentations(), st.integers(1, 7))
 def test_words_of_length_is_the_sorted_distinct_enumeration(x, n):
-    # full shifts and SFTs emit sorted words and skip the sort; the result
-    # must be what sorting the raw enumeration gives, for every kind
-    expected = tuple(sorted(set(x._enumerate(n)), key=x.alphabet.word_key))
+    # every kind emits its words already sorted, so sorting the raw
+    # enumeration must change nothing; a substitution's enumeration reads
+    # its automaton, so it is compared with the inflation instead
+    if isinstance(x, SubstitutionShift):
+        expected = tuple(_sorted_factors(x.alphabet, x.rules, n))
+    else:
+        expected = tuple(sorted(set(x._enumerate(n)), key=x.alphabet.word_key))
     assert x.words_of_length(n) == expected
 
 
