@@ -545,9 +545,10 @@ class ComplexityProfile:
                 raise ValueError(f"P({i + 1}) = {p} < 1")
             if i and p < self.values[i - 1]:
                 raise ValueError(f"P({i + 1}) < P({i}): counts must be nondecreasing")
+        # (i, j) fails iff (j, i) does, and i <= j comes first in this order
         n = len(self.values)
-        for i in range(1, n + 1):
-            for j in range(1, n - i + 1):
+        for i in range(1, n // 2 + 1):
+            for j in range(i, n - i + 1):
                 if self.values[i + j - 1] > self.values[i - 1] * self.values[j - 1]:
                     raise ValueError(f"P({i + j}) > P({i})P({j}): not submultiplicative")
 

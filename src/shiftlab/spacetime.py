@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import itemgetter
 
 from .blockcode import (
     DEFAULT_TABLE_BUDGET,
     BlockCode,
     IllegalWindowError,
+    _Images,
     apply_to_word,
     minimized,
 )
@@ -44,7 +47,7 @@ class SpacetimePatch:
     def __post_init__(self):
         if self.height != len(self.rows):
             raise ValueError("height must match the number of rows")
-        if any(len(r) != self.width for r in self.rows):
+        if list(map(len, self.rows)).count(self.width) != len(self.rows):
             raise ValueError("every row must have length equal to width")
 
     def cell(self, col: int, row: int) -> str:
@@ -84,63 +87,58 @@ def build_patches(
     code^2(x), ...), deduplicated, in first-seen order of the sorted word
     enumeration.
 
-    The image of a word is the image of its one-shorter prefix plus one
-    table lookup, and the images of all prefixes at least n long are kept
-    in one dict for the family: consecutive words in sorted order share
-    their prefix work, and an iterate that is a prefix of an earlier word
-    is found already computed.  Every row is at least n long, so shorter
-    prefixes would only serve as starting points, and keeping them would
-    make the dict grow with the cube of the word length on a shift with
-    polynomially many words.  An image that leaves the domain language
-    raises the same IllegalWindowError, for the same word, as sliding the
-    rule along each row in turn.
+    Words are numbered (shiftlang.WordIndex): iterate j of each word is one
+    lookup in the code's image table (blockcode._Images), its row is the
+    number of its central n-window, and patches are deduplicated as tuples
+    of numbers.  Only kept patches are spelled, from the generating words'
+    central windows, which are all the legal n-words.  Words with an image
+    outside the language are slid instead, raising what sliding raises.
     """
     _check_shape(domain, code, n, k)
     phi = minimized(code)
     r = phi.rule.radius
     length = n + 2 * (k - 1) * r
     _check_word_budget(domain, length, word_budget)
-    table = phi.rule.table
-    width = 2 * r + 1
-    floor = max(n, width)
-    images = {}
-
-    def image(word: str) -> str:
-        out = images.get(word)
-        if out is not None:
-            return out
-        # longest prefix at least floor long with a known image, else the
-        # (floor - 1)-prefix computed window by window
-        i = len(word) - 1
-        while i >= floor and word[:i] not in images:
-            i -= 1
-        try:
-            if i >= floor:
-                out = images[word[:i]]
-            else:
-                i = floor - 1
-                out = "".join([table[word[j : j + width]] for j in range(i - width + 1)])
-            for j in range(i + 1, len(word) + 1):
-                out += table[word[j - width : j]]
-                images[word[:j]] = out
-        except KeyError:
-            # raises the error that names the leftmost illegal window
-            return apply_to_word(phi, word)
-        return out
-
+    words, images, index = domain.words_of_length(length), _Images(phi), domain.word_index
+    levels, m = [range(len(words))], length
+    for _ in range(1, k):
+        # an illegal image is its length's sink, which maps to the next one's
+        img, m = images.of_length(m), m - 2 * r
+        levels.append(list(map((img + [index(m).count]).__getitem__, levels[-1])))
+    sink, slid = index(m).count, {}
+    if sink in levels[-1]:
+        # slid words keep placeholder numbers until their rows are known
+        for i, last in enumerate(levels[-1]):
+            if last == sink:
+                slid[i] = _slide(phi, words[i], n, k)
+                for level in levels[1:]:
+                    level[i] = 0
+    rows, centre, width = [], range(index(n).count), n
+    for level in reversed(levels):
+        while width < n + 2 * r * len(rows):
+            width += 2
+            cut = map(index(width - 1).prefix.__getitem__, index(width).suffix)
+            centre = list(map(centre.__getitem__, cut))
+        rows.insert(0, list(map(centre.__getitem__, level)))
     top = (k - 1) * r
-    margins = [top - j * r for j in range(1, k)]
-    seen = {}
-    for w in domain.words_of_length(length):
-        rows = [w[top : top + n]]
-        current = w
-        for margin in margins:
-            current = image(current)
-            rows.append(current[margin : margin + n])
-        rows = tuple(rows)
-        if rows not in seen:
-            seen[rows] = SpacetimePatch(n, k, rows, source_word=w, code_name=code_name)
-    return tuple(seen.values())
+    spell = dict(zip(rows[0], map(itemgetter(slice(top, top + n)), words)))
+    number = {word: x for x, word in spell.items()} if slid else {}
+    for i, slid_rows in slid.items():
+        # a row outside the language stays a string, equal to no number
+        for row, word in zip(rows, slid_rows):
+            row[i] = number.get(word, word)
+    # walking back, the number stored last for each patch is its first word's
+    first = dict(zip(zip(*map(reversed, rows)), range(len(words) - 1, -1, -1)))
+    kept = sorted(first.values())
+    picked = [list(map(row.__getitem__, kept)) for row in rows]
+    cells, sources = zip(*[map(spell.get, xs, xs) for xs in picked]), map(words.__getitem__, kept)
+    return tuple(map(SpacetimePatch, repeat(n), repeat(k), cells, sources, repeat(code_name)))
+
+
+def _slide(phi: BlockCode, word: str, n: int, k: int) -> tuple[str, ...]:
+    """The k rows over one generating word, sliding the rule along each."""
+    iterates = accumulate(range(1, k), lambda w, _: apply_to_word(phi, w), initial=word)
+    return tuple(w[(len(w) - n) // 2 :][:n] for w in iterates)
 
 
 def rectangle_counts(
@@ -176,14 +174,14 @@ def rectangle_counts(
     except IllegalWindowError:
         _build_first_column(domain, code, rows, word_budget)
         raise
-    counts = {}
+    counts, chop = {}, itemgetter(slice(-1))
     tall = {p.rows for p in family}
     for k in range(rows, 0, -1):
         wide = tall
         for n in range(cols, 0, -1):
             counts[n, k] = len(wide)
-            wide = {tuple(row[:-1] for row in rect) for rect in wide}
-        tall = {rect[:-1] for rect in tall}
+            wide = set(map(tuple, map(map, repeat(chop), wide)))
+        tall = set(map(chop, tall))
     return {(n, k): counts[n, k] for k in range(1, rows + 1) for n in range(1, cols + 1)}
 
 

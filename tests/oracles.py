@@ -140,6 +140,17 @@ def fibonacci_rules() -> dict:
     return {"0": "01", "1": "0"}
 
 
+def submultiplicative_failure(values) -> str | None:
+    """The message for the first pair (i, j), over every ordered pair, with
+    P(i + j) > P(i)P(j), or None when the counts are submultiplicative."""
+    n = len(values)
+    for i in range(1, n + 1):
+        for j in range(1, n - i + 1):
+            if values[i + j - 1] > values[i - 1] * values[j - 1]:
+                return f"P({i + j}) > P({i})P({j}): not submultiplicative"
+    return None
+
+
 def word_key_tuple(symbols: str, word: str) -> tuple[int, ...]:
     """Alphabet-order sort key as the tuple of symbol indices."""
     index = {s: i for i, s in enumerate(symbols)}

@@ -1,6 +1,7 @@
 """Language-level behavior of the four presentation kinds."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from oracles import (
     golden_mean_words,
     periodic_words,
     sft_words_brute,
+    submultiplicative_failure,
     substitution_factors,
     substitution_words,
     word_key_tuple,
@@ -413,12 +415,28 @@ def test_entropy_profile_estimates_monotone_enough(golden):
 def test_complexity_profile_validation():
     with pytest.raises(ValueError):
         ComplexityProfile((3, 2), (0.1, 0.1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("P(3) > P(1)P(2)")):
         ComplexityProfile((2, 3, 13), (0.1, 0.1, 0.1))  # 13 > 2*3 at n=1+2
+    with pytest.raises(ValueError, match=re.escape("P(2) > P(1)P(1)")):
+        ComplexityProfile((2, 5, 6), (0.1, 0.1, 0.1))
     with pytest.raises(ValueError):
         ComplexityProfile((0,), (0.0,))
     with pytest.raises(ValueError):
         ComplexityProfile((), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+def test_complexity_profile_names_the_first_failing_pair(steps):
+    # nondecreasing counts, so only submultiplicativity can fail
+    values = tuple(sum(steps[: i + 1]) for i in range(len(steps)))
+    want = submultiplicative_failure(values)
+    try:
+        ComplexityProfile(values, (0.1,) * len(values))
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
 
 
 def test_morse_hedlund_periodic_witness():

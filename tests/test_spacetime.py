@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import build_patches_by_slide, rectangle_sweep
 
-from shiftlab import cli, spacetime
+from shiftlab import blockcode, cli, spacetime
 from shiftlab.blockcode import (
     IllegalWindowError,
+    apply_to_word,
     code_from_table,
     compose,
     identity_code,
@@ -67,6 +68,19 @@ def test_patch_shape_validation():
         SpacetimePatch(2, 2, ("01",))
     with pytest.raises(ValueError):
         SpacetimePatch(2, 2, ("01", "0"))
+
+
+@pytest.mark.parametrize(
+    "width, height, rows, ok",
+    [(0, 0, (), True), (3, 0, (), True), (2, 1, ("01",), True), (2, 2, ("01", "011"), False),
+     (1, 2, ("0",), False), (2, 2, "01", False), ("2", 1, ("01",), False), (1.0, 1, ("0",), True)],
+)
+def test_patch_shape_check_accepts_exactly_matching_rows(width, height, rows, ok):
+    if ok:
+        assert SpacetimePatch(width, height, rows).rows == rows
+    else:
+        with pytest.raises(ValueError):
+            SpacetimePatch(width, height, rows)
 
 
 def test_flip_patches_on_full_shift(full2):
@@ -181,7 +195,7 @@ BUDGETS = st.integers(1, 300) | st.just(5000)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.integers(1, 4), st.integers(1, 3), BUDGETS)
+@given(st.data(), st.integers(1, 4), st.integers(1, 5), BUDGETS)
 def test_full_shift_patches_match_slide(full2, data, n, k, budget):
     code = data.draw(_codes(full2, 2))
     _assert_matches_slide(full2, code, n, k, budget)
@@ -211,6 +225,20 @@ def test_fibonacci_patches_match_slide(fibonacci, data, n, k, budget):
     _assert_matches_slide(fibonacci, code, n, k, budget)
 
 
+THUE_MORSE = SubstitutionShift(BINARY, {"0": "01", "1": "10"})
+ORBITS = tuple(PeriodicOrbit(seed) for seed in ("01", "001", "0112", "01011"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(), st.sampled_from((THUE_MORSE, *ORBITS)), st.integers(1, 8), st.integers(1, 5),
+    st.integers(1, 40) | st.just(5000),
+)
+def test_thue_morse_and_periodic_patches_match_slide(data, domain, n, k, budget):
+    code = data.draw(_codes(domain, 2))
+    _assert_matches_slide(domain, code, n, k, budget)
+
+
 LEFT_FLIP = {"000": "1", "001": "1", "010": "1", "100": "0", "101": "0"}
 
 
@@ -227,6 +255,55 @@ def test_non_endomorphism_raises_like_slide(n, k, budget):
     assert _outcome(rectangle_counts, golden, code, n, k, budget) == _outcome(
         rectangle_sweep, golden, code, n, k, budget
     )
+
+
+def test_first_word_to_leave_the_language_names_the_error():
+    # in sorted order 000000100 leaves the language at iterate 3 and the
+    # later 000000101 at iterate 1; sliding meets the earlier word first
+    domain = SftForbidden(BINARY, ["111"])
+    table = {"000": "0", "001": "1", "010": "1", "011": "0", "100": "0", "101": "1", "110": "1"}
+    code = code_from_table(domain, 1, table)
+    iterate = "000000100"
+    for _ in range(3):
+        iterate = apply_to_word(code, iterate)
+    assert "111" in iterate and "111" in apply_to_word(code, "000000101")
+    with pytest.raises(IllegalWindowError) as slide:
+        build_patches_by_slide(domain, code, 1, 5)
+    assert repr(iterate) in str(slide.value)
+    assert _outcome(_patch_family, domain, code, 1, 5, 5000) == (
+        IllegalWindowError, str(slide.value)
+    )
+
+
+# right-permutive: each setting of the first two cells permutes the third
+PERMUTIVE = {
+    "000": "1", "001": "0", "010": "0", "011": "1", "100": "1", "101": "0", "110": "1", "111": "0",
+}
+
+
+def test_family_builds_on_word_numbers(monkeypatch):
+    # work gate: no word is slid through the rule, and only the generating
+    # length, 6 + 2 * 3 * radius, is spelled
+    domain = FullShift(BINARY)
+    code = code_from_table(domain, 1, PERMUTIVE)
+    minimized(code)  # spells the code's own windows
+    lengths, enumerate_words = [], domain._enumerate
+
+    def recording_enumerate(n):
+        lengths.append(n)
+        return enumerate_words(n)
+
+    def no_slide(*args):
+        raise AssertionError("apply_to_word called")
+
+    monkeypatch.setattr(spacetime, "apply_to_word", no_slide)
+    monkeypatch.setattr(blockcode, "apply_to_word", no_slide)
+    domain._enumerate = recording_enumerate
+    family = build_patches(domain, code, 6, 4)
+    assert lengths == [12]
+    assert len(family) == 1216
+    monkeypatch.undo()
+    assert [(p.rows, p.source_word) for p in family] == build_patches_by_slide(domain, code, 6, 4)
 
 
 def test_long_periodic_family_builds_without_recursion(orbit01):
