@@ -76,15 +76,14 @@ class WordIndex:
     index a, or is the sink `count` when that word is illegal; the sink of
     length n-1 (p = its count) extends only to the sink, so chained lookups
     need no test.  This is the higher-block presentation of Lind & Marcus,
-    Symbolic Dynamics and Coding, section 2.3.  SFT graphs past their block
-    length also keep tail[i], the graph vertex of the word's last block.
+    Symbolic Dynamics and Coding, section 2.3.
     """
 
-    __slots__ = ("count", "prefix", "suffix", "last", "tail", "_shape", "_table")
+    __slots__ = ("count", "prefix", "suffix", "last", "_shape", "_table")
 
-    def __init__(self, prefix, suffix, last, k: int, previous: int, tail=None):
+    def __init__(self, prefix, suffix, last, k: int, previous: int):
         self.count = len(prefix)
-        self.prefix, self.suffix, self.last, self.tail = prefix, suffix, last, tail
+        self.prefix, self.suffix, self.last = prefix, suffix, last
         self._shape, self._table = (k, previous), None
 
     @property
@@ -96,16 +95,6 @@ class WordIndex:
             for i, (p, a) in enumerate(zip(self.prefix, self.last)):
                 succ[p * k + a] = i
         return self._table
-
-
-def _extend(prev: WordIndex, out: list, k: int, tail=None) -> WordIndex:
-    """Index of prev's words, in order, each followed by the letters of its
-    entry of `out`, (letter index, next state) pairs in alphabet order."""
-    prefix = [p for p, o in enumerate(out) for _ in o]
-    last = [a for o in out for a, _ in o]
-    succ, shorter = prev.succ, prev.suffix
-    suffix = [succ[shorter[p] * k + a] for p, a in zip(prefix, last)]
-    return WordIndex(prefix, suffix, last, k, prev.count, tail)
 
 
 def _suffix_automaton(text: str):
@@ -139,16 +128,17 @@ def _suffix_automaton(text: str):
     return [sorted(out.items()) for out in nxt], ends
 
 
-def _product_index(ranks: list, k: int, n: int) -> WordIndex:
-    """Index of all length-n words over the letters of alphabet index
-    `ranks`, k the alphabet size: base-len(ranks) digits."""
-    m = len(ranks) ** (n - 1)
-    prefix = [p for p in range(m) for _ in ranks]
-    return WordIndex(prefix, list(range(m)) * len(ranks), ranks * m, k, m)
-
-
 class ShiftPresentation:
     """Common interface of all presentations.
+
+    Every presentation is one deterministic automaton read from state 0:
+    _edges[t] lists (letter index, next state) for the out-edges of state t
+    in alphabet order, and the legal n-words are the labels of its n-step
+    paths, one path each.  So the sorted n-words are the sorted (n-1)-words
+    each extended along its end state's edges, and counts, word indexes
+    and enumerations all walk them that way, except that a one-state
+    automaton (a full shift on its allowed letters) takes closed product
+    forms.
 
     Instances are immutable after construction.  Word enumerations and
     word indexes are cached per length, and a cached value equals what a
@@ -160,22 +150,24 @@ class ShiftPresentation:
     def __init__(self):
         self._word_cache: dict[int, tuple[str, ...]] = {}
         self._index_cache: dict[int, WordIndex] = {}
+        self._paths = [[0]]
 
     # -- subclass hooks --------------------------------------------------
 
+    def _deepen(self, n: int):
+        """Make the automaton carry every legal word of length n; a fixed
+        automaton carries them all."""
+
     def _enumerate(self, n: int) -> tuple[str, ...]:
         """The legal words of length n >= 1, sorted and distinct."""
-        raise NotImplementedError
-
-    def _index(self, n: int) -> WordIndex:
-        """The WordIndex of length n, given that of n - 1 (if n > 1)."""
-        words = self.words_of_length(n)
-        pos = {w: i for i, w in enumerate(self.words_of_length(n - 1))}
-        rank = self.alphabet._index
-        return WordIndex(
-            [pos[w[:-1]] for w in words], [pos[w[1:]] for w in words],
-            [rank[w[-1]] for w in words], self.alphabet.size, len(pos),
-        )
+        edges, symbols = self._edges, self.alphabet.symbols
+        if len(edges) == 1:
+            return tuple(map("".join, product([symbols[a] for a, _ in edges[0]], repeat=n)))
+        words, tails = [""], [0]
+        for _ in range(n):
+            words = [w + symbols[a] for w, t in zip(words, tails) for a, _ in edges[t]]
+            tails = [u for t in tails for _, u in edges[t]]
+        return tuple(words)
 
     def descriptor(self) -> tuple:
         raise NotImplementedError
@@ -184,9 +176,20 @@ class ShiftPresentation:
         raise NotImplementedError
 
     def count_words(self, n: int) -> int:
-        """|L_n|, using a closed form or path count where one is cheaper
-        than enumeration."""
-        return len(self.words_of_length(n))
+        """|L_n|: the n-step paths from state 0, counted one letter at a
+        time without spelling a word."""
+        _check_length(n)
+        edges = self._edges
+        if len(edges) == 1:
+            return len(edges[0]) ** n
+        counts = [1] + [0] * (len(edges) - 1)
+        for _ in range(n):
+            nxt = [0] * len(edges)
+            for c, out in zip(counts, edges):
+                for _, u in out:
+                    nxt[u] += c
+            counts = nxt
+        return sum(counts)
 
     # -- shared API --------------------------------------------------------
 
@@ -205,12 +208,42 @@ class ShiftPresentation:
         shorter length; its i-th word is words_of_length(n)[i]."""
         built = self._index_cache
         if n not in built:
+            self._deepen(n)
             start = n
             while start > 1 and start - 1 not in built:
                 start -= 1
             for length in range(start, n + 1):
                 built[length] = self._index(length)
         return built[n]
+
+    def _tails(self, n: int) -> list:
+        """The end states of the sorted legal n-words, in their order."""
+        self._deepen(n)
+        paths = self._paths
+        while len(paths) <= n:
+            edges = self._edges
+            paths.append([u for t in paths[-1] for _, u in edges[t]])
+        return paths[n]
+
+    def _index(self, n: int) -> WordIndex:
+        """The WordIndex of length n, given that of n - 1 (if n > 1): the
+        (n-1)-words in order, each followed by its end state's letters."""
+        k, edges = self.alphabet.size, self._edges
+        if len(edges) == 1:
+            # base-r digits over the r letters of the one state
+            ranks = [a for a, _ in edges[0]]
+            m = len(ranks) ** (n - 1)
+            prefix = [p for p in range(m) for _ in ranks]
+            return WordIndex(prefix, list(range(m)) * len(ranks), ranks * m, k, m)
+        out = [edges[t] for t in self._tails(n - 1)]
+        prefix = [p for p, o in enumerate(out) for _ in o]
+        last = [a for o in out for a, _ in o]
+        suffix = prefix  # at n = 1 every suffix is the empty word
+        if n > 1:
+            prev = self.word_index(n - 1)
+            succ, shorter = prev.succ, prev.suffix
+            suffix = [succ[shorter[p] * k + a] for p, a in zip(prefix, last)]
+        return WordIndex(prefix, suffix, last, k, len(out))
 
     def __eq__(self, other):
         return (
@@ -235,15 +268,16 @@ class SftForbidden(ShiftPresentation):
     bi-essential part: vertices with no predecessor or no successor are
     deleted until none remain.  Surviving vertices are exactly the legal
     b-words, and longer legal words are exactly the path labels of the
-    trimmed graph; shorter ones are their factors.  A presentation whose
+    trimmed graph; shorter ones are their prefixes.  A presentation whose
     trimmed graph is empty admits no bi-infinite point and is rejected.
 
-    Vertex i is the i-th legal b-word in sorted order, and _edges[i] lists
-    (letter index, next vertex) for its out-edges in alphabet order, so
-    extending sorted words along them keeps them sorted.  When no forbidden
-    word is longer than one letter, the full shift among them, b = 0: the
-    graph is one vertex, the empty word, with a loop for each allowed
-    letter, and counts, enumerations and indexes take their product forms.
+    The automaton is the trie of the vertices' prefixes feeding the trimmed
+    graph.  Its states are the legal words shorter than b, then the
+    vertices, sorted by (length, word_key), so state 0 is the empty word.
+    A word shorter than b steps to its legal one-letter extensions and a
+    vertex along its graph edges.  When no forbidden word is longer than
+    one letter, b = 0: the one state is the one vertex, the empty word,
+    with a loop for each allowed letter.
     """
 
     def __init__(self, alphabet: Alphabet, forbidden):
@@ -282,50 +316,16 @@ class SftForbidden(ShiftPresentation):
                 else "forbidden set leaves no bi-infinite sequence: the presentation is empty"
             )
         self._block = b
-        self._vertices = tuple(sorted(vertices, key=alphabet.word_key))
-        number = {v: i for i, v in enumerate(self._vertices)}
-        self._edges = [[(a, number[u]) for a, u in out[v]] for v in self._vertices]
-
-    def _enumerate(self, n):
-        b, edges, symbols = self._block, self._edges, self.alphabet.symbols
-        if b == 0:
-            return tuple(map("".join, product([symbols[a] for a, _ in edges[0]], repeat=n)))
-        if n <= b:
-            # every legal word extends right: the prefixes of the sorted vertices
-            return tuple(dict.fromkeys(v[:n] for v in self._vertices))
-        words, tails = self._vertices, range(len(edges))
-        for _ in range(n - b):
-            words = [w + symbols[a] for w, t in zip(words, tails) for a, _ in edges[t]]
-            tails = [u for t in tails for _, u in edges[t]]
-        return tuple(words)
-
-    def _index(self, n):
-        if self._block == 0:
-            return _product_index([a for a, _ in self._edges[0]], self.alphabet.size, n)
-        if n <= self._block:
-            return super()._index(n)
-        # extend each word of length n-1 along its last vertex's out-edges,
-        # which keeps the sorted order of _enumerate
-        prev = self.word_index(n - 1)
-        out = [self._edges[v] for v in prev.tail or range(prev.count)]
-        return _extend(prev, out, self.alphabet.size, [u for o in out for _, u in o])
-
-    def count_words(self, n):
-        _check_length(n)
-        b, edges = self._block, self._edges
-        if b == 0:
-            return len(edges[0]) ** n
-        if n <= b:
-            return len(self.words_of_length(n))
-        # path count: one matrix-vector pass per extra letter
-        counts = [1] * len(edges)
-        for _ in range(n - b):
-            nxt = [0] * len(edges)
-            for c, out in zip(counts, edges):
-                for _, u in out:
-                    nxt[u] += c
-            counts = nxt
-        return sum(counts)
+        states = sorted(
+            {v[:m] for v in vertices for m in range(b + 1)},
+            key=lambda w: (len(w), alphabet.word_key(w)),
+        )
+        number = {w: i for i, w in enumerate(states)}
+        self._edges = [
+            [(a, number[u]) for a, u in out[w]] if len(w) == b
+            else [(a, number[w + s]) for a, s in enumerate(symbols) if w + s in number]
+            for w in states
+        ]
 
     def descriptor(self):
         return ("sft", self.alphabet.symbols, self.forbidden)
@@ -348,7 +348,42 @@ class FullShift(SftForbidden):
         return f"full shift on {{{','.join(self.alphabet.symbols)}}}"
 
 
-class SubstitutionShift(ShiftPresentation):
+class _FactorShift(ShiftPresentation):
+    """A shift whose legal n-words, for every n <= N, are the n-factors of
+    the text _text_of(N).
+
+    The automaton is the suffix automaton of _text_of(N), N the deepest
+    length asked for; a deeper length n rebuilds it at the larger of n and
+    2N, and the cached words and indexes stay, as they depend on the words
+    only.  A suffix automaton reaches each state by at most one word of
+    each length, so P(n) is the number of end states of the n-words, and
+    each word is sliced out of the text at its end state's first end
+    position.
+    """
+
+    _depth = 0
+
+    def _text_of(self, depth: int) -> str:
+        raise NotImplementedError
+
+    def _deepen(self, n):
+        if n > self._depth:
+            self._depth = depth = max(n, 2 * self._depth)
+            self._text = self._text_of(depth)
+            self._edges, self._ends = _suffix_automaton(self._text.translate(self.alphabet._rank))
+            self._paths = [[0]]
+
+    def _enumerate(self, n):
+        tails = self._tails(n)  # deepens first, so the text below is current
+        text, ends = self._text, self._ends
+        return tuple([text[ends[t] - n + 1 : ends[t] + 1] for t in tails])
+
+    def count_words(self, n):
+        _check_length(n)
+        return len(self._tails(n))
+
+
+class SubstitutionShift(_FactorShift):
     """Shift generated by a primitive substitution rule.
 
     Primitivity (some power of the incidence matrix is entrywise positive,
@@ -359,15 +394,10 @@ class SubstitutionShift(ShiftPresentation):
     The legal two-letter blocks are the least fixed point of the block
     propagation map T -> base ∪ {2-factors of rule(b)+rule(c) : bc in T};
     the map is monotone on a finite lattice, so a single repeat certifies
-    it.  For a depth N, a walk w through every legal 2-block and no other
-    is inflated K times, K the least with every |rule^K(a)| >= N: a factor
-    of rule^K(w) of length n <= N touches at most two letter images, so the
-    n-factors are exactly the legal n-words.  One suffix automaton over
-    rule^K(w) carries each legal word as a state, and the (n+1)-words are
-    the n-words extended along their states' edges in alphabet order, so
-    counts and indexes spell nothing and words come out sorted.  N is the
-    deepest length asked for; a deeper one rebuilds at the larger of it
-    and 2N.
+    it.  The text of depth N is a walk w through every legal 2-block and
+    no other, inflated K times, K the least with every |rule^K(a)| >= N: a
+    factor of rule^K(w) of length n <= N touches at most two letter
+    images, so the n-factors are exactly the legal n-words.
     """
 
     def __init__(self, alphabet: Alphabet, rules: dict):
@@ -385,7 +415,6 @@ class SubstitutionShift(ShiftPresentation):
         if all(len(img) == 1 for img in rules.values()):
             raise ValueError("substitution never grows: every image is a single letter")
         self._walk = self._block_walk()
-        self._depth, self._states, self._edges = 0, [[0]], []
 
     def _check_primitive(self):
         syms = self.alphabet.symbols
@@ -421,43 +450,11 @@ class SubstitutionShift(ShiftPresentation):
             walk += "" if block in walk else paths[block[0]] + block[1]
         return walk
 
-    def _word_states(self, n: int) -> list:
-        """The automaton states of the legal n-words, in sorted order.  Past the
-        depth, rebuild at max(n, twice the depth) and find the states again:
-        cached words and indexes depend on the words only, so they stay."""
-        if n > self._depth:
-            self._depth = depth = max(n, 2 * self._depth)
-            images = self.rules
-            while min(map(len, images.values())) < depth:
-                images = {a: "".join(map(images.__getitem__, w)) for a, w in self.rules.items()}
-            self._text = "".join(map(images.__getitem__, self._walk))
-            self._edges, self._ends = _suffix_automaton(self._text.translate(self.alphabet._rank))
-            self._states = [[0]]
-        states, edges = self._states, self._edges
-        while len(states) <= n:
-            states.append([u for t in states[-1] for _, u in edges[t]])
-        return states[n]
-
-    def word_index(self, n):
-        # deepen once for the length asked, not for each shorter one built
-        self._word_states(n)
-        return super().word_index(n)
-
-    def _index(self, n):
-        k = self.alphabet.size
-        if n == 1:
-            return _product_index([a for a, _ in self._edges[0]], k, 1)
-        prev, tails, edges = self.word_index(n - 1), self._word_states(n - 1), self._edges
-        return _extend(prev, [edges[t] for t in tails], k)
-
-    def _enumerate(self, n):
-        tails = self._word_states(n)
-        text, ends = self._text, self._ends
-        return tuple([text[ends[t] - n + 1 : ends[t] + 1] for t in tails])
-
-    def count_words(self, n):
-        _check_length(n)
-        return len(self._word_states(n))
+    def _text_of(self, depth):
+        images = self.rules
+        while min(map(len, images.values())) < depth:
+            images = {a: "".join(map(images.__getitem__, w)) for a, w in self.rules.items()}
+        return "".join(map(images.__getitem__, self._walk))
 
     def descriptor(self):
         return (
@@ -471,12 +468,14 @@ class SubstitutionShift(ShiftPresentation):
         return f"substitution {body}"
 
 
-class PeriodicOrbit(ShiftPresentation):
+class PeriodicOrbit(_FactorShift):
     """The finite orbit of one periodic sequence, presented by a seed word.
 
     The seed is normalized: a proper power collapses to its primitive root,
     and the root is rotated to its least cyclic rotation, so equal orbits
-    get equal presentations.
+    get equal presentations.  The text of depth N is the seed repeated to
+    at least N + period - 1 letters, so the N-factors starting in its first
+    period, one for each rotation, are all there.
     """
 
     def __init__(self, seed: str):
@@ -490,11 +489,8 @@ class PeriodicOrbit(ShiftPresentation):
         self.seed = min(rotations, key=self.alphabet.word_key)
         self.period = len(self.seed)
 
-    def _enumerate(self, n):
-        copies = (self.period - 1 + n + self.period - 1) // self.period + 1
-        s = self.seed * copies
-        words = {s[i : i + n] for i in range(self.period)}
-        return tuple(sorted(words, key=self.alphabet.word_key))
+    def _text_of(self, depth):
+        return self.seed * -(-(depth + self.period - 1) // self.period)
 
     def descriptor(self):
         return ("periodic", self.alphabet.symbols, self.seed)

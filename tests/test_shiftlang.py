@@ -1,7 +1,11 @@
 """Language-level behavior of the four presentation kinds."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +257,23 @@ def _sorted_factors(alphabet, rules, n):
     return sorted(substitution_factors(rules, n), key=alphabet.word_key) if n else [""]
 
 
+def _assert_language(x, n, words, shorter):
+    """x counts, indexes and spells length n as the sorted lists `words`
+    of its n-words and `shorter` of its (n-1)-words."""
+    symbols, k = x.alphabet.symbols, x.alphabet.size
+    assert x.count_words(n) == len(words)
+    index = x.word_index(n)
+    number = {w: i for i, w in enumerate(shorter)}
+    assert index.count == len(words)
+    assert index.prefix == [number[w[:-1]] for w in words]
+    assert index.suffix == [number[w[1:]] for w in words]
+    assert index.last == [symbols.index(w[-1]) for w in words]
+    number = {w: i for i, w in enumerate(words)}
+    expected = [number.get(u + a, len(words)) for u in shorter for a in symbols]
+    assert index.succ == expected + [len(words)] * k
+    assert x.words_of_length(n) == tuple(words)
+
+
 @settings(max_examples=60, deadline=None)
 @given(primitive_substitutions(), st.lists(st.integers(1, 40), min_size=1, max_size=4))
 def test_substitution_language_matches_inflation(rules, lengths):
@@ -260,21 +281,9 @@ def test_substitution_language_matches_inflation(rules, lengths):
     # shorter ones are then answered from the rebuilt one
     alphabet = Alphabet.of(sorted(rules))
     x = SubstitutionShift(alphabet, rules)
-    symbols, k = alphabet.symbols, alphabet.size
     for n in lengths:
         words = _sorted_factors(alphabet, rules, n)
-        shorter = _sorted_factors(alphabet, rules, n - 1)
-        assert x.count_words(n) == len(words)
-        index = x.word_index(n)
-        number = {w: i for i, w in enumerate(shorter)}
-        assert index.count == len(words)
-        assert index.prefix == [number[w[:-1]] for w in words]
-        assert index.suffix == [number[w[1:]] for w in words]
-        assert index.last == [symbols.index(w[-1]) for w in words]
-        number = {w: i for i, w in enumerate(words)}
-        expected = [number.get(u + a, len(words)) for u in shorter for a in symbols]
-        assert index.succ == expected + [len(words)] * k
-        assert x.words_of_length(n) == tuple(words)
+        _assert_language(x, n, words, _sorted_factors(alphabet, rules, n - 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,6 +334,34 @@ def test_deep_range_profile_does_not_inflate_per_length(monkeypatch):
 
 
 # -- periodic orbits ---------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("01", "012")).flatmap(
+    lambda symbols: st.text(alphabet=symbols, min_size=1, max_size=8)), st.data())
+def test_periodic_language_matches_the_orbit(seed, data):
+    # lengths out of order up to three periods past the period: a deeper
+    # request rebuilds the automaton, and a spelling that comes first at a
+    # new depth must slice the rebuilt text
+    x = PeriodicOrbit(seed)
+    lengths = st.integers(1, 3 * x.period + 5)
+    sorted_words = lambda n: sorted(periodic_words(seed, n), key=x.alphabet.word_key)
+    for n, spell_first in data.draw(st.lists(st.tuples(lengths, st.booleans()), min_size=1,
+                                             max_size=4)):
+        if spell_first:
+            assert x.words_of_length(n) == tuple(sorted_words(n))
+        _assert_language(x, n, sorted_words(n), sorted_words(n - 1))
+
+
+def test_periodic_index_builds_one_automaton_and_spells_nothing(monkeypatch):
+    # work gate: the 1600-letter index of a period-2 orbit is read off a
+    # few automata, deepened once for the length asked, and spells no word
+    built = _count_automata(monkeypatch)
+    x = PeriodicOrbit("01")
+    index = x.word_index(1600)
+    assert (index.count, index.prefix, index.suffix) == (2, [0, 1], [1, 0])
+    assert len(built) <= math.ceil(math.log2(1600)) + 1
+    assert not x._word_cache
 
 
 def test_periodic_seed_normalization():
@@ -506,33 +543,26 @@ def test_sft_complexity_matches_brute_force(data):
         assert complexity(x, n) == len(sft_words_brute(alphabet, forbidden, n))
 
 
-def _forbid_enumeration_above(shift, limit):
+def _forbid_enumeration(shift):
     # an enumeration of 2**40 words would exhaust memory, so a regression
-    # fails here at the first long enumeration instead
-    enumerate_words = shift._enumerate
-
-    def guarded(n):
-        assert n <= limit, f"enumerated words of length {n}"
-        return enumerate_words(n)
-
-    shift._enumerate = guarded
+    # fails here at its first enumeration instead
+    shift._enumerate = lambda n: pytest.fail(f"enumerated words of length {n}")
 
 
 def test_profiles_count_without_enumerating_long_words():
-    # P(n) by closed form or path count: no word list longer than the SFT
-    # block length is ever built, whatever the profile length
+    # P(n) by closed form or path count and word indexes by extension
+    # along the automaton: an SFT spells no word at any length
     full = FullShift(BINARY)
     golden = SftForbidden(BINARY, ["11"])
     mixed = SftForbidden(BINARY, ["111", "00"])
-    _forbid_enumeration_above(full, 0)
-    _forbid_enumeration_above(golden, golden._block)
-    _forbid_enumeration_above(mixed, mixed._block)
+    for x in (full, golden, mixed):
+        _forbid_enumeration(x)
     assert entropy_profile(full, 40).values[-1] == 2**40
     assert entropy_profile(golden, 40).values[-1] == 267914296
     assert morse_hedlund_test(mixed, 40).witness is None
-    assert not full._word_cache
-    assert max(golden._word_cache, default=0) <= golden._block
-    assert max(mixed._word_cache, default=0) <= mixed._block
+    for x in (full, golden, mixed):
+        assert x.word_index(12).count == x.count_words(12)
+        assert not x._word_cache
 
 
 # -- structural invariants, property style -----------------------------------
@@ -621,14 +651,16 @@ def presentations(draw):
 @settings(max_examples=80, deadline=None)
 @given(presentations(), st.integers(1, 7))
 def test_words_of_length_is_the_sorted_distinct_enumeration(x, n):
-    # every kind emits its words already sorted, so sorting the raw
-    # enumeration must change nothing; a substitution's enumeration reads
-    # its automaton, so it is compared with the inflation instead
+    # each kind against its own oracle: two-sided extension for SFTs (the
+    # full shift forbids nothing), the orbit's windows, the inflation
     if isinstance(x, SubstitutionShift):
-        expected = tuple(_sorted_factors(x.alphabet, x.rules, n))
+        expected = _sorted_factors(x.alphabet, x.rules, n)
+    elif isinstance(x, PeriodicOrbit):
+        expected = sorted(periodic_words(x.seed, n), key=x.alphabet.word_key)
     else:
-        expected = tuple(sorted(set(x._enumerate(n)), key=x.alphabet.word_key))
-    assert x.words_of_length(n) == expected
+        words = sft_words_brute("".join(x.alphabet.symbols), list(x.forbidden), n)
+        expected = sorted(words, key=x.alphabet.word_key)
+    assert x.words_of_length(n) == tuple(expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -645,6 +677,37 @@ def test_word_index_numbers_words_of_length_in_order(x, n):
     number = {w: i for i, w in enumerate(words)}
     expected = [number.get(u + a, len(words)) for u in shorter for a in symbols]
     assert index.succ == expected + [len(words)] * k
+
+
+INDEX_DUMP = """
+from shiftlab.shiftlang import Alphabet, FullShift, PeriodicOrbit, SftForbidden, SubstitutionShift
+shifts = [
+    FullShift(Alphabet.of("012")),
+    SftForbidden(Alphabet.of("012"), ["122", "00"]),
+    SftForbidden(Alphabet.of("01"), ["0110", "111"]),
+    SubstitutionShift(Alphabet.of("012"), {"0": "21", "1": "02", "2": "12"}),
+    PeriodicOrbit("0120110"),
+]
+for x in shifts:
+    for i in map(x.word_index, range(1, 9)):
+        print(i.count, i.prefix, i.suffix, i.last, i.succ)
+"""
+
+
+def test_word_indexes_do_not_depend_on_string_hashing():
+    # SFT tries and graphs and substitution walks are built from sets of
+    # strings, whose order changes with the hash seed; the indexes must not
+    src = Path(shiftlang.__file__).resolve().parent.parent
+    dumps = [
+        subprocess.run(
+            [sys.executable, "-c", INDEX_DUMP],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+            check=True, capture_output=True, timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert dumps[0] == dumps[1]
+    assert dumps[0].count(b"\n") == 5 * 8
 
 
 # -- the one-graph SFT against brute force ---------------------------------------
