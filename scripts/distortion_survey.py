@@ -10,8 +10,8 @@ compression of the center is visible from the first few powers.
 
 import argparse
 
-from shiftlab.corpus import auto_certifier, builtin_groups
-from shiftlab.grouplab import GeneratingSet, WordExpr, distortion_profile
+from shiftlab.corpus import builtin_groups
+from shiftlab.grouplab import GeneratingSet, WordExpr, auto_certifier, distortion_profile
 
 # group name -> (element, generator names to keep, or None for the standard set)
 SURVEY = {

@@ -16,7 +16,7 @@ from .blockcode import (
     DEFAULT_TABLE_BUDGET,
     LINEAR_LOWER_BOUNDED,
     RangeProfile,
-    _check_table_budget,
+    check_words,
     power,
     range_profile,
     shift_power_code,
@@ -390,7 +390,7 @@ def sigma_power_range_audit(
             f"presentation is eventually periodic: P({probe.witness}) <= {probe.witness}",
         )
 
-    _check_table_budget(domain, abs(j), table_budget, "shift power audit")
+    check_words(domain, 2 * abs(j) + 1, table_budget, "table rows", "shift power audit")
     base = shift_power_code(domain, j)
     profile = range_profile(base, depth, table_budget)
     if profile.truncated_at is not None:

@@ -21,13 +21,13 @@ an explicitly truncated result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError
+from .trends import linear_floor
 
 if TYPE_CHECKING:
     from .shiftlang import ShiftPresentation
@@ -162,10 +162,13 @@ def apply_to_word(code: BlockCode, word: str) -> str:
     return "".join(out)
 
 
-def _check_table_budget(domain: ShiftPresentation, radius: int, budget: int, context: str):
-    rows = domain.count_words(2 * radius + 1)
-    if rows > budget:
-        raise BudgetExceededError("table rows", budget, rows, context)
+def check_words(domain: ShiftPresentation, length: int, budget: int, kind: str, context: str):
+    """Raise BudgetExceededError(kind, budget, count, context) when the
+    domain has more than `budget` legal words of this length: the one
+    budget check in front of every table, word list and patch family."""
+    count = domain.count_words(length)
+    if count > budget:
+        raise BudgetExceededError(kind, budget, count, context)
 
 
 class _Images:
@@ -202,7 +205,7 @@ def _compose(outer_radius: int, outer_outputs: list, images: _Images, table_budg
     """(radius, outputs) of the outer table applied after the images' code."""
     domain = images.domain
     r = outer_radius + images.width // 2
-    _check_table_budget(domain, r, table_budget, "compose")
+    check_words(domain, 2 * r + 1, table_budget, "table rows", "compose")
     img = images.of_length(2 * r + 1)
     sink = len(outer_outputs)
     if sink in img:
@@ -297,28 +300,22 @@ def is_identity(code: BlockCode) -> bool:
     return m.rule.radius == 0 and all(w == out for w, out in m.rule.table.items())
 
 
-def endomorphism_check(code: BlockCode, output_length: int | None = None) -> bool:
+def endomorphism_check(code: BlockCode) -> bool:
     """Do legal words map to legal words?
 
     For an SFT domain, checking outputs up to the longest forbidden length
     is exact (a bi-infinite image avoids all forbidden words iff every
     such factor does, and every factor of the image is the image of a
-    legal word).  For other presentations the check at the default depth 8
-    is strong evidence, not proof.  Every legal word extends to the right,
+    legal word).  For other presentations the check at depth 8 is strong
+    evidence, not proof.  Every legal word extends to the right,
     and an illegal image makes the images of its extensions illegal, so
     checking the longest outputs checks them all.
     """
     domain = code.domain
-    if output_length is None:
-        forbidden = getattr(domain, "forbidden", None)
-        if forbidden is not None and forbidden:
-            output_length = max(len(f) for f in forbidden)
-        else:
-            output_length = 8
-    if output_length < 1:
-        return True
-    img = _Images(code).of_length(output_length + 2 * code.rule.radius)
-    return domain.word_index(output_length).count not in img
+    forbidden = getattr(domain, "forbidden", None)
+    length = max(map(len, forbidden)) if forbidden else 8
+    img = _Images(code).of_length(length + 2 * code.rule.radius)
+    return domain.word_index(length).count not in img
 
 
 def inverse_search(
@@ -337,7 +334,7 @@ def inverse_search(
     images, rank = _Images(phi), domain.alphabet._index
     for r_inv in range(radius_max + 1):
         h = r + r_inv
-        _check_table_budget(domain, h, table_budget, "inverse search")
+        check_words(domain, 2 * h + 1, table_budget, "table rows", "inverse search")
         count = domain.word_index(2 * r_inv + 1).count
         table = [None] * (count + 1)  # the last slot collects illegal images
         for j, w in zip(images.of_length(2 * h + 1), domain.words_of_length(2 * h + 1)):
@@ -402,26 +399,10 @@ class RangeProfile:
                         f"range of power {n + m} exceeds powers {n} + {m}: not subadditive"
                     )
         upper = min(Fraction(v, n) for n, v in enumerate(entries, start=1))
-        return cls(entries, upper, _classify_entries(entries), truncated_at)
-
-
-def _classify_entries(entries) -> str:
-    """Tail verdict: does the profile stay above a positive linear bound?
-
-    Fits a line through the origin on the top-half window and demands the
-    data sit above 95% of it pointwise; anything else (including all-zero
-    finite-order profiles) counts as a sublinear trend.
-    """
-    n_total = len(entries)
-    window = range(max(1, math.isqrt(max(n_total - 1, 0)) + 1), n_total + 1)
-    num = sum(n * entries[n - 1] for n in window)
-    den = sum(n * n for n in window)
-    slope = num / den
-    if slope <= 0:
-        return SUBLINEAR_TREND
-    if all(entries[n - 1] >= 0.95 * slope * n for n in window):
-        return LINEAR_LOWER_BOUNDED
-    return SUBLINEAR_TREND
+        # trends.linear_floor decides the tail; all-zero finite-order
+        # profiles count as a sublinear trend
+        verdict = LINEAR_LOWER_BOUNDED if linear_floor(entries) else SUBLINEAR_TREND
+        return cls(entries, upper, verdict, truncated_at)
 
 
 def range_profile(

@@ -28,6 +28,7 @@ from .audit import (
     sigma_power_range_audit,
 )
 from .blockcode import (
+    check_words,
     endomorphism_check,
     inverse_search,
     minimal_range,
@@ -45,25 +46,20 @@ from .corpus import (
     BUILTIN_NAMES,
     CODE_KINDS,
     Catalog,
-    auto_certifier,
     builtin_codes,
     builtin_groups,
     builtin_shifts,
 )
 from .errors import BudgetExceededError, ConfigError
 from .grouplab import (
+    auto_certifier,
     ball_growth,
-    base_q_certificate,
     bass_guivarch_degree,
     bfs_word_length,
-    bs_horner_certificate,
-    bs_horner_length_bound,
     distortion_profile,
     embedding_step_bound,
-    heisenberg_square_certificate,
     min_growth_degree,
-    BS1nModel,
-    HeisenbergModel,
+    named_certificate,
 )
 from .shiftlang import entropy_profile, morse_hedlund_test, special_words
 from .spacetime import (
@@ -169,9 +165,7 @@ def _op_morse_hedlund(budgets: Budgets, shift, limit) -> RunResult:
 
 
 def _op_special_words(budgets: Budgets, shift, length, side) -> RunResult:
-    count = shift.count_words(length + 1)
-    if count > budgets.table_rows:
-        raise BudgetExceededError("words", budgets.table_rows, count, "special_words")
+    check_words(shift, length + 1, budgets.table_rows, "words", "special_words")
     words = special_words(shift, length, side)
     body = _record_text((("side", side), ("length", length), ("count", len(words))))
     body += "".join(f"{w}\n" for w in words)
@@ -302,29 +296,13 @@ def _op_distortion(budgets: Budgets, **params) -> RunResult:
     )
 
 
-def _op_certificate(budgets: Budgets, kind, n=None, m=None, base=None) -> RunResult:
-    if kind == "bs_horner":
-        word = bs_horner_certificate(m, base)
-        model = BS1nModel(base)
-        target = (0, m)
-        pairs = [("kind", kind), ("m", m), ("base", base)]
-        bound = bs_horner_length_bound(m, base)
-    elif kind == "heisenberg_square":
-        word = heisenberg_square_certificate(n)
-        model = HeisenbergModel()
-        target = (0, 0, n * n)
-        pairs = [("kind", kind), ("n", n)]
-        bound = 4 * n
-    else:
-        word = base_q_certificate(n)
-        model = HeisenbergModel()
-        target = (0, 0, n)
-        pairs = [("kind", kind), ("n", n)]
-        bound = None
+def _op_certificate(budgets: Budgets, kind, **params) -> RunResult:
+    word, model, target, bound = named_certificate(kind, **params)
     value = word.evaluate(model, model.generators())
     if value != target:
         raise ValueError(f"certificate evaluates to {value!r}, expected {target!r}")
-    pairs += [("word", str(word)), ("length", word.length)]
+    # the kind's parameters arrive in their OPERATION_PARAMS order
+    pairs = [("kind", kind), *params.items(), ("word", str(word)), ("length", word.length)]
     if bound is not None:
         pairs.append(("length_bound", bound))
     pairs.append(("verified", "true"))

@@ -16,12 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import wraps
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .blockcode import (
     DEFAULT_TABLE_BUDGET,
     BlockCode,
-    _check_table_budget,
+    check_words,
     code_from_table,
     compose,
     power,
@@ -35,10 +35,7 @@ from .grouplab import (
     GeneratingSet,
     GroupModel,
     HeisenbergModel,
-    WordExpr,
     ZdModel,
-    base_q_certificate,
-    bs_horner_certificate,
 )
 from .shiftlang import (
     Alphabet,
@@ -204,7 +201,7 @@ def build_code(
             raise ConfigError(f"code {name!r} references unknown shift {ref!r}")
         # a negative radius fails in the builder
         if radius >= 0:
-            _check_table_budget(shifts[ref], radius, table_budget, f"code {name!r}")
+            check_words(shifts[ref], 2 * radius + 1, table_budget, "table rows", f"code {name!r}")
         return shifts[ref]
 
     refs = code_references(spec)
@@ -438,22 +435,3 @@ def builtin_groups(document: Mapping | None = None) -> Catalog:
     specs, each built fresh on first use."""
     return Catalog({**BUILTIN_GROUP_SPECS, **(document or {})}, build_group)
 
-
-def auto_certifier(model: GroupModel, word: WordExpr) -> Callable[[int], WordExpr] | None:
-    """Certificate factory for powers of a distinguished distorted element.
-
-    Only positive powers of the central Heisenberg generator and of the
-    distorted Baumslag-Solitar generator have built-in certificates; the
-    profiler still validates every produced word against the model, so a
-    nonstandard generating set fails loudly rather than silently.
-    """
-    if len(word.tokens) != 1:
-        return None
-    name, exponent = word.tokens[0]
-    if exponent < 1:
-        return None
-    if isinstance(model, HeisenbergModel) and name == "s":
-        return lambda m: base_q_certificate(exponent * m)
-    if isinstance(model, BS1nModel) and name == "a":
-        return lambda m: bs_horner_certificate(exponent * m, model.n)
-    return None

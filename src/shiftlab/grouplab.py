@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -21,7 +21,7 @@ from itertools import accumulate, filterfalse, repeat
 from operator import add, mul
 
 from .errors import BudgetExceededError
-from .trends import TrendFit, fit_trend
+from .trends import TrendFit, fit_trend, growth_degree, trend_label
 
 DEFAULT_BFS_STATES = 5_000_000
 DEFAULT_RADIUS = 14
@@ -575,22 +575,6 @@ class BallGrowth:
     window_start: int
 
 
-def _line_fit(xs, ys):
-    """Least-squares slope/intercept and RMS residual."""
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return 0.0, my, math.inf
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    intercept = my - slope * mx
-    resid = math.sqrt(
-        sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys)) / n
-    )
-    return slope, intercept, resid
-
-
 def ball_growth(
     model: GroupModel,
     gens: GeneratingSet,
@@ -606,17 +590,7 @@ def ball_growth(
     for r in range(1, radius + 1):
         sizes[r] += sizes[r - 1]
     start = max(2, radius // 2)
-    window = range(start, radius + 1)
-    logs = [math.log(sizes[r]) for r in window]
-    degree, _, poly_resid = _line_fit([math.log(r) for r in window], logs)
-    _, _, exp_resid = _line_fit(list(window), logs)
-    growing = sizes[radius] > sizes[start]
-    return BallGrowth(
-        tuple(sizes),
-        degree,
-        bool(growing and exp_resid < poly_resid),
-        start,
-    )
+    return BallGrowth(tuple(sizes), *growth_degree(sizes, start), start)
 
 
 # -- distortion profiles --------------------------------------------------------------
@@ -647,18 +621,6 @@ class DistortionProfile:
 
     def known_values(self):
         return tuple(e.value for e in self.entries if e.value is not None)
-
-
-def _trend_class_label(trend: TrendFit | None) -> str:
-    if trend is None:
-        return "Inconclusive"
-    if trend.kind == "linear":
-        return "Linear"
-    if trend.kind == "logarithmic":
-        return "Logarithmic"
-    if trend.kind == "polynomial":
-        return f"Polynomial(1/{trend.root})"
-    return "Inconclusive"
 
 
 def _subadditive_closure(upper: dict, exact: dict, max_power: int) -> list:
@@ -765,7 +727,7 @@ def distortion_profile(
         trend = fit_trend([float(v) for v in values])
     else:
         trend = None
-    return DistortionProfile(tuple(entries), trend, _trend_class_label(trend), radius_max)
+    return DistortionProfile(tuple(entries), trend, trend_label(trend), radius_max)
 
 
 # -- certificates ----------------------------------------------------------------------
@@ -840,6 +802,39 @@ def base_q_certificate(n: int) -> WordExpr:
         if x and y:
             tokens.extend((("u", x), ("t", y), ("u", -x), ("t", -y)))
     return WordExpr(tuple(tokens))
+
+
+def named_certificate(kind: str, n=None, m=None, base=None):
+    """(word, model, target, length bound or None) of a `certificate` run:
+    a^m in BS(1,base), s^(n^2), or s^n with no closed bound."""
+    if kind == "bs_horner":
+        return (
+            bs_horner_certificate(m, base), BS1nModel(base), (0, m),
+            bs_horner_length_bound(m, base),
+        )
+    if kind == "heisenberg_square":
+        return heisenberg_square_certificate(n), HeisenbergModel(), (0, 0, n * n), 4 * n
+    return base_q_certificate(n), HeisenbergModel(), (0, 0, n), None
+
+
+def auto_certifier(model: GroupModel, word: WordExpr) -> Callable[[int], WordExpr] | None:
+    """Certificate factory for powers of a distinguished distorted element.
+
+    Only positive powers of the central Heisenberg generator and of the
+    distorted Baumslag-Solitar generator have built-in certificates; the
+    profiler still validates every produced word against the model, so a
+    nonstandard generating set fails loudly rather than silently.
+    """
+    if len(word.tokens) != 1:
+        return None
+    name, exponent = word.tokens[0]
+    if exponent < 1:
+        return None
+    if isinstance(model, HeisenbergModel) and name == "s":
+        return lambda m: base_q_certificate(exponent * m)
+    if isinstance(model, BS1nModel) and name == "a":
+        return lambda m: bs_horner_certificate(exponent * m, model.n)
+    return None
 
 
 def commutator_power_check(model: HeisenbergModel, m1: int, m2: int) -> bool:

@@ -315,7 +315,6 @@ class SftForbidden(ShiftPresentation):
                 "every symbol is forbidden: the presentation is empty" if b == 0
                 else "forbidden set leaves no bi-infinite sequence: the presentation is empty"
             )
-        self._block = b
         states = sorted(
             {v[:m] for v in vertices for m in range(b + 1)},
             key=lambda w: (len(w), alphabet.word_key(w)),

@@ -24,9 +24,9 @@ from .blockcode import (
     IllegalWindowError,
     _Images,
     apply_to_word,
+    check_words,
     minimized,
 )
-from .errors import BudgetExceededError
 from .shiftlang import ShiftPresentation
 
 
@@ -65,19 +65,12 @@ def _check_shape(domain: ShiftPresentation, code: BlockCode, n: int, k: int):
         raise ValueError("code is not defined on the given presentation")
 
 
-def _check_word_budget(domain: ShiftPresentation, length: int, word_budget: int):
-    words = domain.count_words(length)
-    if words > word_budget:
-        raise BudgetExceededError("generating words", word_budget, words, "build_patches")
-
-
 def build_patches(
     domain: ShiftPresentation,
     code: BlockCode,
     n: int,
     k: int,
     word_budget: int = DEFAULT_TABLE_BUDGET,
-    code_name: str = "",
 ) -> tuple[SpacetimePatch, ...]:
     """All distinct n-by-k patches of the code's spacetime over the domain.
 
@@ -98,7 +91,7 @@ def build_patches(
     phi = minimized(code)
     r = phi.rule.radius
     length = n + 2 * (k - 1) * r
-    _check_word_budget(domain, length, word_budget)
+    check_words(domain, length, word_budget, "generating words", "build_patches")
     words, images, index = domain.words_of_length(length), _Images(phi), domain.word_index
     levels, m = [range(len(words))], length
     for _ in range(1, k):
@@ -132,7 +125,7 @@ def build_patches(
     kept = sorted(first.values())
     picked = [list(map(row.__getitem__, kept)) for row in rows]
     cells, sources = zip(*[map(spell.get, xs, xs) for xs in picked]), map(words.__getitem__, kept)
-    return tuple(map(SpacetimePatch, repeat(n), repeat(k), cells, sources, repeat(code_name)))
+    return tuple(map(SpacetimePatch, repeat(n), repeat(k), cells, sources))
 
 
 def _slide(phi: BlockCode, word: str, n: int, k: int) -> tuple[str, ...]:
@@ -168,7 +161,7 @@ def rectangle_counts(
             if domain.count_words(n + 2 * (k - 1) * r) > word_budget
         )
         _build_first_column(domain, code, k if n > 1 else k - 1, word_budget)
-        _check_word_budget(domain, length, word_budget)
+        check_words(domain, length, word_budget, "generating words", "build_patches")
     try:
         family = build_patches(domain, code, cols, rows, word_budget)
     except IllegalWindowError:

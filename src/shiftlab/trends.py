@@ -24,6 +24,10 @@ Alongside the fit, two honest multiplicative constants are reported for
 the winning basis b(n): the least C with v(n) <= C*b(n) on the window
 (tail) and the least C with v(n) <= C*b(n) for every n >= 2 (global).
 These are certified pointwise bounds, not regression artifacts.
+
+Every other growth shape is decided here too: linear_floor (does a range
+profile stay above its line through the origin on the same window?),
+growth_degree (Cayley-ball degree and exponential test) and trend_label.
 """
 
 from __future__ import annotations
@@ -47,17 +51,25 @@ def _basis(kind: str, root: int | None):
     raise ValueError(f"no basis for kind {kind!r}")
 
 
+def _window(n_total: int) -> range:
+    """The fit window [ceil(sqrt(N)), N] of v(1..N); it starts at 2 once N >= 2."""
+    return range(math.isqrt(n_total - 1) + 1, n_total + 1)
+
+
+def _through_origin(values, window, basis):
+    """The points (basis(n), v(n)) on the window and the least-squares C of
+    the line v = C*b through the origin; every basis is positive there."""
+    pairs = [(basis(n), values[n - 1]) for n in window]
+    return pairs, sum(b * v for b, v in pairs) / sum(b * b for b, _ in pairs)
+
+
 def _relative_residual(values, window, basis):
     """Least-squares coefficient through the origin, then the residual of
     that fit relative to the data's own magnitude.  Returns (C, residual);
     residual is inf when the fit is degenerate or C is nonpositive."""
-    pairs = [(basis(n), values[n - 1]) for n in window]
-    bb = sum(b * b for b, _ in pairs)
+    pairs, c = _through_origin(values, window, basis)
     vv = sum(v * v for _, v in pairs)
-    if bb == 0 or vv == 0:
-        return 0.0, math.inf
-    c = sum(b * v for b, v in pairs) / bb
-    if c <= 0:
+    if vv == 0 or c <= 0:
         return c, math.inf
     ss = sum((v - c * b) ** 2 for b, v in pairs)
     return c, math.sqrt(ss / vv)
@@ -126,7 +138,7 @@ def fit_trend(values) -> TrendFit:
         raise ValueError("trend classification needs at least 4 values")
     if any(v < 0 for v in values):
         raise ValueError("trend data must be nonnegative")
-    window = range(max(2, math.isqrt(n_total - 1) + 1), n_total + 1)
+    window = _window(n_total)
     everything = range(2, n_total + 1)
 
     if all(v == 0 for v in values):
@@ -169,3 +181,53 @@ def fit_trend(values) -> TrendFit:
         return built("linear", None, lin_c, lin_resid)
 
     return TrendFit("inconclusive", None, None, None, None, None, window.start)
+
+
+def linear_floor(values) -> bool:
+    """Do v(1..N), N >= 1, stay above 95% of a rising line through the
+    origin at every index of the fit window?  The basis is the integer n,
+    so on integer data the least-squares slope is one exact division."""
+    window = _window(len(values))
+    _, slope = _through_origin(values, window, int)
+    return slope > 0 and all(values[n - 1] >= 0.95 * slope * n for n in window)
+
+
+def trend_label(trend: TrendFit | None) -> str:
+    """The report name of a fit's kind; no fit is "Inconclusive"."""
+    if trend is None:
+        return "Inconclusive"
+    if trend.kind == "linear":
+        return "Linear"
+    if trend.kind == "logarithmic":
+        return "Logarithmic"
+    if trend.kind == "polynomial":
+        return f"Polynomial(1/{trend.root})"
+    return "Inconclusive"
+
+
+def _line_fit(xs, ys):
+    """Least-squares slope/intercept and RMS residual."""
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        return 0.0, my, math.inf
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    intercept = my - slope * mx
+    resid = math.sqrt(
+        sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys)) / n
+    )
+    return slope, intercept, resid
+
+
+def growth_degree(sizes, start: int) -> tuple[float, bool]:
+    """(fitted degree, superpolynomial) of ball sizes |B(0..R)| on the
+    window [start, R], as grouplab.BallGrowth describes them."""
+    radius = len(sizes) - 1
+    window = range(start, radius + 1)
+    logs = [math.log(sizes[r]) for r in window]
+    degree, _, poly_resid = _line_fit([math.log(r) for r in window], logs)
+    _, _, exp_resid = _line_fit(list(window), logs)
+    growing = sizes[radius] > sizes[start]
+    return degree, bool(growing and exp_resid < poly_resid)

@@ -6,11 +6,14 @@ compared against these on small inputs, and frozen constants in the tests
 were produced by these functions once and pinned.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
 
 from shiftlab.blockcode import (
+    LINEAR_LOWER_BOUNDED,
+    SUBLINEAR_TREND,
     IllegalWindowError,
     RangeProfile,
     apply_to_word,
@@ -375,11 +378,10 @@ def range_profile_by_slide(code, max_power: int, table_budget: int = 2_000_000):
     return RangeProfile.from_entries(entries, truncated_at)
 
 
-def endomorphism_check_by_slide(code, output_length: int | None = None) -> bool:
+def endomorphism_check_by_slide(code) -> bool:
     domain = code.domain
-    if output_length is None:
-        forbidden = getattr(domain, "forbidden", None)
-        output_length = max(map(len, forbidden)) if forbidden else 8
+    forbidden = getattr(domain, "forbidden", None)
+    output_length = max(map(len, forbidden)) if forbidden else 8
     r = code.rule.radius
     return all(
         {apply_to_word(code, w) for w in domain.words_of_length(n + 2 * r)}
@@ -408,3 +410,39 @@ def inverse_search_by_slide(code, radius_max: int, table_budget: int = 2_000_000
                 return psi
     return None
 
+
+# -- growth verdicts as blockcode and grouplab gave them -----------------------
+#
+# Before shiftlab.trends owned every shape verdict, blockcode classified range
+# profiles with its own through-origin line and grouplab named trend fits.
+
+
+def classify_entries(entries) -> str:
+    """Tail verdict: does the profile stay above a positive linear bound?
+
+    Fits a line through the origin on the top-half window and demands the
+    data sit above 95% of it pointwise; anything else (including all-zero
+    finite-order profiles) counts as a sublinear trend.
+    """
+    n_total = len(entries)
+    window = range(max(1, math.isqrt(max(n_total - 1, 0)) + 1), n_total + 1)
+    num = sum(n * entries[n - 1] for n in window)
+    den = sum(n * n for n in window)
+    slope = num / den
+    if slope <= 0:
+        return SUBLINEAR_TREND
+    if all(entries[n - 1] >= 0.95 * slope * n for n in window):
+        return LINEAR_LOWER_BOUNDED
+    return SUBLINEAR_TREND
+
+
+def trend_class_label(trend) -> str:
+    if trend is None:
+        return "Inconclusive"
+    if trend.kind == "linear":
+        return "Linear"
+    if trend.kind == "logarithmic":
+        return "Logarithmic"
+    if trend.kind == "polynomial":
+        return f"Polynomial(1/{trend.root})"
+    return "Inconclusive"

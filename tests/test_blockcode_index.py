@@ -134,10 +134,11 @@ def test_inverse_search_matches_the_string_reference(data):
 def test_endomorphism_check_matches_the_string_reference(data):
     domain = data.draw(domains())
     code = data.draw(codes(domain))
-    length = data.draw(st.none() | st.integers(0, 5))
-    if length is None and domain.count_words(8 + 2 * code.rule.radius) > 4000:
-        length = 5  # the default depth 8 of shifts with no forbidden words
-    assert endomorphism_check(code, length) == oracles.endomorphism_check_by_slide(code, length)
+    if not getattr(domain, "forbidden", True):
+        # depth 8, the depth of shifts with no forbidden words, is too deep
+        # for the reference on the larger full shifts
+        assume(domain.count_words(8 + 2 * code.rule.radius) <= 4000)
+    assert endomorphism_check(code) == oracles.endomorphism_check_by_slide(code)
 
 
 # -- work gate -------------------------------------------------------------------

@@ -193,6 +193,57 @@ class TestRun:
             f"golden,rectangle_complexity,-,{verdicts[1]}",
         ]
 
+    def test_inverse_search_and_shift_power_audit_check_their_tables_first(
+        self, tmp_path, capsys
+    ):
+        # the shift's inverse needs radius 1, a 32-row table on full-2; the
+        # audit's sigma^7 is a 2**15-row table before any power is composed
+        runs = [
+            {"name": "inverse", "operation": "inverse_search",
+             "params": {"code": "full-2/shift", "radius_cap": 5}},
+            {"name": "audit", "operation": "audit_shift_power",
+             "params": {"shift": "full-2", "exponent": 7, "depth": 3}},
+        ]
+        doc = {"runs": runs, "budgets": {"table_rows": 20}, "out_dir": str(tmp_path / "out")}
+        status, _ = run_cli(capsys, "run", str(write_config(tmp_path, doc)))
+        assert status == 1
+        assert summary_rows(tmp_path / "out") == [
+            ["inverse", "inverse_search", "-",
+             "error: table rows budget exceeded: needed 32, limit 20 (inverse search)"],
+            ["audit", "audit_shift_power", "-",
+             "error: table rows budget exceeded: needed 32768, limit 20 (shift power audit)"],
+        ]
+
+    def test_certificate_records(self, tmp_path, capsys):
+        runs = [
+            {"name": "horner", "operation": "certificate",
+             "params": {"base": 3, "m": 1000, "kind": "bs_horner"}},
+            {"name": "square", "operation": "certificate",
+             "params": {"n": 7, "kind": "heisenberg_square"}},
+            {"name": "base-q", "operation": "certificate",
+             "params": {"n": 1000, "kind": "heisenberg_base_q"}},
+        ]
+        doc = {"runs": runs, "budgets": {"table_rows": 20}, "out_dir": str(tmp_path / "out")}
+        status, _ = run_cli(capsys, "run", str(write_config(tmp_path, doc)))
+        assert status == 0
+        assert summary_rows(tmp_path / "out") == [
+            ["horner", "certificate", "16", "ok"],
+            ["square", "certificate", "28", "ok"],
+            ["base-q", "certificate", "144", "ok"],
+        ]
+        # fields in parameter-table order, whatever the document's order
+        records = tree_bytes(tmp_path / "out")
+        del records["summary.csv"]
+        assert records == {
+            "base-q.txt": b"kind: heisenberg_base_q\nn: 1000\n"
+            b"word: u^8 t u^-8 t^-1 u^32 t^31 u^-32 t^-31\nlength: 144\nverified: true\n",
+            "horner.txt": b"kind: bs_horner\nm: 1000\nbase: 3\n"
+            b"word: b^6 a b^-1 a b^-1 b^-1 a b^-1 b^-1 b^-1 a\nlength: 16\n"
+            b"length_bound: 33\nverified: true\n",
+            "square.txt": b"kind: heisenberg_square\nn: 7\n"
+            b"word: u^7 t^7 u^-7 t^-7\nlength: 28\nlength_bound: 28\nverified: true\n",
+        }
+
     def test_bad_bs_generator_is_an_error_row(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

@@ -162,8 +162,8 @@ def _outcome(fn, *args):
 
 
 def _patch_family(domain, code, n, k, budget):
-    patches = build_patches(domain, code, n, k, budget, code_name="c")
-    assert all(p.width == n and p.height == k and p.code_name == "c" for p in patches)
+    patches = build_patches(domain, code, n, k, budget)
+    assert all(p.width == n and p.height == k for p in patches)
     return [(p.rows, p.source_word) for p in patches]
 
 

@@ -3,10 +3,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.trends import TrendFit, fit_trend
+import oracles
+from shiftlab.blockcode import LINEAR_LOWER_BOUNDED, RangeProfile
+from shiftlab.trends import TrendFit, fit_trend, linear_floor, trend_label
 
 
 def test_zero_data():
@@ -145,3 +147,62 @@ def test_constants_really_bound_the_data(values):
     for n in range(2, len(values) + 1):
         if basis(n) > 0 and fit.constant_global != math.inf:
             assert values[n - 1] <= fit.constant_global * basis(n) * (1 + 1e-9)
+
+
+# -- range-profile verdicts and labels against the blockcode/grouplab originals --
+
+
+@st.composite
+def subadditive_profiles(draw):
+    """Nonnegative subadditive profiles of 1-80 entries.  Each entry after
+    the first is its cap less a drop: the least split sum (near-linear when
+    the drops are small) or the entry before it (falling).  A first entry 0
+    gives the all-zero profile."""
+    size = draw(st.integers(1, 80))
+    entries = [draw(st.integers(0, 10**30))]
+    falling = draw(st.booleans())
+    scale = draw(st.sampled_from((0, 1, 3, 10**6, 10**30)))
+    drops = draw(st.lists(st.integers(0, scale), min_size=size - 1, max_size=size - 1))
+    for n, drop in enumerate(drops, start=2):
+        cap = entries[-1] if falling else min(
+            entries[k - 1] + entries[n - k - 1] for k in range(1, n // 2 + 1)
+        )
+        entries.append(max(cap - drop, 0))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(subadditive_profiles())
+@example([5]).via("one entry")
+@example([0]).via("one zero entry")
+@example([3, 6]).via("two entries")
+@example([2, 3, 5]).via("three entries")
+@example([0] * 40).via("all zero")
+@example([9, 7, 4, 2, 1, 1, 0, 0]).via("falling")
+def test_range_classification_matches_the_blockcode_original(entries):
+    assert RangeProfile.from_entries(entries).classification == oracles.classify_entries(
+        entries
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10**30), min_size=1, max_size=80))
+def test_linear_floor_matches_the_blockcode_original(values):
+    assert linear_floor(values) == (oracles.classify_entries(values) == LINEAR_LOWER_BOUNDED)
+
+
+@pytest.mark.parametrize(
+    "kind, root, label",
+    [
+        (None, None, "Inconclusive"),
+        ("zero", None, "Inconclusive"),
+        ("linear", None, "Linear"),
+        ("logarithmic", None, "Logarithmic"),
+        ("polynomial", 2, "Polynomial(1/2)"),
+        ("polynomial", 6, "Polynomial(1/6)"),
+        ("inconclusive", None, "Inconclusive"),
+    ],
+)
+def test_trend_label_names_every_kind(kind, root, label):
+    trend = None if kind is None else TrendFit(kind, root, None, None, None, None, 2)
+    assert trend_label(trend) == label == oracles.trend_class_label(trend)
