@@ -391,7 +391,9 @@ def _execute_run(config: ExperimentConfig, base_dir: Path, run: RunSpec) -> RunR
     ctx = RunContext(config, base_dir)
     try:
         return OPERATIONS[run.operation](ctx.budgets, **check_run(run, ctx))
-    except (BudgetExceededError, ValueError, LookupError) as exc:  # ConfigError too
+    # ConfigError is a ValueError; an ArithmeticError is, say, a float overflow
+    # while fitting huge literal entries
+    except (BudgetExceededError, ValueError, LookupError, ArithmeticError) as exc:
         print(f"run {run.name}: {exc}", file=sys.stderr)
         return RunResult("-", f"error: {exc}", "txt", "")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,13 @@ class GroupModel:
                 acc = self.multiply(acc, a)
             a = self.multiply(a, a)
             e >>= 1
+        return acc
+
+    def fold(self, tokens, binding):
+        """The product of binding[name]^e over the (name, e) tokens."""
+        acc = self.identity()
+        for name, e in tokens:
+            acc = self.multiply(acc, self.power(binding[name], e))
         return acc
 
     def descriptor(self) -> tuple:
@@ -133,6 +141,17 @@ class HeisenbergModel(GroupModel):
         x, y, z = a
         return (e * x, e * y, e * z + x * y * e * (e - 1) // 2)
 
+    def fold(self, tokens, binding):
+        # power then multiply, token by token, on three running ints
+        x = y = z = 0
+        for name, e in tokens:
+            a, b, c = binding[name]
+            ey = e * b
+            z += e * c + a * b * e * (e - 1) // 2 + x * ey
+            x += e * a
+            y += ey
+        return (x, y, z)
+
     def generators(self):
         return {"u": (1, 0, 0), "t": (0, 1, 0), "s": (0, 0, 1)}
 
@@ -148,7 +167,8 @@ class BS1nModel(GroupModel):
     kept as a plain int whenever it is integral and as a Fraction
     otherwise.  A product whose left factor has k1 >= 0 and whose
     translations are both ints is computed on ints alone, without Fraction
-    or canonicalization; that covers every step of a Horner certificate.
+    or canonicalization.  Words are evaluated by fold, Horner's rule on
+    ints wherever the product stays integral.
     """
 
     def __init__(self, n: int):
@@ -191,6 +211,36 @@ class BS1nModel(GroupModel):
             # so do pure dilations
             return (k * e, 0)
         return super().power(a, e)
+
+    def fold(self, tokens, binding):
+        """Horner's rule on ints: the product so far is (k, n^k * r).
+
+        A translation (0, m)^e adds m*e to r, and a dilation (d, 0)^e
+        scales r by n^(-d*e), so b^-e multiplies it by n^e and b^e divides
+        it.  A product that leaves the ints (a Fraction translation, an
+        inexact division, a final k < 0) or a generator mixing both parts
+        is left to the generic fold.
+        """
+        n = self.n
+        k = r = 0
+        for name, e in tokens:
+            dk, m = binding[name]
+            if dk == 0 and type(m) is int:
+                r += m * e
+            elif m == 0:
+                d = dk * e
+                if d < 0:
+                    r *= n**-d
+                elif d:
+                    r, rest = divmod(r, n**d)
+                    if rest:
+                        return super().fold(tokens, binding)
+                k += d
+            else:
+                return super().fold(tokens, binding)
+        if k < 0:
+            return super().fold(tokens, binding)
+        return (k, r * n**k)
 
     def generators(self):
         return {"a": (0, 1), "b": (1, 0)}
@@ -281,12 +331,10 @@ class WordExpr:
         return cls(tuple(tokens))
 
     def evaluate(self, model: GroupModel, binding: dict):
-        acc = model.identity()
-        for name, exp in self.tokens:
+        for name, _ in self.tokens:
             if name not in binding:
                 raise ValueError(f"word uses unbound generator {name!r}")
-            acc = model.multiply(acc, model.power(binding[name], exp))
-        return acc
+        return model.fold(self.tokens, binding)
 
     def __str__(self):
         parts = []
@@ -630,12 +678,33 @@ def _subadditive_closure(upper: dict, exact: dict, max_power: int) -> list:
     entry[k] + entry[n-k]: the cheapest split g^n = g^k g^(n-k) is itself
     a certificate.  math.inf marks a power with no bound, and entry 0 is
     unused.  A closed bound below an exact value is a ValueError.
+
+    Call p irreducible when upper[p] is below every split of p.  Unfolding
+    the cheapest splits writes every entry as a sum of upper[p] over
+    irreducible parts p.  A split entry has at least two parts, all
+    nonnegative word lengths, so its smallest part p has upper[p] <=
+    entry[n] / 2, and the other parts sum to at least entry[n-p]; as
+    upper[p] = entry[p], upper[p] + entry[n-p] is a split, hence the
+    cheapest.  So the scan tries the irreducible powers in order of bound
+    and stops at the first bound above half the best value so far.  A
+    power whose bound ties a split is listed too, which is still exact:
+    it also has upper[p] = entry[p].
     """
     known = [math.inf] * (max_power + 1)
+    bounds = []  # upper[p] of the irreducible powers p, ascending
+    parts = []  # those powers, in the same order
     for n in range(1, max_power + 1):
-        h = n // 2
-        splits = map(add, known[1 : h + 1], known[n - 1 : n - h - 1 : -1])
-        best = min(upper.get(n, math.inf), min(splits, default=math.inf))
+        best = upper.get(n, math.inf)
+        for bound, p in zip(bounds, parts):
+            if 2 * bound > best:
+                break
+            split = bound + known[n - p]
+            if split < best:
+                best = split
+        if best == upper.get(n):
+            at = bisect_right(bounds, best)
+            bounds.insert(at, best)
+            parts.insert(at, n)
         if n in exact and best < exact[n]:
             raise ValueError(
                 f"upper-bound closure {best} beats the exact metric {exact[n]} "

@@ -173,6 +173,20 @@ def power_by_squaring(model, a, e: int):
     return acc
 
 
+def evaluate_by_multiply(word, model, binding: dict):
+    """A word's value by one model.power and one model.multiply per token.
+
+    The evaluation shiftlab used before per-model folds, kept as the
+    reference: it checks each name as it reaches its token.
+    """
+    acc = model.identity()
+    for name, exp in word.tokens:
+        if name not in binding:
+            raise ValueError(f"word uses unbound generator {name!r}")
+        acc = model.multiply(acc, model.power(binding[name], exp))
+    return acc
+
+
 def bs_multiply(n: int, a, b):
     """(k1,m1)(k2,m2) in BS(1,n) on Fractions, integral translations as int."""
     (k1, m1), (k2, m2) = a, b

@@ -86,6 +86,28 @@ class TestRun:
             "2", "3", "4", "5", "6", "7",
         ]
 
+    def test_overflowing_fit_is_an_error_row(self, tmp_path, capsys):
+        # squared residuals of entries near 10**200 overflow a float; that
+        # run ends in an error row and the next run still runs
+        config = write_config(
+            tmp_path,
+            {
+                "runs": [
+                    {"name": "big", "operation": "audit_polynomial",
+                     "params": {"shift": "fibonacci", "depth": 8,
+                                "range_entries": [10**200] * 4 + [3] * 4}},
+                    {"name": "after", "operation": "complexity",
+                     "params": {"shift": "fibonacci", "depth": 6}},
+                ],
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        big, after = summary_rows(tmp_path / "out")
+        assert big[0] == "big" and big[3].startswith("error")
+        assert after[0] == "after" and after[3] == "ok"
+
     def test_rule_file_is_relative_to_config_dir(self, tmp_path, capsys):
         (tmp_path / "rules").mkdir()
         (tmp_path / "rules" / "swap.txt").write_text("0 1\n1 0\n")

@@ -15,9 +15,11 @@ from shiftlab.errors import BudgetExceededError
 from shiftlab.grouplab import (
     BS1nModel,
     GeneratingSet,
+    GroupModel,
     HeisenbergModel,
     WordExpr,
     ZdModel,
+    auto_certifier,
     ball_growth,
     base_q_certificate,
     bass_guivarch_degree,
@@ -36,6 +38,7 @@ from oracles import (
     bs_multiply,
     cayley_ball_by_multiply,
     embedding_step_bound_by_loop,
+    evaluate_by_multiply,
     power_by_squaring,
     subadditive_closure_loop,
 )
@@ -197,6 +200,58 @@ def test_word_errors():
         WordExpr.parse("3u")
     with pytest.raises(ValueError):
         WordExpr.parse("u x").evaluate(HEIS, {"u": (1, 0, 0)})
+
+
+@st.composite
+def bound_words(draw):
+    """(model, binding, tokens): a standard or drawn generating set of Z^d,
+    Heisenberg or BS(1,2)/BS(1,3) and a word over it, now and then with a
+    name the binding lacks."""
+    model = draw(st.sampled_from([ZdModel(1), ZdModel(2), ZdModel(3), HEIS, BS2, BS3]))
+    if draw(st.booleans()):
+        binding = model.generators()
+    else:
+        if isinstance(model, ZdModel):
+            elements = st.tuples(*[small_ints] * model.dimension)
+        else:
+            elements = heis_elements if model is HEIS else bs_canonical
+        drawn = draw(st.lists(elements, min_size=1, max_size=4))
+        binding = {f"g{i}": x for i, x in enumerate(drawn)}
+    token = st.tuples(st.sampled_from(sorted(binding)), st.integers(-6, 6))
+    tokens = draw(st.lists(token, max_size=12))
+    if isinstance(model, BS1nModel) and "a" in binding and draw(st.booleans()):
+        # a Horner word, which stays in the ints, then the drawn tail
+        m = draw(st.integers(1, 10**6))
+        tokens[:0] = bs_horner_certificate(m, model.n).tokens
+    if draw(st.integers(0, 5)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), ("x", 1))
+    return model, binding, tuple(tokens)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bound_words())
+@example((BS2, BS2.generators(), (("a", 1), ("b", 1))))  # 1/2 leaves the ints
+@example((BS3, BS3.generators(), (("b", 2), ("a", 9), ("b", 1))))  # exact division
+@example((BS2, BS2.generators(), (("b", 1), ("a", 1), ("b", -2))))  # ends at k < 0
+@example((BS3, {"g": (1, 3), "a": (0, 1)}, (("a", 2), ("g", -2))))  # mixed generator
+@example((BS2, {"h": (0, Fraction(1, 3)), "b": (1, 0)}, (("b", -1), ("h", 3))))
+@example((BS3, {"h": (0, Fraction(2, 3))}, (("h", 3),)))  # an integral Fraction sum
+@example((BS2, BS2.generators(), (("b", 1), ("a", 1), ("b", -1))))
+@example((BS3, {"b": (-1, 0), "a": (0, 5)}, (("b", 2), ("a", -3), ("b", -2))))
+@example((HEIS, HEIS.generators(), (("u", 3), ("x", 1), ("y", 1))))
+def test_evaluate_matches_the_multiply_loop(case):
+    model, binding, tokens = case
+    word = WordExpr(tokens)
+    try:
+        expected = evaluate_by_multiply(word, model, binding)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            word.evaluate(model, binding)
+        assert str(raised.value) == str(exc)
+        return
+    got = word.evaluate(model, binding)
+    assert got == expected
+    assert list(map(type, got)) == list(map(type, expected))
 
 
 def test_word_length_counts_multiplicity():
@@ -571,16 +626,83 @@ sparse_bounds = st.lists(
 def test_subadditive_closure_matches_double_loop(spec):
     upper = {n: v for n, (kind, v) in enumerate(spec, 1) if kind != "none"}
     exact = {n: v for n, (kind, v) in enumerate(spec, 1) if kind == "exact"}
+    _assert_closes_as_the_loop(upper, exact, len(spec))
+
+
+def _assert_closes_as_the_loop(upper, exact, max_power):
+    """The closure equals the double loop, value, type and error text; returns
+    the loop's {n: bound}, or None when both raised."""
     try:
-        expected = subadditive_closure_loop(upper, exact, len(spec))
+        expected = subadditive_closure_loop(upper, exact, max_power)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            grouplab._subadditive_closure(upper, exact, len(spec))
+            grouplab._subadditive_closure(upper, exact, max_power)
         assert str(raised.value) == str(exc)
-        return
-    known = grouplab._subadditive_closure(upper, exact, len(spec))
-    assert len(known) == len(spec) + 1
+        return None
+    known = grouplab._subadditive_closure(upper, exact, max_power)
+    assert len(known) == max_power + 1
     assert {n: v for n, v in enumerate(known) if n and v != math.inf} == expected
+    assert all(v == math.inf or type(v) is int for v in known[1:])
+    return expected
+
+
+@st.composite
+def profile_bounds(draw):
+    """(upper, exact, max_power) shaped like a distortion profile: c*log n or
+    c*sqrt n plus noise, with gaps, a few lucky short bounds, and sparse
+    exact entries that may sit above a split."""
+    size = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from([math.log2, math.sqrt]))
+    c = draw(st.integers(1, 6))
+    noise = draw(st.integers(0, 3))
+    gap = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    exact_share = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    bump = draw(st.sampled_from([0, 2, c]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    upper, exact = {}, {}
+    for n in range(1, size + 1):
+        if rng.random() < gap:
+            continue
+        value = 1 + int(c * shape(n))
+        if rng.random() < exact_share:
+            upper[n] = exact[n] = value + rng.randint(0, noise + bump)
+        elif rng.random() < 0.05:  # a lucky short certificate
+            upper[n] = rng.randint(1, value)
+        else:
+            upper[n] = value + rng.randint(0, noise)
+    return upper, exact, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_bounds())
+def test_subadditive_closure_matches_double_loop_at_profile_scale(case):
+    _assert_closes_as_the_loop(*case)
+
+
+@pytest.mark.parametrize(
+    "model, element, depth, radius",
+    [(BS2, "a", 1000, 9), (BS3, "a", 1000, 8), (HEIS, "s", 1400, 8)],
+    ids=["bs-2/1000", "bs-3/1000", "heisenberg/1400"],
+)
+def test_word_metrics_profiles_close_as_the_double_loop(monkeypatch, model, element, depth, radius):
+    # the bounds of the benchmark's distortion runs, closed both ways
+    closure = grouplab._subadditive_closure
+    recorded = []
+
+    def record(upper, exact, max_power):
+        recorded.append((upper, exact, max_power))
+        return closure(upper, exact, max_power)
+
+    monkeypatch.setattr(grouplab, "_subadditive_closure", record)
+    word = WordExpr.parse(element)
+    gens = GeneratingSet.standard(model)
+    g = word.evaluate(model, gens.binding())
+    distortion_profile(
+        model, gens, g, depth, radius_max=radius, certifier=auto_certifier(model, word)
+    )
+    monkeypatch.undo()
+    [case] = recorded
+    assert len(_assert_closes_as_the_loop(*case)) == depth
 
 
 def test_profile_rejects_closure_below_a_broken_ball(monkeypatch):
@@ -657,13 +779,17 @@ def _count_multiplies(monkeypatch, model):
 
 
 def test_certificates_evaluate_with_one_multiply_per_token(monkeypatch):
-    # work gate: closed-form powers cost no multiplications, so evaluating a
-    # word takes one product per token; generic squaring took 2.5x as many here
+    # work gate: the BS(1,n) and Heisenberg folds evaluate a certificate on
+    # ints without a single product; the generic fold's closed-form powers
+    # cost no multiplications, so it takes one product per token (generic
+    # squaring took 2.5x as many here)
     bs = BS1nModel(2)
     calls = _count_multiplies(monkeypatch, bs)
     m = 2**199 + 0x5DEECE66D * 3**70
     word = bs_horner_certificate(m, 2)
     assert word.evaluate(bs, bs.generators()) == (0, m)
+    assert calls[0] == 0
+    assert GroupModel.fold(bs, word.tokens, bs.generators()) == (0, m)
     assert len(word.tokens) > 200 and calls[0] <= len(word.tokens) + 2
 
     heis = HeisenbergModel()
@@ -671,6 +797,8 @@ def test_certificates_evaluate_with_one_multiply_per_token(monkeypatch):
     n = 10**39 + 12345
     word = base_q_certificate(n)
     assert word.evaluate(heis, heis.generators()) == (0, 0, n)
+    assert calls[0] == 0
+    assert GroupModel.fold(heis, word.tokens, heis.generators()) == (0, 0, n)
     assert calls[0] <= len(word.tokens) + 2
 
 
