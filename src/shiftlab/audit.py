@@ -10,20 +10,15 @@ inputs (the detector tests) or an implementation bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .blockcode import (
-    DEFAULT_TABLE_BUDGET,
-    LINEAR_LOWER_BOUNDED,
-    RangeProfile,
-    check_words,
-    power,
-    range_profile,
-    shift_power_code,
-)
-from .grouplab import DistortionProfile
-from .shiftlang import ComplexityProfile, ShiftPresentation, morse_hedlund_test
+from .errors import DEFAULT_TABLE_BUDGET
 from .trends import fit_trend
+
+if TYPE_CHECKING:
+    from .blockcode import RangeProfile
+    from .grouplab import DistortionProfile
+    from .shiftlang import ComplexityProfile, ShiftPresentation
 
 CONSISTENT = "Consistent"
 VIOLATION = "Violation"
@@ -324,6 +319,8 @@ def polynomial_bound_audit(
     if finite is not None:
         return finite
     if require_sublinear:
+        from .blockcode import LINEAR_LOWER_BOUNDED
+
         if range_prof.classification == LINEAR_LOWER_BOUNDED:
             return _not_applicable(
                 COMPLEXITY_VS_POLYNOMIAL_RANGE,
@@ -379,6 +376,9 @@ def sigma_power_range_audit(
     expected outcome.  Presentations certified eventually periodic by the
     low-complexity test are out of scope and report NotApplicable.
     """
+    from .blockcode import check_words, power, range_profile, shift_power_code
+    from .shiftlang import morse_hedlund_test
+
     if j == 0:
         raise ValueError("the shift exponent must be nonzero")
     if depth < 1:

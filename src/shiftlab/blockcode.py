@@ -26,13 +26,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_TABLE_BUDGET, BudgetExceededError
 from .trends import linear_floor
 
 if TYPE_CHECKING:
     from .shiftlang import ShiftPresentation
-
-DEFAULT_TABLE_BUDGET = 2_000_000
 
 LINEAR_LOWER_BOUNDED = "LinearLowerBounded"
 SUBLINEAR_TREND = "SublinearTrend"

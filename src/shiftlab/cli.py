@@ -4,9 +4,11 @@
 one output file per run plus a summary table; `validate` checks a document
 without running it; `list-builtins` prints the built-in catalog.  The
 document is parsed and each run checked by `config`; the entries it names
-come from `corpus` catalogs.  One line per written file and per failure
-goes to standard error, data to files and standard output, and repeated
-runs of one configuration produce byte-identical output trees.
+come from `corpus` catalogs.  Each handler loads the layers it calls when
+it first runs, so a document loads only the layers its runs use.  One
+line per written file and per failure goes to standard error, data to
+files and standard output, and repeated runs of one configuration
+produce byte-identical output trees.
 """
 
 from __future__ import annotations
@@ -27,13 +29,6 @@ from .audit import (
     range_vs_wordlength_audit,
     sigma_power_range_audit,
 )
-from .blockcode import (
-    check_words,
-    endomorphism_check,
-    inverse_search,
-    minimal_range,
-    range_profile,
-)
 from .config import (
     OPERATION_PARAMS,
     Budgets,
@@ -51,24 +46,6 @@ from .corpus import (
     builtin_shifts,
 )
 from .errors import BudgetExceededError, ConfigError
-from .grouplab import (
-    auto_certifier,
-    ball_growth,
-    bass_guivarch_degree,
-    bfs_word_length,
-    distortion_profile,
-    embedding_step_bound,
-    min_growth_degree,
-    named_certificate,
-)
-from .shiftlang import entropy_profile, morse_hedlund_test, special_words
-from .spacetime import (
-    build_patches,
-    coding_check,
-    cyr_kra_audit,
-    rectangle_counts,
-    uniform_vertical_period,
-)
 
 SUMMARY_HEADER = ("name", "operation", "result", "verdict")
 
@@ -140,6 +117,8 @@ class RunResult:
 
 
 def _op_complexity(budgets: Budgets, shift, depth) -> RunResult:
+    from .shiftlang import entropy_profile
+
     prof = entropy_profile(shift, depth)
     rows = [
         (n, p, repr(est))
@@ -152,6 +131,8 @@ def _op_complexity(budgets: Budgets, shift, depth) -> RunResult:
 
 
 def _op_morse_hedlund(budgets: Budgets, shift, limit) -> RunResult:
+    from .shiftlang import morse_hedlund_test
+
     verdict = morse_hedlund_test(shift, limit)
     body = _record_text(
         (
@@ -165,6 +146,9 @@ def _op_morse_hedlund(budgets: Budgets, shift, limit) -> RunResult:
 
 
 def _op_special_words(budgets: Budgets, shift, length, side) -> RunResult:
+    from .blockcode import check_words
+    from .shiftlang import special_words
+
     check_words(shift, length + 1, budgets.table_rows, "words", "special_words")
     words = special_words(shift, length, side)
     body = _record_text((("side", side), ("length", length), ("count", len(words))))
@@ -176,6 +160,8 @@ def _op_special_words(budgets: Budgets, shift, length, side) -> RunResult:
 
 
 def _op_range_profile(budgets: Budgets, code, depth) -> RunResult:
+    from .blockcode import range_profile
+
     prof = range_profile(code, depth, budgets.table_rows)
     rows = [
         (n, r, str(Fraction(r, n)))
@@ -191,6 +177,8 @@ def _op_range_profile(budgets: Budgets, code, depth) -> RunResult:
 
 
 def _op_minimal_range(budgets: Budgets, code) -> RunResult:
+    from .blockcode import minimal_range
+
     r = minimal_range(code)
     body = _record_text(
         (("declared_range", code.rule.radius), ("minimal_range", r))
@@ -199,6 +187,8 @@ def _op_minimal_range(budgets: Budgets, code) -> RunResult:
 
 
 def _op_inverse_search(budgets: Budgets, code, radius_cap) -> RunResult:
+    from .blockcode import inverse_search
+
     found = inverse_search(code, radius_cap, budgets.table_rows)
     pairs = [("radius_cap", radius_cap)]
     if found is None:
@@ -211,6 +201,8 @@ def _op_inverse_search(budgets: Budgets, code, radius_cap) -> RunResult:
 
 
 def _op_endomorphism_check(budgets: Budgets, code) -> RunResult:
+    from .blockcode import endomorphism_check
+
     ok = endomorphism_check(code)
     return RunResult(_fmt(ok), "ok", "txt", _record_text((("endomorphism", _fmt(ok)),)))
 
@@ -219,6 +211,8 @@ def _op_endomorphism_check(budgets: Budgets, code) -> RunResult:
 
 
 def _op_rectangle_complexity(budgets: Budgets, shift, code, cols, rows) -> RunResult:
+    from .spacetime import rectangle_counts
+
     counts = rectangle_counts(shift, code, cols, rows, budgets.table_rows)
     table = [(n, k, count) for (n, k), count in counts.items()]
     return RunResult(
@@ -227,6 +221,8 @@ def _op_rectangle_complexity(budgets: Budgets, shift, code, cols, rows) -> RunRe
 
 
 def _op_cyr_kra(budgets: Budgets, shift, code, length, height) -> RunResult:
+    from .spacetime import build_patches, cyr_kra_audit
+
     patches = build_patches(shift, code, length, height, budgets.table_rows)
     verdict = cyr_kra_audit(patches, length, height)
     pairs = [
@@ -239,6 +235,8 @@ def _op_cyr_kra(budgets: Budgets, shift, code, length, height) -> RunResult:
 
 
 def _op_vertical_period(budgets: Budgets, shift, code, length, height) -> RunResult:
+    from .spacetime import build_patches, uniform_vertical_period
+
     patches = build_patches(shift, code, length, height, budgets.table_rows)
     period = uniform_vertical_period(patches)
     return RunResult(
@@ -249,6 +247,8 @@ def _op_vertical_period(budgets: Budgets, shift, code, length, height) -> RunRes
 def _op_coding_check(
     budgets: Budgets, shift, code, length, height, cells_a, cells_b
 ) -> RunResult:
+    from .spacetime import build_patches, coding_check
+
     patches = build_patches(shift, code, length, height, budgets.table_rows)
     codes = coding_check(patches, cells_a, cells_b)
     return RunResult(
@@ -260,6 +260,8 @@ def _op_coding_check(
 
 
 def _op_ball_growth(budgets: Budgets, group, radius) -> RunResult:
+    from .grouplab import ball_growth
+
     model, gens = group
     growth = ball_growth(model, gens, radius, budgets.bfs_states)
     rows = list(enumerate(growth.sizes))
@@ -268,6 +270,8 @@ def _op_ball_growth(budgets: Budgets, group, radius) -> RunResult:
 
 
 def _op_word_length(budgets: Budgets, group, element, radius) -> RunResult:
+    from .grouplab import bfs_word_length
+
     model, gens = group
     g = element.evaluate(model, gens.binding())
     length = bfs_word_length(model, gens, g, radius, budgets.bfs_states)
@@ -278,6 +282,8 @@ def _op_word_length(budgets: Budgets, group, element, radius) -> RunResult:
 
 
 def _word_profile(budgets: Budgets, group, element, depth, radius, certificate):
+    from .grouplab import auto_certifier, distortion_profile
+
     model, gens = group
     return distortion_profile(
         model, gens, element.evaluate(model, gens.binding()), depth,
@@ -297,6 +303,8 @@ def _op_distortion(budgets: Budgets, **params) -> RunResult:
 
 
 def _op_certificate(budgets: Budgets, kind, **params) -> RunResult:
+    from .grouplab import named_certificate
+
     word, model, target, bound = named_certificate(kind, **params)
     value = word.evaluate(model, model.generators())
     if value != target:
@@ -312,6 +320,8 @@ def _op_certificate(budgets: Budgets, kind, **params) -> RunResult:
 def _op_growth_formula(
     budgets: Budgets, formula, ranks=None, step=None, complexity_exponent=None
 ) -> RunResult:
+    from .grouplab import bass_guivarch_degree, embedding_step_bound, min_growth_degree
+
     if formula == "bass_guivarch":
         value = bass_guivarch_degree(ranks)
         pairs = [("formula", formula), ("ranks", " ".join(map(str, ranks)))]
@@ -330,6 +340,8 @@ def _op_growth_formula(
 
 def _range_input(budgets: Budgets, range_entries=None, code=None, depth_range=None):
     """The checked literal profile, else the code's measured profile."""
+    from .blockcode import range_profile
+
     if range_entries is not None:
         return range_entries
     return range_profile(code, depth_range, budgets.table_rows)
@@ -343,6 +355,8 @@ def _op_audit_range_word(
     budgets: Budgets, group, element, depth, codes, radius, certificate,
     range_entries=None, element_code=None,
 ) -> RunResult:
+    from .blockcode import range_profile
+
     # the audit reads only each generator's first entry, r(phi) itself
     generator_profiles = {
         label: range_profile(code, 1, budgets.table_rows)
@@ -358,6 +372,8 @@ def _op_audit_range_word(
 def _op_audit_entropy(
     budgets: Budgets, shift, depth_complexity, tolerance, **source
 ) -> RunResult:
+    from .shiftlang import entropy_profile
+
     prof = _range_input(budgets, **source)
     complexity = entropy_profile(shift, depth_complexity)
     return _report_result(entropy_bound_audit(prof, complexity, tolerance))
@@ -366,6 +382,8 @@ def _op_audit_entropy(
 def _op_audit_polynomial(
     budgets: Budgets, shift, depth, root, require_sublinear, **source
 ) -> RunResult:
+    from .shiftlang import entropy_profile
+
     prof = _range_input(budgets, **source)
     complexity = entropy_profile(shift, depth)
     report = polynomial_bound_audit(
@@ -451,9 +469,12 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     config, base_dir = _load_config(Path(args.config))
     ctx = RunContext(config, base_dir)
-    # building every entry is the point: it surfaces bad element specs
-    for catalog in (ctx.shifts, ctx.codes, ctx.groups):
-        for name in catalog:
+    # building the document's entries surfaces bad element specs, and
+    # check_run builds the built-in entries a run uses
+    for catalog, names in (
+        (ctx.shifts, config.shifts), (ctx.codes, config.codes), (ctx.groups, config.groups)
+    ):
+        for name in names:
             catalog[name]
     for run in config.runs:
         check_run(run, ctx)

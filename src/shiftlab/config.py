@@ -17,9 +17,13 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Mapping
 
-from .blockcode import DEFAULT_TABLE_BUDGET, SUBLINEAR_TREND, RangeProfile
-from .errors import ConfigError
-from .grouplab import DEFAULT_BFS_STATES, DEFAULT_RADIUS, MIN_GROWTH_RADIUS, WordExpr
+from .errors import (
+    DEFAULT_BFS_STATES,
+    DEFAULT_RADIUS,
+    DEFAULT_TABLE_BUDGET,
+    MIN_GROWTH_RADIUS,
+    ConfigError,
+)
 
 RUN_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
@@ -377,7 +381,20 @@ def _is_naturals(value) -> bool:
     )
 
 
-# value kind -> (test of the JSON value, what it must be, conversion)
+def _word(value: str):
+    from .grouplab import WordExpr
+
+    return WordExpr.parse(value)
+
+
+def _profile(entries: list):
+    from .blockcode import RangeProfile
+
+    return RangeProfile.from_entries(entries)
+
+
+# value kind -> (test of the JSON value, what it must be, conversion); a
+# conversion loads its layer when a run first needs it
 _VALUE_KINDS = {
     "nonzero": (lambda v: _is_int(v) and v != 0, "a nonzero integer", None),
     "positive": (lambda v: _is_int(v) and v >= 1, "an integer >= 1", None),
@@ -389,10 +406,10 @@ _VALUE_KINDS = {
     ),
     "number": (_is_number, "a finite number", None),
     "bool": (lambda v: isinstance(v, bool), "true or false", None),
-    "word": (lambda v: isinstance(v, str), "a word such as 'a b^-2'", WordExpr.parse),
+    "word": (lambda v: isinstance(v, str), "a word such as 'a b^-2'", _word),
     "cells": (_is_cells, "a list of [col, row] integer pairs", None),
     "naturals": (_is_naturals, "a nonempty list of integers >= 0", None),
-    "profile": (_is_naturals, "a nonempty list of integers >= 0", RangeProfile.from_entries),
+    "profile": (_is_naturals, "a nonempty list of integers >= 0", _profile),
 }
 
 
@@ -423,6 +440,8 @@ def _checked_param(run: RunSpec, name: str, param: Param, catalogs):
         if param.kind == "profile" and run.fabricated:
             # fabricated detector probes may break the subadditivity law on
             # purpose; the classification is irrelevant for them
+            from .blockcode import SUBLINEAR_TREND, RangeProfile
+
             upper = min(Fraction(v, n) for n, v in enumerate(value, 1))
             return RangeProfile(tuple(value), upper, SUBLINEAR_TREND)
         raise ConfigError(f"run {run.name!r}: parameter {name!r}: {exc}") from exc

@@ -8,7 +8,9 @@ entry.  The built-in corpus adds named shifts, codes and groups available
 to every experiment without being defined in the document.
 
 Catalogs hold the built-in entries and a document's, and build each entry
-by name on first use, so a bad entry fails only what uses it.
+by name on first use, so a bad entry fails only what uses it.  Each
+builder loads its layer when it first runs, so building groups alone
+never loads the symbolic layers.
 """
 
 from __future__ import annotations
@@ -16,35 +18,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import wraps
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .blockcode import (
-    DEFAULT_TABLE_BUDGET,
-    BlockCode,
-    check_words,
-    code_from_table,
-    compose,
-    power,
-    shift_power_code,
-    symbol_map_code,
-)
 from .config import _is_int, _require_object
-from .errors import ConfigError
-from .grouplab import (
-    BS1nModel,
-    GeneratingSet,
-    GroupModel,
-    HeisenbergModel,
-    ZdModel,
-)
-from .shiftlang import (
-    Alphabet,
-    FullShift,
-    PeriodicOrbit,
-    SftForbidden,
-    ShiftPresentation,
-    SubstitutionShift,
-)
+from .errors import DEFAULT_TABLE_BUDGET, ConfigError
+
+if TYPE_CHECKING:
+    from .blockcode import BlockCode
+    from .grouplab import GeneratingSet, GroupModel
+    from .shiftlang import ShiftPresentation
 
 
 # -- rule tables -------------------------------------------------------------
@@ -143,6 +125,14 @@ _SHIFT_FIELDS = {
 
 @_entry_errors("shift")
 def build_shift(name: str, spec: dict) -> ShiftPresentation:
+    from .shiftlang import (
+        Alphabet,
+        FullShift,
+        PeriodicOrbit,
+        SftForbidden,
+        SubstitutionShift,
+    )
+
     kind = _entry_kind("shift", name, spec, _SHIFT_FIELDS)
     if kind == "periodic":
         return PeriodicOrbit(spec["seed"])
@@ -193,6 +183,15 @@ def build_code(
 
     A code whose table would outgrow `table_budget` rows raises
     BudgetExceededError before any row is built."""
+    from .blockcode import (
+        check_words,
+        code_from_table,
+        compose,
+        power,
+        shift_power_code,
+        symbol_map_code,
+    )
+
     kind = _entry_kind("code", name, spec, _CODE_FIELDS)
 
     def domain(radius: int) -> ShiftPresentation:
@@ -286,6 +285,8 @@ _GROUP_FIELDS = {
 
 @_entry_errors("group")
 def build_group(name: str, spec: dict) -> tuple[GroupModel, GeneratingSet]:
+    from .grouplab import BS1nModel, GeneratingSet, HeisenbergModel, ZdModel
+
     kind = _entry_kind("group", name, spec, _GROUP_FIELDS)
     if kind == "free_abelian":
         model: GroupModel = ZdModel(_field("group", name, spec, "rank", _is_int, "an integer"))

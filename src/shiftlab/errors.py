@@ -1,4 +1,15 @@
-"""Shared failure types for enumeration and search budgets."""
+"""Shared budget defaults and failure types for enumeration and search.
+
+The defaults live here, not in the layers that spend them, so `config`
+can fill in a document's budgets without loading any layer.
+"""
+
+DEFAULT_TABLE_BUDGET = 2_000_000
+DEFAULT_BFS_STATES = 5_000_000
+DEFAULT_RADIUS = 14
+# ball_growth fits lines over radii max(2, radius // 2)..radius, and a line
+# needs two of them
+MIN_GROWTH_RADIUS = 3
 
 
 class BudgetExceededError(RuntimeError):

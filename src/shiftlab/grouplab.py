@@ -21,14 +21,13 @@ from functools import partial
 from itertools import accumulate, filterfalse, repeat
 from operator import add, mul
 
-from .errors import BudgetExceededError
+from .errors import (
+    DEFAULT_BFS_STATES,
+    DEFAULT_RADIUS,
+    MIN_GROWTH_RADIUS,
+    BudgetExceededError,
+)
 from .trends import TrendFit, fit_trend, growth_degree, trend_label
-
-DEFAULT_BFS_STATES = 5_000_000
-DEFAULT_RADIUS = 14
-# ball_growth fits lines over radii max(2, radius // 2)..radius, and a line
-# needs two of them
-MIN_GROWTH_RADIUS = 3
 
 
 # -- models ----------------------------------------------------------------

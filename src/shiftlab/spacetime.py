@@ -19,7 +19,6 @@ from itertools import accumulate, repeat
 from operator import itemgetter
 
 from .blockcode import (
-    DEFAULT_TABLE_BUDGET,
     BlockCode,
     IllegalWindowError,
     _Images,
@@ -27,6 +26,7 @@ from .blockcode import (
     check_words,
     minimized,
 )
+from .errors import DEFAULT_TABLE_BUDGET
 from .shiftlang import ShiftPresentation
 
 

@@ -130,7 +130,8 @@ def fit_trend(values) -> TrendFit:
 
     Needs at least four data points so the window holds more than one
     index.  Values must be nonnegative; exact integers are expected but
-    floats are accepted.
+    floats are accepted.  Values too large for float arithmetic raise a
+    ValueError.
     """
     values = list(values)
     n_total = len(values)
@@ -138,6 +139,17 @@ def fit_trend(values) -> TrendFit:
         raise ValueError("trend classification needs at least 4 values")
     if any(v < 0 for v in values):
         raise ValueError("trend data must be nonnegative")
+    try:
+        return _classify(values)
+    except OverflowError:
+        raise ValueError(
+            f"trend fit of {n_total} values overflows float arithmetic"
+        ) from None
+
+
+def _classify(values: list) -> TrendFit:
+    """fit_trend on checked values."""
+    n_total = len(values)
     window = _window(n_total)
     everything = range(2, n_total + 1)
 

@@ -452,7 +452,7 @@ def test_report_texts_are_pinned(full2, monkeypatch):
     }
     # a flat profile stands in for measured ranges below the floor
     monkeypatch.setattr(
-        "shiftlab.audit.range_profile",
+        "shiftlab.blockcode.range_profile",
         lambda code, depth, budget: RangeProfile.from_entries((1,) * depth),
     )
     reports["sigma-violation"] = sigma_power_range_audit(1, full2, 4)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import shiftlab
-from shiftlab import cli
+from shiftlab import cli, corpus
 from shiftlab.cli import OPERATIONS, main
 from shiftlab.blockcode import shift_power_code
 from shiftlab.config import OPERATION_PARAMS, parse_config
@@ -88,7 +88,7 @@ class TestRun:
 
     def test_overflowing_fit_is_an_error_row(self, tmp_path, capsys):
         # squared residuals of entries near 10**200 overflow a float; that
-        # run ends in an error row and the next run still runs
+        # run ends in an error row naming the fit, and the next run still runs
         config = write_config(
             tmp_path,
             {
@@ -105,7 +105,8 @@ class TestRun:
         status, _ = run_cli(capsys, "run", str(config))
         assert status == 1
         big, after = summary_rows(tmp_path / "out")
-        assert big[0] == "big" and big[3].startswith("error")
+        assert big == ["big", "audit_polynomial", "-",
+                       "error: trend fit of 8 values overflows float arithmetic"]
         assert after[0] == "after" and after[3] == "ok"
 
     def test_rule_file_is_relative_to_config_dir(self, tmp_path, capsys):
@@ -783,7 +784,41 @@ class TestValidate:
     def test_valid_document(self, capsys):
         status, out = run_cli(capsys, "validate", str(SCRIPTS / "demo_config.json"))
         assert status == 0
-        assert out.startswith("ok:")
+        assert out == "ok: 1 shifts, 2 codes, 2 groups, 23 runs\n"
+
+    @pytest.mark.parametrize("section, name, spec, error", [
+        ("shifts", "s", {"kind": "full"}, "shift 's' is missing field 'alphabet'"),
+        ("codes", "c", {"kind": "power", "base": "later", "exponent": 2},
+         "code 'c' references code 'later' which is not defined earlier in the document"),
+        ("groups", "g", {"kind": "baumslag_solitar", "base": 2.5},
+         "group 'g': base must be an integer"),
+    ])
+    def test_bad_document_entry_rejected_unused(self, section, name, spec, error,
+                                                tmp_path, capsys):
+        # no run names the entry; validate builds every entry the document defines
+        config = write_config(tmp_path, {section: {name: spec}, "runs": [SIBLING]})
+        assert run_cli_err(capsys, "validate", str(config)) == (1, "", error + "\n")
+
+    def test_builds_document_entries_and_the_builtins_runs_use(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        for kind in ("shift", "code", "group"):
+            build = getattr(corpus, f"build_{kind}")
+
+            def record(name, *args, build=build, **kwargs):
+                built.append(name)
+                return build(name, *args, **kwargs)
+
+            monkeypatch.setattr(corpus, f"build_{kind}", record)
+        config = write_config(tmp_path, {
+            "groups": {"g": {"kind": "free_abelian", "rank": 1}},
+            "runs": [{"name": "r", "operation": "range_profile",
+                      "params": {"code": "fibonacci/shift", "depth": 3}}],
+        })
+        status, out = run_cli(capsys, "validate", str(config))
+        assert status == 0 and out == "ok: 0 shifts, 0 codes, 1 groups, 1 runs\n"
+        assert built == ["g", "fibonacci/shift", "fibonacci"]
 
     def test_unknown_operation_rejected(self, tmp_path, capsys):
         config = write_config(

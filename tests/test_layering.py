@@ -1,12 +1,21 @@
-"""Which private names one shiftlab module imports from another.
+"""Which names and modules one shiftlab module loads from another.
 
 A name with a leading underscore belongs to its module.  The few imported
 across modules are pinned here, so a new reach-in is a deliberate change
 to this list rather than a quiet one.
+
+The compute layers load on first use: a `shiftlab` process loads only the
+layers its document's runs need.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import shiftlab
 
@@ -43,3 +52,49 @@ def private_imports() -> set:
 
 def test_private_names_cross_modules_only_where_pinned():
     assert private_imports() == ALLOWED
+
+
+COMPUTE_LAYERS = {"blockcode", "shiftlang", "spacetime", "grouplab"}
+
+GROUPS_ONLY = [
+    {"name": "d", "operation": "distortion",
+     "params": {"group": "bs-2", "element": "a", "depth": 8}},
+    {"name": "g", "operation": "ball_growth", "params": {"group": "z2", "radius": 4}},
+]
+SHIFTS_ONLY = [
+    {"name": "c", "operation": "complexity", "params": {"shift": "fibonacci", "depth": 8}},
+    {"name": "s", "operation": "special_words",
+     "params": {"shift": "golden-mean", "length": 4}},
+]
+
+
+def loaded_layers(tmp_path, *argv) -> set:
+    """The compute layers a fresh process has loaded once `shiftlab argv`
+    returns; the command must succeed."""
+    probe = (
+        "import sys; from shiftlab.cli import main; status = main(sys.argv[1:]); "
+        "print(' '.join(sorted(sys.modules))); sys.exit(status)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.splitlines()[-1].split()
+    return {name for name in COMPUTE_LAYERS if f"shiftlab.{name}" in loaded}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("runs, needed, unneeded", [
+    (GROUPS_ONLY, {"grouplab"}, {"blockcode", "shiftlang", "spacetime"}),
+    (SHIFTS_ONLY, {"shiftlang"}, {"grouplab", "spacetime"}),
+], ids=["groups-only", "shifts-only"])
+def test_documents_load_only_the_layers_they_use(tmp_path, command, runs, needed, unneeded):
+    (tmp_path / "doc.json").write_text(json.dumps({"runs": runs, "out_dir": "out"}))
+    loaded = loaded_layers(tmp_path, command, "doc.json")
+    assert needed <= loaded and not loaded & unneeded
+
+
+def test_list_builtins_loads_no_layer(tmp_path):
+    assert loaded_layers(tmp_path, "list-builtins") == set()

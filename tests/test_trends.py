@@ -93,6 +93,12 @@ def test_minimum_data_requirement():
         fit_trend([1.0, -2.0, 3.0, 4.0])
 
 
+def test_float_overflow_is_a_value_error():
+    # the squared residuals of entries near 10**200 overflow a float
+    with pytest.raises(ValueError, match="^trend fit of 8 values overflows float arithmetic$"):
+        fit_trend([10**200] * 4 + [3] * 4)
+
+
 def test_window_is_top_half_log_scale():
     fit = fit_trend([float(n) for n in range(1, 26)])
     assert fit.window_start == 5  # ceil(sqrt(25))
