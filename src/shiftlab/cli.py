@@ -404,14 +404,17 @@ OPERATIONS = {name: globals()[f"_op_{name}"] for name in OPERATION_PARAMS}
 
 # -- execution ---------------------------------------------------------------------
 
+# what `run` reports as a run's error row and `validate` as its one line:
+# ConfigError is a ValueError, IllegalWindowError a LookupError, and an
+# ArithmeticError is, say, a float overflow while fitting huge literal entries
+RUN_ERRORS = (BudgetExceededError, ValueError, LookupError, ArithmeticError)
+
 
 def _execute_run(config: ExperimentConfig, base_dir: Path, run: RunSpec) -> RunResult:
     ctx = RunContext(config, base_dir)
     try:
         return OPERATIONS[run.operation](ctx.budgets, **check_run(run, ctx))
-    # ConfigError is a ValueError; an ArithmeticError is, say, a float overflow
-    # while fitting huge literal entries
-    except (BudgetExceededError, ValueError, LookupError, ArithmeticError) as exc:
+    except RUN_ERRORS as exc:
         print(f"run {run.name}: {exc}", file=sys.stderr)
         return RunResult("-", f"error: {exc}", "txt", "")
 
@@ -518,7 +521,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BudgetExceededError) as exc:
+    except RUN_ERRORS as exc:
         print(exc, file=sys.stderr)
         return 1
 

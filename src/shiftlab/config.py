@@ -436,7 +436,8 @@ def _checked_param(run: RunSpec, name: str, param: Param, catalogs):
         raise ConfigError(f"run {run.name!r}: parameter {name!r} must be {what}")
     try:
         return value if convert is None else convert(value)
-    except ValueError as exc:
+    # an ArithmeticError is, say, a float overflow while fitting huge entries
+    except (ValueError, ArithmeticError) as exc:
         if param.kind == "profile" and run.fabricated:
             # fabricated detector probes may break the subadditivity law on
             # purpose; the classification is irrelevant for them

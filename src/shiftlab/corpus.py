@@ -154,7 +154,7 @@ def build_shift(name: str, spec: dict) -> ShiftPresentation:
 _CODE_REFERENCES = {"compose": ("outer", "inner"), "power": ("base",)}
 
 _CODE_FIELDS = {
-    "table": ("domain", "table", "file", "radius"),
+    "table": ("domain", "table", "file"),
     "shift_power": ("domain", "exponent"),
     "symbol_map": ("domain", "image"),
     "compose": _CODE_REFERENCES["compose"],
@@ -230,10 +230,7 @@ def build_code(
             table = dict(spec["table"])
             if not table:
                 raise ConfigError(f"code {name!r}: empty table")
-        width = len(next(iter(table)))
-        radius = (width - 1) // 2
-        if "radius" in spec:
-            radius = _field("code", name, spec, "radius", _is_int, "an integer")
+        radius = (len(next(iter(table))) - 1) // 2
         return code_from_table(domain(radius), radius, table)
     if kind == "shift_power":
         exponent = _field("code", name, spec, "exponent", _is_int, "an integer")

@@ -24,7 +24,12 @@ class BudgetExceededError(RuntimeError):
         self.limit = limit
         self.attempted = attempted
         self.context = context
-        msg = f"{kind} budget exceeded: needed {attempted}, limit {limit}"
+        try:
+            needed = str(attempted)
+        except ValueError:
+            # more digits than the interpreter will print
+            needed = f"at least 2**{attempted.bit_length() - 1}"
+        msg = f"{kind} budget exceeded: needed {needed}, limit {limit}"
         if context:
             msg += f" ({context})"
         super().__init__(msg)

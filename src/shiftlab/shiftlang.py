@@ -13,6 +13,7 @@ is strictly stronger than merely avoiding the forbidden patterns.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -510,12 +511,12 @@ def special_words(shift: ShiftPresentation, n: int, side: str = "right") -> tupl
     """Length-n words with at least two legal one-letter extensions on `side`."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    seen: dict[str, set[str]] = {}
-    for w in shift.words_of_length(n + 1):
-        core, ext = (w[:-1], w[-1]) if side == "right" else (w[1:], w[0])
-        seen.setdefault(core, set()).add(ext)
-    out = [w for w, exts in seen.items() if len(exts) >= 2]
-    return tuple(sorted(out, key=shift.alphabet.word_key))
+    # an n-word has one extension on `side` per (n+1)-word that numbers it
+    # as its prefix (right) or suffix (left), and the numbers follow sorted order
+    index = shift.word_index(n + 1)
+    extensions = Counter(index.prefix if side == "right" else index.suffix)
+    words = shift.words_of_length(n)
+    return tuple(words[i] for i in sorted(extensions) if extensions[i] >= 2)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import itemgetter
 
-from .blockcode import (
-    BlockCode,
-    IllegalWindowError,
-    _Images,
-    apply_to_word,
-    check_words,
-    minimized,
-)
+from .blockcode import BlockCode, _Images, apply_to_word, check_words, minimized
 from .errors import DEFAULT_TABLE_BUDGET
 from .shiftlang import ShiftPresentation
 
@@ -58,13 +51,6 @@ class SpacetimePatch:
         return "\n".join(self.rows)
 
 
-def _check_shape(domain: ShiftPresentation, code: BlockCode, n: int, k: int):
-    if n < 1 or k < 1:
-        raise ValueError("patch dimensions must be positive")
-    if code.domain != domain:
-        raise ValueError("code is not defined on the given presentation")
-
-
 def build_patches(
     domain: ShiftPresentation,
     code: BlockCode,
@@ -87,7 +73,10 @@ def build_patches(
     central windows, which are all the legal n-words.  Words with an image
     outside the language are slid instead, raising what sliding raises.
     """
-    _check_shape(domain, code, n, k)
+    if n < 1 or k < 1:
+        raise ValueError("patch dimensions must be positive")
+    if code.domain != domain:
+        raise ValueError("code is not defined on the given presentation")
     phi = minimized(code)
     r = phi.rule.radius
     length = n + 2 * (k - 1) * r
@@ -145,28 +134,13 @@ def rectangle_counts(
 
     Keys run k outer, n inner.  Builds only the cols x rows family: the
     n x k rectangles are exactly the lower-left corners of its patches,
-    because every legal word extends on both sides.  Budget and
-    illegal-window errors are the ones that building the n x k family
-    for each (n, k) in key order would raise first.
+    because every legal word extends on both sides.  Raises what building
+    that family raises.  Building every n x k family on its own fails for
+    the same inputs: a smaller family's generating words are factors of
+    longer legal words, so there are never more of them, and any illegal
+    window a smaller family meets, the cols x rows family meets too.
     """
-    _check_shape(domain, code, cols, rows)
-    r = minimized(code).rule.radius
-    if domain.count_words(cols + 2 * (rows - 1) * r) > word_budget:
-        # word counts never fall with length, so the largest generating word
-        # is over budget whenever any is; only then look for the first one
-        length, n, k = next(
-            (n + 2 * (k - 1) * r, n, k)
-            for k in range(1, rows + 1)
-            for n in range(1, cols + 1)
-            if domain.count_words(n + 2 * (k - 1) * r) > word_budget
-        )
-        _build_first_column(domain, code, k if n > 1 else k - 1, word_budget)
-        check_words(domain, length, word_budget, "generating words", "build_patches")
-    try:
-        family = build_patches(domain, code, cols, rows, word_budget)
-    except IllegalWindowError:
-        _build_first_column(domain, code, rows, word_budget)
-        raise
+    family = build_patches(domain, code, cols, rows, word_budget)
     counts, chop = {}, itemgetter(slice(-1))
     tall = {p.rows for p in family}
     for k in range(rows, 0, -1):
@@ -176,19 +150,6 @@ def rectangle_counts(
             wide = set(map(tuple, map(map, repeat(chop), wide)))
         tall = set(map(chop, tall))
     return {(n, k): counts[n, k] for k in range(1, rows + 1) for n in range(1, cols + 1)}
-
-
-def _build_first_column(domain, code, height: int, word_budget: int):
-    """Build the 1 x k families for k = 2..height in order.
-
-    This raises the IllegalWindowError, if any, that building every n x k
-    family of height <= height in key order meets first.  An illegal
-    window in the j-th iterate depends only on a (1 + 2(j+1)r)-factor of
-    the generating word, which is itself legal, so the first family to
-    meet one has n = 1.
-    """
-    for k in range(2, height + 1):
-        build_patches(domain, code, 1, k, word_budget)
 
 
 # -- coding relation ---------------------------------------------------------

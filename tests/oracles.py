@@ -139,6 +139,16 @@ def periodic_words(seed: str, n: int) -> set[str]:
     return {s[i : i + n] for i in range(len(seed))}
 
 
+def special_words_by_extension(longer: set[str], side: str) -> set[str]:
+    """The n-words with at least two one-letter extensions on `side`, read
+    off the set of legal (n+1)-words by spelling each one's core."""
+    seen = {}
+    for w in longer:
+        core, ext = (w[:-1], w[-1]) if side == "right" else (w[1:], w[0])
+        seen.setdefault(core, set()).add(ext)
+    return {w for w, exts in seen.items() if len(exts) >= 2}
+
+
 def fibonacci_rules() -> dict:
     return {"0": "01", "1": "0"}
 

@@ -174,23 +174,11 @@ class TestRun:
         )
         assert small[2:] == ["8", "ok"]
 
-    @pytest.mark.parametrize(
-        "budget, verdicts",
-        [
-            (10, ['"error: generating words budget exceeded: needed 16, limit 10 (build_patches)"',
-                  '"error: generating words budget exceeded: needed 13, limit 10 (build_patches)"']),
-            (20, ['"error: generating words budget exceeded: needed 32, limit 20 (build_patches)"',
-                  "error: window '111' is not in the rule's domain language; "
-                  "at offset 0 of '111'"]),
-        ],
-    )
-    def test_rectangle_sweep_errors_match_the_first_failing_rectangle(
-        self, tmp_path, capsys, budget, verdicts
-    ):
-        # each sweep crosses the budget partway.  On golden-mean the code's
-        # third row leaves the language from (n, k) = (1, 3) on, which the
-        # sweep reaches after its first over-budget rectangle (3, 2) at
-        # budget 10, and before it, (2, 3), at budget 20
+    @pytest.mark.parametrize("budget", [10, 20])
+    def test_rectangle_sweep_errors_are_those_of_the_full_family(self, tmp_path, capsys, budget):
+        # a sweep builds only its cols x rows family, so it fails as that
+        # family fails, on its generating words of length 4 + 2 * 3 on full-2
+        # and 3 + 2 * 2 on golden-mean, though smaller rectangles fit the budget
         left_flip = {"000": "1", "001": "1", "010": "1", "100": "0", "101": "0"}
         config = write_config(
             tmp_path,
@@ -212,8 +200,9 @@ class TestRun:
         status, out = run_cli(capsys, "run", str(config))
         assert status == 1
         assert out.splitlines()[1:] == [
-            f"full,rectangle_complexity,-,{verdicts[0]}",
-            f"golden,rectangle_complexity,-,{verdicts[1]}",
+            f'{name},rectangle_complexity,-,"error: generating words budget exceeded: '
+            f'needed {needed}, limit {budget} (build_patches)"'
+            for name, needed in (("full", 1024), ("golden", 34))
         ]
 
     def test_inverse_search_and_shift_power_audit_check_their_tables_first(
@@ -704,9 +693,10 @@ class TestCatalogEntries:
         "substitution-never-grows": (
             "shifts", "s", {"kind": "substitution", "alphabet": "0", "rules": {"0": "0"}},
             "shift 's': substitution never grows: every image is a single letter", SHIFT_RUN),
+        # a table's radius is that of its windows
         "radius-bool": ("codes", "c", {"kind": "table", "domain": "full-2", "radius": True,
                                        "table": COPY_RULE},
-                        "code 'c': radius must be an integer", CODE_RUN),
+                        "code 'c': unknown field 'radius'", CODE_RUN),
         "shift-power-exponent-bool": (
             "codes", "c", {"kind": "shift_power", "domain": "full-2", "exponent": True},
             "code 'c': exponent must be an integer", CODE_RUN),
@@ -719,9 +709,13 @@ class TestCatalogEntries:
         "shift-power-over-budget": (
             "codes", "c", {"kind": "shift_power", "domain": "full-2", "exponent": 40},
             f"table rows budget exceeded: needed {2**81}, limit 2000000 (code 'c')", CODE_RUN),
+        # 2**200000001 rows have more digits than the interpreter prints
+        "shift-power-count-too-long-to-print": (
+            "codes", "c", {"kind": "shift_power", "domain": "full-2", "exponent": 10**8},
+            "table rows budget exceeded: needed at least 2**200000001, limit 2000000 (code 'c')",
+            CODE_RUN),
         "table-over-budget": (
-            "codes", "c", {"kind": "table", "domain": "golden-mean", "radius": 40,
-                           "table": {"0": "0", "1": "1"}},
+            "codes", "c", {"kind": "table", "domain": "golden-mean", "table": {"0" * 81: "0"}},
             "table rows budget exceeded: needed 99194853094755497, limit 2000000 (code 'c')",
             CODE_RUN),
         "table-and-file": (
@@ -845,6 +839,34 @@ class TestValidate:
         status, _, err = run_cli_err(capsys, "validate", str(config))
         assert status == 1
         assert "table rows budget exceeded" in err
+
+    @pytest.mark.parametrize("codes, run, error", [
+        # entries near 10**400 overflow the float division of the floor fit
+        # while the parameter is converted
+        ({}, ("audit_entropy", {"shift": "fibonacci", "depth_complexity": 6,
+                                "range_entries": [10**400] * 4 + [3] * 4}),
+         "run 'bad': parameter 'range_entries': integer division result too large for a float"),
+        # the image of 00000 under the left flip is 111, outside golden-mean
+        ({"flip": {"kind": "table", "domain": "golden-mean",
+                   "table": {"000": "1", "001": "1", "010": "1", "100": "0", "101": "0"}},
+          "sq": {"kind": "power", "base": "flip", "exponent": 2}},
+         ("minimal_range", {"code": "sq"}),
+         "window '111' is not in the rule's domain language; "
+         "inner code's image leaves the domain language"),
+    ], ids=["overflowing-entries", "illegal-power"])
+    def test_validate_reports_the_error_row_of_run(self, codes, run, error, tmp_path, capsys):
+        # validate fails in one line, no traceback, with the text that run
+        # writes as the run's error row while the document's other run ends
+        operation, params = run
+        bad = {"name": "bad", "operation": operation, "params": params}
+        doc = {"codes": codes, "runs": [bad, SIBLING], "out_dir": str(tmp_path / "out")}
+        config = write_config(tmp_path, doc)
+        assert run_cli_err(capsys, "validate", str(config)) == (1, "", error + "\n")
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        bad_row, sibling = summary_rows(tmp_path / "out")
+        assert bad_row == ["bad", operation, "-", f"error: {error}"]
+        assert sibling[0] == "sibling" and sibling[3] == "ok"
 
 
 class TestListBuiltins:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import shiftlang
@@ -31,6 +31,7 @@ from oracles import (
     golden_mean_words,
     periodic_words,
     sft_words_brute,
+    special_words_by_extension,
     submultiplicative_failure,
     substitution_factors,
     substitution_words,
@@ -417,6 +418,35 @@ def test_special_words_periodic_none():
     x = PeriodicOrbit("0011")
     assert special_words(x, 4, "right") == ()
     assert special_words(x, 4, "left") == ()
+
+
+@st.composite
+def _shifts_with_words(draw):
+    """A shift and its legal words of each length, from an oracle: an SFT,
+    a primitive substitution or a periodic orbit."""
+    kind = draw(st.sampled_from(("sft", "substitution", "periodic")))
+    symbols = draw(st.sampled_from(("01", "012")))
+    if kind == "substitution":
+        rules = draw(primitive_substitutions())
+        shift = SubstitutionShift(Alphabet.of(sorted(rules)), rules)
+        return shift, lambda n: substitution_factors(rules, n)
+    if kind == "periodic":
+        seed = draw(st.text(alphabet=symbols, min_size=1, max_size=6))
+        return PeriodicOrbit(seed), lambda n: periodic_words(seed, n)
+    forbidden = draw(st.lists(st.text(symbols, min_size=1, max_size=3), max_size=3))
+    try:
+        shift = SftForbidden(Alphabet.of(symbols), forbidden)
+    except ValueError:
+        assume(False)
+    return shift, lambda n: sft_words_brute(symbols, forbidden, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shifts_with_words(), st.integers(0, 7), st.sampled_from(("right", "left")))
+def test_special_words_match_the_extensions_of_longer_words(case, n, side):
+    x, words = case
+    want = special_words_by_extension(words(n + 1), side)
+    assert special_words(x, n, side) == tuple(sorted(want, key=x.alphabet.word_key))
 
 
 def test_special_words_rejects_bad_side(golden):

@@ -181,14 +181,18 @@ def _codes(domain, max_radius):
 
 
 def _assert_matches_slide(domain, code, n, k, budget):
-    assert _outcome(_patch_family, domain, code, n, k, budget) == _outcome(
-        build_patches_by_slide, domain, code, n, k, budget
-    )
+    slide = _outcome(build_patches_by_slide, domain, code, n, k, budget)
+    assert _outcome(_patch_family, domain, code, n, k, budget) == slide
+    # rectangle_counts fails exactly when the sweep does, with what the
+    # n x k family raises; otherwise it matches the sweep count for count
     got = _outcome(rectangle_counts, domain, code, n, k, budget)
     want = _outcome(rectangle_sweep, domain, code, n, k, budget)
-    assert got == want
     if isinstance(want, dict):
+        assert got == want
         assert list(got) == list(want)
+    else:
+        assert isinstance(slide, tuple)
+        assert got == slide
 
 
 BUDGETS = st.integers(1, 300) | st.just(5000)
@@ -253,7 +257,7 @@ def test_non_endomorphism_raises_like_slide(n, k, budget):
         IllegalWindowError, str(slide.value)
     )
     assert _outcome(rectangle_counts, golden, code, n, k, budget) == _outcome(
-        rectangle_sweep, golden, code, n, k, budget
+        build_patches_by_slide, golden, code, n, k, budget
     )
 
 
