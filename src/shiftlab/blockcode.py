@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -91,6 +92,15 @@ class BlockCode:
                 raise ValueError(f"table output for {w!r} must be a single symbol")
             if not self.domain.alphabet.contains_word(out):
                 raise ValueError(f"table output {out!r} for {w!r} is outside the alphabet")
+
+    @cached_property
+    def derived(self) -> dict:
+        """Results computed from this code and kept as long as it lives, as
+        its domain keeps its word indexes: range profiles under
+        ("range_profile", max_power, budget) and patch families under
+        ("patches", n, k, budget).  Only successes are kept, so a failing
+        computation runs again and raises the same error."""
+        return {}
 
 
 def _code(domain: ShiftPresentation, radius: int, outputs: list) -> BlockCode:
@@ -410,15 +420,18 @@ def range_profile(
 
     A truncated profile still reports exact values for every power it
     reached; the first power reuses the code's own table, so at least one
-    entry is always present.
+    entry is always present.  The profile is kept in `code.derived`.
     """
     if max_power < 1:
         raise ValueError("profile needs max_power >= 1")
-    entries, truncated_at = [], None
-    powers = _powers(code, table_budget)
-    try:
-        for _ in range(max_power):
-            entries.append(next(powers)[0])
-    except BudgetExceededError:
-        truncated_at = len(entries) + 1
-    return RangeProfile.from_entries(entries, truncated_at)
+    key = ("range_profile", max_power, table_budget)
+    if key not in code.derived:
+        entries, truncated_at = [], None
+        powers = _powers(code, table_budget)
+        try:
+            for _ in range(max_power):
+                entries.append(next(powers)[0])
+        except BudgetExceededError:
+            truncated_at = len(entries) + 1
+        code.derived[key] = RangeProfile.from_entries(entries, truncated_at)
+    return code.derived[key]

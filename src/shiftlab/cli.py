@@ -4,7 +4,8 @@
 one output file per run plus a summary table; `validate` checks a document
 without running it; `list-builtins` prints the built-in catalog.  The
 document is parsed and each run checked by `config`; the entries it names
-come from `corpus` catalogs.  Each handler loads the layers it calls when
+come from `corpus` catalogs, which one RunContext per document shares
+between its runs.  Each handler loads the layers it calls when
 it first runs, so a document loads only the layers its runs use.  One
 line per written file and per failure goes to standard error, data to
 files and standard output, and repeated runs of one configuration
@@ -18,8 +19,8 @@ import csv
 import dataclasses
 import io
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .audit import (
@@ -35,6 +36,7 @@ from .config import (
     ExperimentConfig,
     RunSpec,
     check_run,
+    named_entries,
     parse_config,
 )
 from .corpus import (
@@ -54,28 +56,42 @@ SUMMARY_HEADER = ("name", "operation", "result", "verdict")
 
 
 class RunContext:
-    """Catalogs for one run: built-in and document entries, each built by
-    name on first use, so a bad entry fails only the runs that use it."""
+    """Catalogs for one document: built-in and document entries, each built
+    by name on first use and shared by every run that names it, so a bad
+    entry fails only the runs that use it.  After each run, `release` drops
+    every built entry that no later run names."""
 
     def __init__(self, config: ExperimentConfig, base_dir: Path):
         self.budgets = config.budgets
-        self._shifts = builtin_shifts(config.shifts)
-        self._codes = builtin_codes(
-            self._shifts, config.codes, base_dir, self.budgets.table_rows
+        shifts = builtin_shifts(config.shifts)
+        self._catalogs = {
+            "shifts": shifts,
+            "codes": builtin_codes(shifts, config.codes, base_dir, self.budgets.table_rows),
+            "groups": builtin_groups(config.groups),
+        }
+        # (section, name) -> how many runs yet to end name that entry
+        self._pending = Counter(
+            entry for run in config.runs for entry in named_entries(run, self._catalogs)
         )
-        self._groups = builtin_groups(config.groups)
 
     @property
     def shifts(self) -> Catalog:
-        return self._shifts
+        return self._catalogs["shifts"]
 
     @property
     def codes(self) -> Catalog:
-        return self._codes
+        return self._catalogs["codes"]
 
     @property
     def groups(self) -> Catalog:
-        return self._groups
+        return self._catalogs["groups"]
+
+    def release(self, run: RunSpec) -> None:
+        """End `run`: drop every built entry that no later run names.  A
+        built code holds its own domain, so what it needs stays alive."""
+        self._pending.subtract(named_entries(run, self._catalogs))
+        for section, catalog in self._catalogs.items():
+            catalog.keep(lambda name: self._pending[section, name] > 0)
 
 
 # -- output helpers --------------------------------------------------------------
@@ -160,6 +176,8 @@ def _op_special_words(budgets: Budgets, shift, length, side) -> RunResult:
 
 
 def _op_range_profile(budgets: Budgets, code, depth) -> RunResult:
+    from fractions import Fraction
+
     from .blockcode import range_profile
 
     prof = range_profile(code, depth, budgets.table_rows)
@@ -410,17 +428,25 @@ OPERATIONS = {name: globals()[f"_op_{name}"] for name in OPERATION_PARAMS}
 RUN_ERRORS = (BudgetExceededError, ValueError, LookupError, ArithmeticError)
 
 
-def _execute_run(config: ExperimentConfig, base_dir: Path, run: RunSpec) -> RunResult:
-    ctx = RunContext(config, base_dir)
+def _execute_run(ctx: RunContext, out_dir: Path, run: RunSpec) -> RunResult:
+    """Execute one run on the document's context, write its file to
+    out_dir, then release what no later run names."""
     try:
-        return OPERATIONS[run.operation](ctx.budgets, **check_run(run, ctx))
+        result = OPERATIONS[run.operation](ctx.budgets, **check_run(run, ctx))
     except RUN_ERRORS as exc:
         print(f"run {run.name}: {exc}", file=sys.stderr)
-        return RunResult("-", f"error: {exc}", "txt", "")
+        result = RunResult("-", f"error: {exc}", "txt", "")
+    ctx.release(run)
+    if result.body:
+        path = out_dir / f"{run.name}.{result.extension}"
+        path.write_text(result.body)
+        print(f"run {run.name} -> {path}", file=sys.stderr)
+    return result
 
 
 def execute_config(config: ExperimentConfig, base_dir: Path) -> tuple[int, str]:
-    """Run every run spec; returns (exit status, summary CSV text).
+    """Run every run spec on one RunContext; returns (exit status, summary
+    CSV text).
 
     Output files land in config.out_dir.  The exit status is nonzero
     exactly when some run errored or an audit on non-fabricated data
@@ -428,15 +454,12 @@ def execute_config(config: ExperimentConfig, base_dir: Path) -> tuple[int, str]:
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    ctx = RunContext(config, base_dir)
 
     failed = False
     rows = []
     for run in config.runs:
-        result = _execute_run(config, base_dir, run)
-        if result.body:
-            path = out_dir / f"{run.name}.{result.extension}"
-            path.write_text(result.body)
-            print(f"run {run.name} -> {path}", file=sys.stderr)
+        result = _execute_run(ctx, out_dir, run)
         rows.append((run.name, run.operation, result.key, result.verdict))
         if result.verdict.startswith("error"):
             failed = True

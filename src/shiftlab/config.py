@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import AbstractSet, Mapping
 
 from .errors import (
@@ -291,7 +290,7 @@ def parse_config(
         if run.name in seen_names:
             raise ConfigError(f"duplicate run name {run.name!r}")
         seen_names.add(run.name)
-        _check_references(run, known)
+        named_entries(run, known)
         runs.append(run)
 
     return ExperimentConfig(
@@ -313,11 +312,15 @@ def _reference_names(run: RunSpec, name: str, kind: str, value, known) -> list:
     return refs
 
 
-def _check_references(run: RunSpec, known: Mapping[str, set]) -> None:
-    for name, value in run.params.items():
-        kind = _REFERENCE_PARAMS.get(name)
-        if kind is not None:
-            _reference_names(run, name, kind, value, known[_SECTION_OF[kind]])
+def named_entries(run: RunSpec, known: Mapping[str, AbstractSet[str]]) -> list:
+    """(section, name) of each entry the run's parameters name, each
+    checked to be in known[section]."""
+    return [
+        (_SECTION_OF[kind], ref)
+        for name, value in run.params.items()
+        if (kind := _REFERENCE_PARAMS.get(name)) is not None
+        for ref in _reference_names(run, name, kind, value, known[_SECTION_OF[kind]])
+    ]
 
 
 def check_run(run: RunSpec, catalogs) -> dict:
@@ -441,6 +444,8 @@ def _checked_param(run: RunSpec, name: str, param: Param, catalogs):
         if param.kind == "profile" and run.fabricated:
             # fabricated detector probes may break the subadditivity law on
             # purpose; the classification is irrelevant for them
+            from fractions import Fraction
+
             from .blockcode import SUBLINEAR_TREND, RangeProfile
 
             upper = min(Fraction(v, n) for n, v in enumerate(value, 1))

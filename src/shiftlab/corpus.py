@@ -15,7 +15,6 @@ never loads the symbolic layers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import wraps
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -253,6 +252,8 @@ def _parse_group_element(name: str, kind: str, value, rank: int):
         if not _is_int(k):
             raise ConfigError(f"group {name!r}: an element's power must be an integer")
         if isinstance(m, str):
+            from fractions import Fraction
+
             try:
                 m = Fraction(m)
             except (ValueError, ZeroDivisionError):
@@ -374,6 +375,11 @@ class Catalog:
 
     def items(self):
         return ((name, self[name]) for name in self.specs)
+
+    def keep(self, wanted) -> None:
+        """Forget every built entry whose name `wanted` rejects; its next
+        use builds it again."""
+        self._built = {name: entry for name, entry in self._built.items() if wanted(name)}
 
 
 def builtin_shifts(document: Mapping | None = None) -> Catalog:

@@ -72,11 +72,21 @@ def build_patches(
     of numbers.  Only kept patches are spelled, from the generating words'
     central windows, which are all the legal n-words.  Words with an image
     outside the language are slid instead, raising what sliding raises.
+    The family is kept in `code.derived`.
     """
     if n < 1 or k < 1:
         raise ValueError("patch dimensions must be positive")
     if code.domain != domain:
         raise ValueError("code is not defined on the given presentation")
+    key = ("patches", n, k, word_budget)
+    if key not in code.derived:
+        code.derived[key] = _patches(domain, code, n, k, word_budget)
+    return code.derived[key]
+
+
+def _patches(
+    domain: ShiftPresentation, code: BlockCode, n: int, k: int, word_budget: int
+) -> tuple[SpacetimePatch, ...]:
     phi = minimized(code)
     r = phi.rule.radius
     length = n + 2 * (k - 1) * r

@@ -7,9 +7,11 @@ were produced by these functions once and pinned.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from pathlib import Path
 
 from shiftlab.blockcode import (
     LINEAR_LOWER_BOUNDED,
@@ -20,6 +22,7 @@ from shiftlab.blockcode import (
     code_from_table,
     minimized,
 )
+from shiftlab.cli import execute_config
 from shiftlab.errors import BudgetExceededError
 
 
@@ -470,3 +473,22 @@ def trend_class_label(trend) -> str:
     if trend.kind == "polynomial":
         return f"Polynomial(1/{trend.root})"
     return "Inconclusive"
+
+
+# -- the runner with one context per run ------------------------------------
+
+
+def execute_each_run_alone(config, base_dir: Path) -> tuple[int, str]:
+    """cli.execute_config with every run in a fresh RunContext of its own.
+
+    Each run executes as a one-run document, so no entry, word index,
+    range profile or patch family is shared between runs.  Writes every
+    run's file and the whole summary to config.out_dir, and returns the
+    (exit status, summary CSV text) of the whole document.
+    """
+    status, summary = execute_config(replace(config, runs=()), base_dir)
+    for run in config.runs:
+        alone, text = execute_config(replace(config, runs=(run,)), base_dir)
+        status, summary = max(status, alone), summary + text.split("\n", 1)[1]
+    (Path(config.out_dir) / "summary.csv").write_text(summary)
+    return status, summary

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,11 @@ from shiftlab import cli, corpus
 from shiftlab.cli import OPERATIONS, main
 from shiftlab.blockcode import shift_power_code
 from shiftlab.config import OPERATION_PARAMS, parse_config
-from shiftlab.corpus import build_code
+from shiftlab.corpus import BUILTIN_NAMES, build_code
 from shiftlab.errors import ConfigError
 from shiftlab.shiftlang import Alphabet, FullShift, ShiftPresentation
+
+from oracles import execute_each_run_alone
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -668,6 +671,96 @@ class TestFuzzDocuments:
                 assert failed_checks[0] in rejection
 
 
+def _family(name, operation, shift, code, size, **params):
+    n, k = size
+    dims = {"cols": n, "rows": k} if operation == "rectangle_complexity" else {
+        "length": n, "height": k}
+    return {"name": name, "operation": operation,
+            "params": {"shift": shift, "code": code, **dims, **params}}
+
+
+# runs that share entries, patch families and range profiles, next to runs
+# whose error rows come from a shared family, an entry or a budget
+SHARED_AND_FAILING = {
+    "codes": {
+        # the image of 00000 under the left flip is 111, outside golden-mean
+        "flip": {"kind": "table", "domain": "golden-mean",
+                 "table": {"000": "1", "001": "1", "010": "1", "100": "0", "101": "0"}},
+        "sq": {"kind": "power", "base": "flip", "exponent": 2},
+    },
+    "runs": [
+        _family("rect5", "rectangle_complexity", "full-2", "full-2/shift", (5, 4)),
+        _family("kra5", "cyr_kra", "full-2", "full-2/shift", (5, 4)),
+        _family("period6", "vertical_period", "full-2", "full-2/shift", (6, 4)),
+        _family("coding6", "coding_check", "full-2", "full-2/shift", (6, 4),
+                cells_a=[[0, 0]], cells_b=[[0, 1]]),
+        _family("illegal-kra", "cyr_kra", "golden-mean", "flip", (3, 3)),
+        _family("illegal-period", "vertical_period", "golden-mean", "flip", (3, 3)),
+        {"name": "bad-range", "operation": "minimal_range", "params": {"code": "sq"}},
+        {"name": "bad-profile", "operation": "range_profile",
+         "params": {"code": "sq", "depth": 3}},
+        {"name": "profile", "operation": "range_profile",
+         "params": {"code": "full-2/shift", "depth": 6}},
+        {"name": "audit", "operation": "audit_entropy",
+         "params": {"shift": "full-2", "depth_complexity": 6,
+                    "code": "full-2/shift", "depth_range": 6}},
+    ],
+    # the 5x4 family has 2**11 generating words, the 6x4 one 2**12
+    "budgets": {"table_rows": 3000},
+}
+
+
+class TestSharedContext:
+    """`run` shares one RunContext across a document's runs; its rows and
+    files are those of every run in a context of its own."""
+
+    def compare(self, config, base_dir, tmp_path):
+        shared, alone = tmp_path / "shared", tmp_path / "alone"
+        expected = execute_each_run_alone(replace(config, out_dir=str(alone)), base_dir)
+        assert cli.execute_config(replace(config, out_dir=str(shared)), base_dir) == expected
+        assert tree_bytes(shared) == tree_bytes(alone)
+        return tree_bytes(shared)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_demo(self, reverse, tmp_path):
+        config = parse_config((SCRIPTS / "demo_config.json").read_text(), BUILTIN_NAMES)
+        if reverse:
+            config = replace(config, runs=config.runs[::-1])
+        self.compare(config, SCRIPTS, tmp_path)
+
+    def test_shared_families_and_error_rows(self, tmp_path):
+        config = parse_config(json.dumps(SHARED_AND_FAILING), BUILTIN_NAMES)
+        forward = self.compare(config, tmp_path, tmp_path / "forward")
+        backward = self.compare(
+            replace(config, runs=config.runs[::-1]), tmp_path, tmp_path / "backward"
+        )
+        rows = summary_rows(tmp_path / "forward" / "shared")
+        assert summary_rows(tmp_path / "backward" / "shared") == rows[::-1]
+        del forward["summary.csv"], backward["summary.csv"]
+        assert forward == backward
+        over_budget = ("error: generating words budget exceeded: needed 4096, "
+                       "limit 3000 (build_patches)")
+        illegal = "error: window '111' is not in the rule's domain language"
+        assert [row[3] for row in rows[:4]] == ["ok", "ok", over_budget, over_budget]
+        assert rows[4][3] == rows[5][3] and rows[4][3].startswith(illegal)
+        assert rows[6][3] == rows[7][3] and rows[6][3].startswith(illegal)
+        # a truncated profile is a success, kept and shared with the audit
+        assert rows[8][3] == "partial: table budget reached at power 6"
+        assert not rows[9][3].startswith("error")
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs=st.tuples(fuzz_runs(0), fuzz_runs(1), fuzz_runs(2)))
+    def test_fuzz_documents(self, runs):
+        doc = {"runs": list(runs),
+               "budgets": {"table_rows": 4000, "bfs_states": 4000, "radius_cap": 4}}
+        try:
+            config = parse_config(json.dumps(doc), BUILTIN_NAMES)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            self.compare(config, Path(tmp), Path(tmp))
+
+
 class TestCatalogEntries:
     """Shifts, codes and groups are built by name on first use: one bad
     entry fails only the runs that use it, and `validate` rejects it."""
@@ -772,6 +865,35 @@ class TestCatalogEntries:
             assert [ref() for ref in gone] == [None, None, None]
         finally:
             gc.enable()
+
+    def test_an_entry_lives_until_the_last_run_that_names_it(self, tmp_path, monkeypatch):
+        built = []
+
+        def record(name, spec, build=corpus.build_shift):
+            shift = build(name, spec)
+            built.append((name, weakref.ref(shift)))
+            return shift
+
+        monkeypatch.setattr(corpus, "build_shift", record)
+        runs = [{"name": name, "operation": "complexity",
+                 "params": {"shift": shift, "depth": 3}}
+                for name, shift in (("a", "fibonacci"), ("b", "golden-mean"),
+                                    ("c", "golden-mean"))]
+        config = parse_config(json.dumps({"runs": runs}), BUILTIN_NAMES)
+        gc.disable()
+        try:
+            ctx = cli.RunContext(config, tmp_path)
+            alive = []
+            for run in config.runs:
+                cli._execute_run(ctx, tmp_path, run)
+                alive.append([(name, ref() is not None) for name, ref in built])
+        finally:
+            gc.enable()
+        assert alive == [
+            [("fibonacci", False)],
+            [("fibonacci", False), ("golden-mean", True)],
+            [("fibonacci", False), ("golden-mean", False)],
+        ]
 
 
 class TestValidate:

@@ -68,8 +68,8 @@ SHIFTS_ONLY = [
 ]
 
 
-def loaded_layers(tmp_path, *argv) -> set:
-    """The compute layers a fresh process has loaded once `shiftlab argv`
+def loaded_modules(tmp_path, *argv) -> set:
+    """The modules a fresh process has loaded once `shiftlab argv`
     returns; the command must succeed."""
     probe = (
         "import sys; from shiftlab.cli import main; status = main(sys.argv[1:]); "
@@ -81,7 +81,12 @@ def loaded_layers(tmp_path, *argv) -> set:
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    loaded = result.stdout.splitlines()[-1].split()
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def loaded_layers(tmp_path, *argv) -> set:
+    """The compute layers among loaded_modules(tmp_path, *argv)."""
+    loaded = loaded_modules(tmp_path, *argv)
     return {name for name in COMPUTE_LAYERS if f"shiftlab.{name}" in loaded}
 
 
@@ -98,3 +103,11 @@ def test_documents_load_only_the_layers_they_use(tmp_path, command, runs, needed
 
 def test_list_builtins_loads_no_layer(tmp_path):
     assert loaded_layers(tmp_path, "list-builtins") == set()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_complexity_documents_load_no_fractions(tmp_path, command):
+    # only range profiles, fabricated profiles and BS(1,n) translations
+    # need exact fractions
+    (tmp_path / "doc.json").write_text(json.dumps({"runs": SHIFTS_ONLY[:1], "out_dir": "out"}))
+    assert "fractions" not in loaded_modules(tmp_path, command, "doc.json")

@@ -116,6 +116,21 @@ def test_build_patches_budget(full2):
         build_patches(full2, shift_power_code(full2, 1), 3, 12, word_budget=100)
 
 
+def test_families_and_profiles_are_kept_on_their_code(full2):
+    # runs sharing a code share its family and profile; a failing build is
+    # not kept, so it runs again and fails with the same text
+    code = shift_power_code(full2, 1)
+    family, profile = build_patches(full2, code, 3, 2), blockcode.range_profile(code, 4)
+    assert build_patches(full2, code, 3, 2) is family
+    assert blockcode.range_profile(code, 4) is profile
+    errors = []
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError) as error:
+            build_patches(full2, code, 3, 12, word_budget=100)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1] and len(code.derived) == 2
+
+
 def test_rectangle_complexity_matches_1d(full2, fibonacci, orbit01):
     for domain in (full2, fibonacci, orbit01):
         sigma = shift_power_code(domain, 1)
