@@ -299,7 +299,7 @@ def _op_word_length(budgets: Budgets, group, element, radius) -> RunResult:
     return RunResult(_fmt(length), "ok", "txt", body)
 
 
-def _word_profile(budgets: Budgets, group, element, depth, radius, certificate):
+def _word_profile(budgets: Budgets, group, element, depth, radius):
     from .grouplab import auto_certifier, distortion_profile
 
     model, gens = group
@@ -307,7 +307,7 @@ def _word_profile(budgets: Budgets, group, element, depth, radius, certificate):
         model, gens, element.evaluate(model, gens.binding()), depth,
         radius_max=radius,
         state_budget=budgets.bfs_states,
-        certifier=None if certificate == "none" else auto_certifier(model, element),
+        certifier=auto_certifier(model, element),
     )
 
 
@@ -370,7 +370,7 @@ def _report_result(report) -> RunResult:
 
 
 def _op_audit_range_word(
-    budgets: Budgets, group, element, depth, codes, radius, certificate,
+    budgets: Budgets, group, element, depth, codes, radius,
     range_entries=None, element_code=None,
 ) -> RunResult:
     from .blockcode import range_profile
@@ -381,20 +381,18 @@ def _op_audit_range_word(
         for label, code in codes.items()
     }
     element_profile = _range_input(budgets, range_entries, element_code, depth)
-    words = _word_profile(budgets, group, element, depth, radius, certificate)
+    words = _word_profile(budgets, group, element, depth, radius)
     return _report_result(
         range_vs_wordlength_audit(generator_profiles, element_profile, words)
     )
 
 
-def _op_audit_entropy(
-    budgets: Budgets, shift, depth_complexity, tolerance, **source
-) -> RunResult:
+def _op_audit_entropy(budgets: Budgets, shift, depth_complexity, **source) -> RunResult:
     from .shiftlang import entropy_profile
 
     prof = _range_input(budgets, **source)
     complexity = entropy_profile(shift, depth_complexity)
-    return _report_result(entropy_bound_audit(prof, complexity, tolerance))
+    return _report_result(entropy_bound_audit(prof, complexity))
 
 
 def _op_audit_polynomial(

@@ -129,7 +129,6 @@ GROUP = Param("group")
 POSITIVE = Param("positive")
 RADIUS = Param("positive", lambda budgets: budgets.radius_cap)
 ELEMENT = Param("word")
-CERTIFIER = Param(("auto", "none"), "auto")
 PROFILE = Param("profile")
 
 _PATCH_FAMILY = {"shift": SHIFT, "code": CODE, "length": POSITIVE, "height": POSITIVE}
@@ -162,8 +161,7 @@ OPERATION_PARAMS = {
     "ball_growth": Operation({"group": GROUP, "radius": Param("growth_radius")}),
     "word_length": Operation({"group": GROUP, "element": ELEMENT, "radius": RADIUS}),
     "distortion": Operation(
-        {"group": GROUP, "element": ELEMENT, "depth": POSITIVE, "radius": RADIUS,
-         "certificate": CERTIFIER}
+        {"group": GROUP, "element": ELEMENT, "depth": POSITIVE, "radius": RADIUS}
     ),
     "certificate": Operation(
         {},
@@ -185,14 +183,14 @@ OPERATION_PARAMS = {
     ),
     "audit_range_word": Operation(
         {"group": GROUP, "element": ELEMENT, "depth": POSITIVE,
-         "codes": Param("code_map"), "radius": RADIUS, "certificate": CERTIFIER},
+         "codes": Param("code_map"), "radius": RADIUS},
         variants={
             "range_entries": {"range_entries": PROFILE},
             "element_code": {"element_code": CODE},
         },
     ),
     "audit_entropy": Operation(
-        {"shift": SHIFT, "depth_complexity": POSITIVE, "tolerance": Param("number", 0.05)},
+        {"shift": SHIFT, "depth_complexity": POSITIVE},
         variants=_PROFILE_SOURCE,
     ),
     "audit_polynomial": Operation(

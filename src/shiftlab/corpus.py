@@ -370,9 +370,6 @@ class Catalog:
     def __contains__(self, name):
         return name in self.specs
 
-    def __iter__(self):
-        return iter(self.specs)
-
     def items(self):
         return ((name, self[name]) for name in self.specs)
 

@@ -164,10 +164,9 @@ class BS1nModel(GroupModel):
     Elements are pairs (k, m) with k an integer and m in Z[1/n], composed
     by (k1,m1)(k2,m2) = (k1+k2, n^k1 * m2 + m1).  The translation part is
     kept as a plain int whenever it is integral and as a Fraction
-    otherwise.  A product whose left factor has k1 >= 0 and whose
-    translations are both ints is computed on ints alone, without Fraction
-    or canonicalization.  Words are evaluated by fold, Horner's rule on
-    ints wherever the product stays integral.
+    otherwise.  Words are evaluated by fold, Horner's rule on ints
+    wherever the product stays integral.  A zero translation is never
+    scaled, so a huge dilation costs no power of n.
     """
 
     def __init__(self, n: int):
@@ -186,6 +185,8 @@ class BS1nModel(GroupModel):
         return (0, 0)
 
     def _scale(self, k: int, m):
+        if not m:
+            return 0
         if k >= 0:
             return self._canonical(self.n**k * m)
         return self._canonical(Fraction(m, self.n ** (-k)))
@@ -193,8 +194,6 @@ class BS1nModel(GroupModel):
     def multiply(self, a, b):
         k1, m1 = a
         k2, m2 = b
-        if k1 >= 0 and type(m1) is int and type(m2) is int:
-            return (k1 + k2, m2 * self.n**k1 + m1)
         return (k1 + k2, self._canonical(self._scale(k1, m2) + m1))
 
     def inverse(self, a):
@@ -228,9 +227,9 @@ class BS1nModel(GroupModel):
                 r += m * e
             elif m == 0:
                 d = dk * e
-                if d < 0:
+                if r and d < 0:
                     r *= n**-d
-                elif d:
+                elif r and d:
                     r, rest = divmod(r, n**d)
                     if rest:
                         return super().fold(tokens, binding)
@@ -239,7 +238,7 @@ class BS1nModel(GroupModel):
                 return super().fold(tokens, binding)
         if k < 0:
             return super().fold(tokens, binding)
-        return (k, r * n**k)
+        return (k, r * n**k if r else 0)
 
     def generators(self):
         return {"a": (0, 1), "b": (1, 0)}
@@ -769,7 +768,7 @@ def distortion_profile(
                     f"at power {n}: unsound"
                 )
             if n not in exact:
-                upper[n] = min(upper.get(n, length), length)
+                upper[n] = length
 
     known = _subadditive_closure(upper, exact, max_power)
 

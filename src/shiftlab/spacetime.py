@@ -28,14 +28,13 @@ class SpacetimePatch:
     """One n-wide, k-tall rectangle of a spacetime configuration.
 
     Identity (equality, hashing, dedup) is the cell content alone; the
-    generating word and code name ride along for reporting.
+    generating word rides along for reporting.
     """
 
     width: int
     height: int
     rows: tuple[str, ...]
     source_word: str = field(default="", compare=False)
-    code_name: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.height != len(self.rows):

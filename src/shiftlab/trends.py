@@ -42,13 +42,12 @@ POLY_ROOT_RANGE = range(2, 7)
 
 
 def _basis(kind: str, root: int | None):
+    """The basis of a linear, logarithmic or polynomial (n^(1/root)) fit."""
     if kind == "linear":
         return lambda n: float(n)
     if kind == "logarithmic":
         return lambda n: math.log(n)
-    if kind == "polynomial":
-        return lambda n: n ** (1.0 / root)
-    raise ValueError(f"no basis for kind {kind!r}")
+    return lambda n: n ** (1.0 / root)
 
 
 def _window(n_total: int) -> range:
@@ -76,15 +75,8 @@ def _relative_residual(values, window, basis):
 
 
 def _pointwise_constant(values, indices, basis):
-    best = 0.0
-    for n in indices:
-        b = basis(n)
-        if b <= 0:
-            if values[n - 1] > 0:
-                return math.inf
-            continue
-        best = max(best, values[n - 1] / b)
-    return best
+    # every index is at least 2, where every basis is positive
+    return max([0.0, *(values[n - 1] / basis(n) for n in indices)])
 
 
 @dataclass(frozen=True)

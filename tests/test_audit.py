@@ -7,6 +7,7 @@ import pytest
 
 from shiftlab.audit import (
     CONSISTENT,
+    NATURAL_LOG_NOTE,
     NOT_APPLICABLE,
     VIOLATION,
     AuditReport,
@@ -16,6 +17,7 @@ from shiftlab.audit import (
     sigma_power_range_audit,
 )
 from shiftlab.blockcode import (
+    LINEAR_LOWER_BOUNDED,
     RangeProfile,
     range_profile,
     shift_power_code,
@@ -23,10 +25,13 @@ from shiftlab.blockcode import (
 )
 from shiftlab.errors import BudgetExceededError
 from shiftlab.grouplab import (
+    BS1nModel,
     DistortionProfile,
     GeneratingSet,
     ProfileEntry,
+    WordExpr,
     ZdModel,
+    auto_certifier,
     distortion_profile,
 )
 from shiftlab.shiftlang import (
@@ -169,6 +174,32 @@ def test_unknown_word_lengths_are_skipped_not_trusted(full2):
     assert any("upper bounds" in note for note in report.notes)
 
 
+def test_logarithmic_word_lengths_carry_the_combined_constant():
+    # a in BS(1,2): r(phi^m) <= R*|a^m| <= R*C*log(m), C certified by the fit
+    bs2 = BS1nModel(2)
+    words = distortion_profile(
+        bs2, GeneratingSet.standard(bs2), (0, 1), 16, radius_max=6,
+        certifier=auto_certifier(bs2, WordExpr.parse("a")),
+    )
+    assert words.trend.kind == "logarithmic"
+    gens = {"a": RangeProfile.from_entries((1,)), "b": RangeProfile.from_entries((2,))}
+    report = range_vs_wordlength_audit(gens, log_staircase_profile(16), words)
+    assert report.verdict == CONSISTENT
+    assert report.distortion_log_constant == words.trend.constant_global
+    assert report.combined_range_constant == 2 * words.trend.constant_global
+    assert NATURAL_LOG_NOTE in report.notes
+
+
+def test_no_measured_word_length_is_not_applicable(full2):
+    sigma = range_profile(shift_power_code(full2, 1), 3)
+    entries = tuple(ProfileEntry(m, None, "lower", 2) for m in (1, 2, 3))
+    words = DistortionProfile(entries, None, "Inconclusive", 1)
+    report = range_vs_wordlength_audit({"shift": sigma}, sigma, words)
+    assert report.verdict == NOT_APPLICABLE
+    assert report.reason == "no power has a measured word length"
+    assert report.indices == () and report.max_generator_range == 1
+
+
 # -- entropy floor ----------------------------------------------------------------
 
 
@@ -275,6 +306,16 @@ def test_log_fit_accepts_any_explicit_root_but_selects_none(full2):
     report = polynomial_bound_audit(prof, complexity, 16)
     assert report.verdict == NOT_APPLICABLE
     assert "explicitly" in report.reason
+
+
+def test_loosely_linear_range_is_not_a_sublinear_power(fibonacci):
+    # within 10% of a line, yet below 95% of it at odd powers, so the
+    # positive-slope floor does not reject it first
+    prof = RangeProfile.from_entries((2, 2, 4, 4, 6, 6, 8, 8))
+    assert prof.classification != LINEAR_LOWER_BOUNDED
+    report = polynomial_bound_audit(prof, entropy_profile(fibonacci, 8), 8)
+    assert report.verdict == NOT_APPLICABLE
+    assert report.reason == "range profile fits 'linear', not a sublinear power"
 
 
 def test_polynomial_audit_argument_guards(full2):

@@ -122,6 +122,14 @@ def test_compose_commutes_for_flip_and_shift(full2):
     assert codes_equal(a, b)
 
 
+def test_codes_on_different_domains_differ(full2, golden):
+    # the identity has the same one-symbol table on both shifts
+    same = {"0": "0", "1": "1"}
+    a, b = symbol_map_code(full2, same), symbol_map_code(golden, same)
+    assert a.rule == b.rule
+    assert not codes_equal(a, b)
+
+
 def test_compose_requires_common_domain(full2, golden):
     with pytest.raises(ValueError):
         compose(flip(full2), shift_power_code(golden, 1))

@@ -259,6 +259,35 @@ class TestRun:
             b"word: u^7 t^7 u^-7 t^-7\nlength: 28\nlength_bound: 28\nverified: true\n",
         }
 
+    def test_no_inverse_and_growth_formula_records(self, tmp_path, capsys):
+        # majority of three is not injective, so no radius has an inverse
+        majority = {w: str(int(w.count("1") >= 2))
+                    for w in ("000", "001", "010", "011", "100", "101", "110", "111")}
+        runs = [
+            {"name": "majority", "operation": "inverse_search",
+             "params": {"code": "majority", "radius_cap": 2}},
+            {"name": "step", "operation": "growth_formula",
+             "params": {"formula": "min_growth_degree", "step": 3}},
+            {"name": "exponent", "operation": "growth_formula",
+             "params": {"formula": "embedding_step_bound", "complexity_exponent": 8}},
+        ]
+        doc = {"codes": {"majority": {"kind": "table", "domain": "full-2", "table": majority}},
+               "runs": runs, "out_dir": str(tmp_path / "out")}
+        status, _ = run_cli(capsys, "run", str(write_config(tmp_path, doc)))
+        assert status == 0
+        assert summary_rows(tmp_path / "out") == [
+            ["majority", "inverse_search", "none", "ok"],
+            ["step", "growth_formula", "7", "ok"],
+            ["exponent", "growth_formula", "2", "ok"],
+        ]
+        records = tree_bytes(tmp_path / "out")
+        del records["summary.csv"]
+        assert records == {
+            "majority.txt": b"radius_cap: 2\ninverse: none\n",
+            "step.txt": b"formula: min_growth_degree\nstep: 3\nvalue: 7\n",
+            "exponent.txt": b"formula: embedding_step_bound\ncomplexity_exponent: 8\nvalue: 2\n",
+        }
+
     def test_bad_bs_generator_is_an_error_row(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -509,6 +538,18 @@ class TestParameterErrors:
         "unbound-audit": ("element", "audit_range_word",
                           {"group": "z1", "element": "e2", "codes": {"step": "full-2/shift"},
                            "range_entries": [1, 2, 3], "depth": 3}),
+        # retired options: profiles always take the automatic certificates
+        "certificate-distortion": ("certificate", "distortion",
+                                   {"group": "bs-2", "element": "a", "depth": 4,
+                                    "certificate": "none"}),
+        "certificate-audit": ("certificate", "audit_range_word",
+                              {"group": "z1", "element": "e1",
+                               "codes": {"e1": "full-2/shift"},
+                               "range_entries": [1, 2, 3], "depth": 3,
+                               "certificate": "auto"}),
+        "tolerance": ("tolerance", "audit_entropy",
+                      {"shift": "full-2", "depth_complexity": 4,
+                       "range_entries": [1, 2, 3], "tolerance": 0.1}),
     }
 
     @pytest.fixture(params=sorted(CASES))

@@ -12,6 +12,7 @@ import pytest
 import shiftlab
 from shiftlab.blockcode import apply_to_word, codes_equal, shift_power_code
 from shiftlab.config import (
+    OPERATION_PARAMS,
     Budgets,
     ExperimentConfig,
     RunSpec,
@@ -381,6 +382,8 @@ class TestBuildGroup:
             ({"kind": "heisenberg"}, [True, 0, 0], "elements are lists of 3 integers"),
             ({"kind": "heisenberg"}, [0, 0, 1.0], "elements are lists of 3 integers"),
             ({"kind": "free_abelian", "rank": 2}, [1, False], "lists of 2 integers"),
+            ({"kind": "free_abelian", "rank": 2}, "1 0", "generator values must be lists"),
+            (BS, {"power": 1}, "generator values must be lists"),
         ],
     )
     def test_bad_element_entries_name_group(self, spec, value, message):
@@ -507,6 +510,45 @@ class TestCheckRun:
     def test_unknown_operation_rejected(self):
         with pytest.raises(ConfigError, match="uses unknown operation 'x'"):
             self.check("x")
+
+
+# Every parameter a run of each operation may set, its variants' and the
+# variant selector included.  A new run option doubles the configurations
+# the tests must cover, so adding one is a deliberate edit here.
+SETTABLE_PARAMS = {
+    "complexity": {"shift", "depth"},
+    "morse_hedlund": {"shift", "limit"},
+    "special_words": {"shift", "length", "side"},
+    "range_profile": {"code", "depth"},
+    "minimal_range": {"code"},
+    "inverse_search": {"code", "radius_cap"},
+    "endomorphism_check": {"code"},
+    "rectangle_complexity": {"shift", "code", "cols", "rows"},
+    "cyr_kra": {"shift", "code", "length", "height"},
+    "vertical_period": {"shift", "code", "length", "height"},
+    "coding_check": {"shift", "code", "length", "height", "cells_a", "cells_b"},
+    "ball_growth": {"group", "radius"},
+    "word_length": {"group", "element", "radius"},
+    "distortion": {"group", "element", "depth", "radius"},
+    "certificate": {"kind", "m", "base", "n"},
+    "growth_formula": {"formula", "ranks", "step", "complexity_exponent"},
+    "audit_range_word": {"group", "element", "depth", "codes", "radius", "range_entries",
+                         "element_code"},
+    "audit_entropy": {"shift", "depth_complexity", "range_entries", "code", "depth_range"},
+    "audit_polynomial": {"shift", "depth", "root", "require_sublinear", "range_entries",
+                         "code", "depth_range"},
+    "audit_shift_power": {"shift", "exponent", "depth"},
+}
+
+
+def test_settable_run_parameters_are_pinned():
+    settable = {
+        name: {p for params in (op.params, *op.variants.values()) for p in params}
+        | ({op.by} if op.by else set())
+        for name, op in OPERATION_PARAMS.items()
+    }
+    assert settable == SETTABLE_PARAMS
+    assert sum(map(len, settable.values())) == 70
 
 
 def test_config_loads_no_entry_or_runner_module():

@@ -1,10 +1,15 @@
 """Group models, word metrics, certificates, and growth formulas."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -126,6 +131,40 @@ def test_bs_translation_parts_canonicalized():
     assert inner == (0, Fraction(1, 2))
     outer = BS2.multiply(BS2.multiply(b, inner), BS2.inverse(b))
     assert outer == (0, 1) and isinstance(outer[1], int)
+
+
+# n^(10^12) would take about 200 GB, so under the 1 GB address-space cap
+# any power of n that scales a zero translation ends in a MemoryError, if
+# the timeout does not end it first
+HUGE_DILATIONS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from shiftlab.cli import main
+from shiftlab.grouplab import BS1nModel, WordExpr
+model, E = BS1nModel(3), 10**12
+for text, value in [(f"b^{E}", (E, 0)), (f"b^-{E}", (-E, 0)), (f"b^{E} b^-{E}", (0, 0))]:
+    assert WordExpr.parse(text).evaluate(model, model.generators()) == value, text
+assert model.inverse((E, 0)) == (-E, 0)
+assert model.multiply((E, 0), (E, 0)) == (2 * E, 0)
+assert model.multiply((E, 0), (-E, 0)) == (0, 0)
+sys.exit(main(["run", sys.argv[1]]))
+"""
+
+
+def test_huge_bs_dilations_raise_no_power_of_n(tmp_path):
+    far = {"name": "far", "operation": "word_length",
+           "params": {"group": "bs-3", "element": f"b^{10**12}", "radius": 4}}
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps({"runs": [far], "out_dir": str(tmp_path / "out")}))
+    src = Path(grouplab.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", HUGE_DILATIONS, str(config)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary[1] == "far,word_length,none,ok"
 
 
 @settings(max_examples=40, deadline=None)
@@ -482,6 +521,22 @@ def test_bs_target_finer_than_the_radius_is_missing():
     assert target not in ball
     assert (0, Fraction(1, 32)) not in ball  # b^-5 a b^5 has length 11
     assert ball[(-5, 0)] == 5 and ball[(0, Fraction(1, 2))] == 3
+    for key in [(0,), (0, 0, 0), "ab", (0, 0.5), (0, "1")]:
+        assert key not in ball and ball.get(key) is None
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [(ZdModel(2), {"h": (Fraction(1, 2), 0), "e2": (0, 1)}),
+     (HEIS, {"u": (Fraction(1, 2), 0, 0), "t": (0, 1, 0)})],
+    ids=["z2", "heisenberg"],
+)
+def test_non_int_generators_step_by_multiply(model, named):
+    # no packing box holds a half step, so the search multiplies instead
+    gens = GeneratingSet.from_named(model, named)
+    ball = cayley_ball(model, gens, 4)
+    assert type(ball) is dict
+    assert ball == cayley_ball_by_multiply(model, gens, 4, 10**6)
 
 
 def test_packed_ball_is_a_read_only_mapping():
@@ -577,6 +632,14 @@ def test_bs_profile_logarithmic():
         )
         assert prof.trend_class == "Logarithmic"
         assert prof.trend.constant_global > 0
+
+
+def test_auto_certifier_takes_positive_powers_of_the_distorted_generators():
+    assert auto_certifier(BS3, WordExpr.parse("a^2"))(5) == bs_horner_certificate(10, 3)
+    assert auto_certifier(HEIS, WordExpr.parse("s^3"))(4) == base_q_certificate(12)
+    for model, text in [(BS3, "a^-2"), (HEIS, "s^-1"), (BS3, "b"), (BS3, "a a"),
+                        (ZdModel(1), "e1")]:
+        assert auto_certifier(model, WordExpr.parse(text)) is None, text
 
 
 def test_distorted_element_powers_stay_distorted():

@@ -105,8 +105,8 @@ def test_periodic_flip_patches(orbit01):
 
 
 def test_patch_provenance_ignored_in_identity(full2):
-    a = SpacetimePatch(1, 1, ("0",), source_word="x", code_name="p")
-    b = SpacetimePatch(1, 1, ("0",), source_word="y", code_name="q")
+    a = SpacetimePatch(1, 1, ("0",), source_word="x")
+    b = SpacetimePatch(1, 1, ("0",), source_word="y")
     assert a == b and hash(a) == hash(b)
     assert a.as_text() == "0"
 
@@ -459,6 +459,16 @@ def test_cyr_kra_above_threshold(full2):
     assert verdict.status == "AboveThreshold"
     assert verdict.patch_count == 8
     assert not verdict.found
+
+
+def test_cyr_kra_below_threshold_without_a_vector():
+    # 2 patches of 2x2 meet the threshold 2*2/2, and every vector moves the
+    # lone 1 of one patch or the other onto a 0
+    patches = [SpacetimePatch(2, 2, ("00", "01")), SpacetimePatch(2, 2, ("00", "10"))]
+    verdict = cyr_kra_audit(patches, 2, 2)
+    assert verdict.status == "BelowThresholdNoVectorFound"
+    assert not verdict.found
+    assert (verdict.patch_count, verdict.threshold_doubled) == (2, 4)
 
 
 def test_cyr_kra_fibonacci_shift_diagonal(fibonacci):

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import oracles
 from shiftlab.blockcode import LINEAR_LOWER_BOUNDED, RangeProfile
-from shiftlab.trends import TrendFit, fit_trend, linear_floor, trend_label
+from shiftlab.trends import (
+    LOOSE_RESIDUAL,
+    TIGHT_LINEAR_RESIDUAL,
+    TrendFit,
+    fit_trend,
+    linear_floor,
+    trend_label,
+)
 
 
 def test_zero_data():
@@ -84,6 +91,14 @@ def test_exponential_data_inconclusive():
 def test_linear_with_mild_noise_still_linear():
     data = [2.0 * n + (0.3 if n % 2 else -0.3) for n in range(1, 25)]
     assert fit_trend(data).kind == "linear"
+
+
+def test_loosely_linear_data_falls_back_to_linear():
+    # the line misses by about 9%: too far for the tight linear test, and
+    # no log or root shape fits within the loose residual
+    fit = fit_trend([2, 2, 4, 4, 6, 6, 8, 8])
+    assert fit.kind == "linear"
+    assert TIGHT_LINEAR_RESIDUAL < fit.residual < LOOSE_RESIDUAL
 
 
 def test_minimum_data_requirement():
