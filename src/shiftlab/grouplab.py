@@ -7,6 +7,9 @@ polynomial product, and the solvable affine groups BS(1,n) as pairs
 makes Cayley-ball breadth-first search a genuine metric oracle, and the
 explicit certificate words (Horner words in BS(1,n), commutator words in
 Heisenberg) give certified upper bounds far beyond any searchable ball.
+Z^d over the basis ±e_i needs no search: word length there is the l1
+norm, so its balls are answered by formulas, and their state budget trips
+at the radius where the search's would.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, filterfalse, repeat
-from operator import add, mul
+from itertools import accumulate, chain, filterfalse, repeat
+from operator import add, mul, sub
 
 from .errors import (
     DEFAULT_BFS_STATES,
@@ -211,34 +214,44 @@ class BS1nModel(GroupModel):
         return super().power(a, e)
 
     def fold(self, tokens, binding):
-        """Horner's rule on ints: the product so far is (k, n^k * r).
+        """Horner's rule on ints: the product so far is (k, n^k * r * n^p).
 
-        A translation (0, m)^e adds m*e to r, and a dilation (d, 0)^e
-        scales r by n^(-d*e), so b^-e multiplies it by n^e and b^e divides
-        it.  A product that leaves the ints (a Fraction translation, an
-        inexact division, a final k < 0) or a generator mixing both parts
-        is left to the generic fold.
+        A translation (0, m)^e adds m*e to r * n^p, and a dilation (d, 0)^e
+        scales it by n^(-d*e): b^-e adds e to the pending exponent p, which
+        is only paid on the next translation or at the end, and b^e takes e
+        from p and divides r exactly by what p cannot cover.  A product
+        that leaves the ints (a Fraction translation, an inexact division,
+        a final k < 0) or a generator mixing both parts is left to the
+        generic fold.
         """
         n = self.n
-        k = r = 0
+        k = r = p = 0
         for name, e in tokens:
             dk, m = binding[name]
             if dk == 0 and type(m) is int:
+                if p:
+                    r *= n**p
+                    p = 0
                 r += m * e
             elif m == 0:
                 d = dk * e
-                if r and d < 0:
-                    r *= n**-d
-                elif r and d:
-                    r, rest = divmod(r, n**d)
-                    if rest:
-                        return super().fold(tokens, binding)
                 k += d
+                if r:
+                    p -= d
+                    if p < 0:
+                        # a nonzero r below n^-p in size is not divisible
+                        # by it, and the power would be wasted
+                        if r.bit_length() <= -p * (n.bit_length() - 1):
+                            return super().fold(tokens, binding)
+                        r, rest = divmod(r, n**-p)
+                        if rest:
+                            return super().fold(tokens, binding)
+                        p = 0
             else:
                 return super().fold(tokens, binding)
         if k < 0:
             return super().fold(tokens, binding)
-        return (k, r * n**k if r else 0)
+        return (k, r * n ** (k + p) if r else 0)
 
     def generators(self):
         return {"a": (0, 1), "b": (1, 0)}
@@ -360,7 +373,11 @@ def cayley_ball(
     that point were exact, but the partial ball is deliberately not
     returned.
 
-    The three built-in models search packed integer states (see
+    Z^d over the basis ±e_i, in any order and under any names, is not
+    searched: word length there is the l1 norm, and the ball is answered
+    by formulas (_L1Ball), with the same size, the same found keys and
+    the budget error at the same radius as the search.  The three
+    built-in models otherwise search packed integer states (see
     _PACKINGS): each generator moves a whole level at once, and the
     Mapping encodes lookup keys and decodes iterated ones.  BS(1,n) over
     its standard {a, b} is searched by left multiplication.  That gives
@@ -374,6 +391,8 @@ def cayley_ball(
     if gens.model != model:
         raise ValueError("generating set belongs to a different model")
     moves = [element for _, element in gens.labeled()]
+    if type(model) is ZdModel and _is_unit_basis(model, moves):
+        return _l1_ball(model.dimension, radius_max, state_budget, targets)
     packing = _PACKINGS.get(type(model))
     packed = packing(model, moves, radius_max) if packing else None
     if packed is None:
@@ -419,8 +438,6 @@ def _level_search(start, steps, radius_max: int, state_budget: int, wanted) -> d
             wanted = set(filterfalse(dist.__contains__, wanted))
             if not wanted:
                 return dist
-        if not nxt:
-            return dist
         frontier = nxt
     return dist
 
@@ -454,6 +471,103 @@ class _PackedBall(Mapping):
 
     def values(self):
         return self._dist.values()
+
+
+def _is_unit_basis(model: ZdModel, moves) -> bool:
+    """Are the moves exactly the int vectors ±e_1, .., ±e_d?"""
+    basis = model.generators().values()
+    units = {*basis, *map(model.inverse, basis)}
+    return (
+        len(moves) == len(units)
+        and all(isinstance(x, int) for g in moves for x in g)
+        and set(moves) == units
+    )
+
+
+def _l1_norm(g, dimension: int):
+    """The l1 norm of a d-tuple of ints (the keys _Box.encode takes), else None."""
+    if isinstance(g, tuple) and len(g) == dimension and all(isinstance(x, int) for x in g):
+        return sum(map(abs, g))
+    return None
+
+
+def _l1_ball_size(dimension: int, radius: int) -> int:
+    """|B(r)| of Z^d over ±e_i: sum over k of 2^k C(d,k) C(r,k).
+
+    A point with k nonzero coordinates picks them, their signs, and
+    positive absolute values summing to at most r, in C(r,k) ways.
+    """
+    return sum(
+        2**k * math.comb(dimension, k) * math.comb(radius, k)
+        for k in range(min(dimension, radius) + 1)
+    )
+
+
+def _l1_ball(dimension: int, radius_max: int, state_budget: int, targets) -> _L1Ball:
+    """The ball the level search would return for Z^d over ±e_i, unsearched.
+
+    The search stops at radius_max, or at the largest target norm once
+    every target lies inside it.  Its budget trips at the least radius
+    whose ball outgrows the cap, found by bisection, since a document's
+    radius is uncapped.
+    """
+    stop = radius_max
+    if targets is not None:
+        norms = [_l1_norm(g, dimension) for g in targets]
+        if None not in norms and max(norms, default=0) <= radius_max:
+            stop = max(norms, default=0)
+    cap = max(state_budget, 1)
+    over = bisect_right(range(stop + 1), cap, key=partial(_l1_ball_size, dimension))
+    if over <= stop:
+        raise BudgetExceededError(
+            "bfs states", state_budget, cap + 1, f"last completed radius {over - 1}"
+        )
+    return _L1Ball(dimension, stop)
+
+
+class _L1Ball(Mapping):
+    """Read-only {element: l1 norm} over the ball of radius r in Z^d.
+
+    Lookups take the keys _Box.encode takes; iteration enumerates the
+    lattice points, and values() yields each radius k |S(k)| times.
+    """
+
+    __slots__ = ("_dimension", "_radius")
+
+    def __init__(self, dimension: int, radius: int):
+        self._dimension, self._radius = dimension, radius
+
+    def __len__(self):
+        return _l1_ball_size(self._dimension, self._radius)
+
+    def __iter__(self):
+        return _l1_points(self._dimension, self._radius)
+
+    def __getitem__(self, key):
+        norm = self.get(key)
+        if norm is None:
+            raise KeyError(key)
+        return norm
+
+    def get(self, key, default=None):
+        norm = _l1_norm(key, self._dimension)
+        return default if norm is None or norm > self._radius else norm
+
+    def values(self):
+        radii = range(self._radius + 1)
+        balls = [_l1_ball_size(self._dimension, k) for k in radii]
+        shells = map(sub, balls, [0, *balls])
+        return chain.from_iterable(map(repeat, radii, shells))
+
+
+def _l1_points(dimension: int, radius: int):
+    """The points of Z^d with l1 norm at most radius, one by one."""
+    if dimension == 0:
+        yield ()
+        return
+    for x in range(-radius, radius + 1):
+        for rest in _l1_points(dimension - 1, radius - abs(x)):
+            yield (x, *rest)
 
 
 class _Box:

@@ -134,15 +134,18 @@ def test_bs_translation_parts_canonicalized():
 
 
 # n^(10^12) would take about 200 GB, so under the 1 GB address-space cap
-# any power of n that scales a zero translation ends in a MemoryError, if
-# the timeout does not end it first
+# any power of n that scales a zero translation, or that a unit translation
+# could not be divided by anyway, ends in a MemoryError, if the timeout
+# does not end it first
 HUGE_DILATIONS = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from shiftlab.cli import main
 from shiftlab.grouplab import BS1nModel, WordExpr
-model, E = BS1nModel(3), 10**12
-for text, value in [(f"b^{E}", (E, 0)), (f"b^-{E}", (-E, 0)), (f"b^{E} b^-{E}", (0, 0))]:
+model, E, F = BS1nModel(3), 10**12, 10**7
+for text, value in [(f"b^{E}", (E, 0)), (f"b^-{E}", (-E, 0)), (f"b^{E} b^-{E}", (0, 0)),
+                    (f"a b^{F}", (F, 1)), (f"a b^-{F}", (-F, 1)), (f"a b^{E}", (E, 1)),
+                    (f"a b^-{E}", (-E, 1))]:
     assert WordExpr.parse(text).evaluate(model, model.generators()) == value, text
 assert model.inverse((E, 0)) == (-E, 0)
 assert model.multiply((E, 0), (E, 0)) == (2 * E, 0)
@@ -289,6 +292,36 @@ def test_evaluate_matches_the_multiply_loop(case):
         assert str(raised.value) == str(exc)
         return
     got = word.evaluate(model, binding)
+    assert got == expected
+    assert list(map(type, got)) == list(map(type, expected))
+
+
+@st.composite
+def bs_mixed_words(draw):
+    """(model, tokens): a word over BS(1,2) or BS(1,3)'s {a, b} whose
+    dilations run far in both directions, so pending powers of n are
+    cancelled, paid on a translation, paid at the end, or left to the
+    generic fold."""
+    model = draw(st.sampled_from([BS2, BS3]))
+    token = st.tuples(st.just("a"), st.integers(-100, 100)) | st.tuples(
+        st.just("b"), st.integers(-40, 40)
+    )
+    return model, tuple(draw(st.lists(token, max_size=10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bs_mixed_words())
+@example((BS2, (("a", 1), ("b", -3), ("b", 5))))  # pending 3, then 2 over a unit
+@example((BS3, (("a", 9), ("b", -1), ("b", 3))))  # pending 1, then 9 / 3^2 exactly
+@example((BS3, (("a", 2), ("b", -4), ("a", 1), ("b", 4))))  # paid on a translation
+@example((BS2, (("b", 5), ("a", 3), ("b", -2))))  # paid at the end
+@example((BS3, (("a", 1), ("b", -30))))  # ends below 0, nothing paid
+@example((BS2, (("a", 8), ("b", -2), ("a", -32), ("b", 9))))  # r back to 0
+def test_bs_fold_matches_the_multiply_loop_on_mixed_words(case):
+    model, tokens = case
+    word = WordExpr(tokens)
+    got = word.evaluate(model, model.generators())
+    expected = evaluate_by_multiply(word, model, model.generators())
     assert got == expected
     assert list(map(type, got)) == list(map(type, expected))
 
@@ -451,6 +484,99 @@ def test_packed_search_matches_multiply_loop(group, radius, budget, data):
         assert ball.get(target) == expected.get(target)
 
 
+@st.composite
+def unit_bases(draw):
+    """Z^d, d = 1..4, over the basis ±e_i in a drawn order under drawn
+    names: each e_i or its inverse is listed, at times both."""
+    model = ZdModel(draw(st.integers(min_value=1, max_value=4)))
+    elements = []
+    for e in model.generators().values():
+        first, second = draw(st.permutations([e, model.inverse(e)]))
+        elements.append(first)
+        if draw(st.booleans()):
+            elements.append(second)
+    elements = draw(st.permutations(elements))
+    return model, GeneratingSet.from_named(model, {f"g{i}": g for i, g in enumerate(elements)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    unit_bases(),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=2) | st.integers(min_value=0, max_value=3000),
+    st.data(),
+)
+def test_unit_basis_ball_matches_the_search(basis, radius, budget, data):
+    model, gens = basis
+    d = model.dimension
+    # points inside the radius and beyond it, and keys that are no element
+    # (a wrong length, a Fraction entry) or look up like one (a bool entry)
+    point = st.tuples(*[st.integers(min_value=-radius - 2, max_value=radius + 2)] * d)
+    odd = st.sampled_from(
+        [(0,) * (d + 1), (Fraction(1, 2),) + (0,) * (d - 1), (True,) + (0,) * (d - 1)]
+    )
+    keys = st.lists(point | odd, max_size=4)
+    targets = data.draw(st.none() | st.just([model.identity()]) | keys)
+    probes = [*(targets or ()), *data.draw(keys)]
+    try:
+        expected = cayley_ball_by_multiply(model, gens, radius, budget, targets)
+    except BudgetExceededError as exc:
+        with pytest.raises(BudgetExceededError) as raised:
+            cayley_ball(model, gens, radius, budget, targets)
+        assert str(raised.value) == str(exc)
+        return
+    ball = cayley_ball(model, gens, radius, budget, targets)
+    assert isinstance(ball, grouplab._L1Ball)
+    assert len(ball) == len(expected)
+    assert dict(ball) == expected
+    assert sorted(ball.values()) == sorted(expected.values())
+    for key in probes:
+        assert ball.get(key) == expected.get(key)
+
+
+# a search of these balls would take hours and far more than the 1 GB cap;
+# |B(r)| = (2r+1)(2r^2+2r+3)/3 in Z^3 first exceeds the default budget at
+# r = 155
+UNSEARCHED_BALLS = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from shiftlab.errors import DEFAULT_BFS_STATES, BudgetExceededError
+from shiftlab.grouplab import GeneratingSet, ZdModel, bfs_word_length, cayley_ball
+z2, z3 = ZdModel(2), ZdModel(3)
+gens = GeneratingSet.standard(z3)
+start = time.perf_counter()
+assert bfs_word_length(z3, gens, (10**6, -5, 7), 2 * 10**6, state_budget=10**20) == 1000012
+big = cayley_ball(z2, GeneratingSet.standard(z2), 10**6, state_budget=10**20)
+assert len(big) == 2 * 10**12 + 2 * 10**6 + 1
+assert time.perf_counter() - start < 1
+over = 0
+while (2 * over + 1) * (2 * over * over + 2 * over + 3) // 3 <= DEFAULT_BFS_STATES:
+    over += 1
+assert over == 155
+start = time.perf_counter()
+try:
+    cayley_ball(z3, gens, 10**9)
+except BudgetExceededError as exc:
+    assert str(exc) == (
+        f"bfs states budget exceeded: needed {DEFAULT_BFS_STATES + 1}, "
+        f"limit {DEFAULT_BFS_STATES} (last completed radius {over - 1})"
+    ), exc
+else:
+    raise AssertionError("no budget error")
+assert time.perf_counter() - start < 1
+"""
+
+
+def test_unit_basis_balls_are_not_searched():
+    src = Path(grouplab.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", UNSEARCHED_BALLS],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 BS3_FRACTIONAL = GeneratingSet.from_named(BS3, {"a": (0, Fraction(1, 3)), "b": (1, 0)})
 
 # pinned from the state-at-a-time search: id -> (model, gens, radius,
@@ -559,7 +685,7 @@ def test_packed_ball_is_a_read_only_mapping():
     ids=["heisenberg-r16", "z3-r20", "z2-r60", "bs2-r9", "bs3-r8"],
 )
 def test_ball_sizes_of_the_word_metrics_searches(model, radius, size):
-    # the bfs_states work count: every state is searched once
+    # the bfs_states work count: the size of each ball the workload asks for
     assert len(cayley_ball(model, GeneratingSet.standard(model), radius)) == size
 
 
