@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from .config import _is_int, _require_object
-from .errors import DEFAULT_TABLE_BUDGET, ConfigError
+from .errors import DEFAULT_TABLE_BUDGET, MAX_FREE_ABELIAN_RANK, ConfigError
 
 if TYPE_CHECKING:
     from .blockcode import BlockCode
@@ -287,7 +287,10 @@ def build_group(name: str, spec: dict) -> tuple[GroupModel, GeneratingSet]:
 
     kind = _entry_kind("group", name, spec, _GROUP_FIELDS)
     if kind == "free_abelian":
-        model: GroupModel = ZdModel(_field("group", name, spec, "rank", _is_int, "an integer"))
+        rank = _field("group", name, spec, "rank",
+                      lambda v: _is_int(v) and 1 <= v <= MAX_FREE_ABELIAN_RANK,
+                      f"an integer from 1 to {MAX_FREE_ABELIAN_RANK}")
+        model: GroupModel = ZdModel(rank)
     elif kind == "heisenberg":
         model = HeisenbergModel()
     else:

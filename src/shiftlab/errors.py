@@ -10,6 +10,8 @@ DEFAULT_RADIUS = 14
 # ball_growth fits lines over radii max(2, radius // 2)..radius, and a line
 # needs two of them
 MIN_GROWTH_RADIUS = 3
+# Z^d builds d basis tuples of length d, so a document's rank is capped
+MAX_FREE_ABELIAN_RANK = 256
 
 
 class BudgetExceededError(RuntimeError):

@@ -219,10 +219,11 @@ class BS1nModel(GroupModel):
         A translation (0, m)^e adds m*e to r * n^p, and a dilation (d, 0)^e
         scales it by n^(-d*e): b^-e adds e to the pending exponent p, which
         is only paid on the next translation or at the end, and b^e takes e
-        from p and divides r exactly by what p cannot cover.  A product
-        that leaves the ints (a Fraction translation, an inexact division,
-        a final k < 0) or a generator mixing both parts is left to the
-        generic fold.
+        from p and divides r exactly by what p cannot cover.  The end
+        scales r once by n^(k+p), a Fraction when k+p < 0.  A product that
+        leaves the ints on the way (a Fraction translation, an inexact
+        division) or a generator mixing both parts is left to the generic
+        fold.
         """
         n = self.n
         k = r = p = 0
@@ -249,9 +250,7 @@ class BS1nModel(GroupModel):
                         p = 0
             else:
                 return super().fold(tokens, binding)
-        if k < 0:
-            return super().fold(tokens, binding)
-        return (k, r * n ** (k + p) if r else 0)
+        return (k, self._scale(k + p, r))
 
     def generators(self):
         return {"a": (0, 1), "b": (1, 0)}
@@ -376,15 +375,15 @@ def cayley_ball(
     Z^d over the basis ±e_i, in any order and under any names, is not
     searched: word length there is the l1 norm, and the ball is answered
     by formulas (_L1Ball), with the same size, the same found keys and
-    the budget error at the same radius as the search.  The three
-    built-in models otherwise search packed integer states (see
-    _PACKINGS): each generator moves a whole level at once, and the
-    Mapping encodes lookup keys and decodes iterated ones.  BS(1,n) over
-    its standard {a, b} is searched by left multiplication.  That gives
-    the same distances as right multiplication: both reach exactly the
-    products of r generators at level r, and B(r) = S^r either way.  Any
-    other model, a BS(1,n) set other than {a, b}, or a generator with a
-    non-int entry steps by model.multiply, and the ball is a plain dict.
+    the budget error at the same radius as the search.  The Heisenberg
+    group, and BS(1,n) over its standard {a, b}, search packed integer
+    states (see _PACKINGS): each generator moves a whole level at once,
+    and the Mapping encodes lookup keys and decodes iterated ones.
+    BS(1,n) is searched by left multiplication.  That gives the same
+    distances as right multiplication: both reach exactly the products of
+    r generators at level r, and B(r) = S^r either way.  Any other model
+    or set, Z^d over moves other than ±e_i included, or a generator with
+    a non-int entry steps by model.multiply, and the ball is a plain dict.
     """
     if radius_max < 0:
         raise ValueError("radius_max must be nonnegative")
@@ -394,7 +393,7 @@ def cayley_ball(
     if type(model) is ZdModel and _is_unit_basis(model, moves):
         return _l1_ball(model.dimension, radius_max, state_budget, targets)
     packing = _PACKINGS.get(type(model))
-    packed = packing(model, moves, radius_max) if packing else None
+    packed = packing(model, moves, radius_max, state_budget) if packing else None
     if packed is None:
         multiply = model.multiply
         steps = [
@@ -485,7 +484,7 @@ def _is_unit_basis(model: ZdModel, moves) -> bool:
 
 
 def _l1_norm(g, dimension: int):
-    """The l1 norm of a d-tuple of ints (the keys _Box.encode takes), else None."""
+    """The l1 norm of g when it is a d-tuple of isinstance ints, else None."""
     if isinstance(g, tuple) and len(g) == dimension and all(isinstance(x, int) for x in g):
         return sum(map(abs, g))
     return None
@@ -528,8 +527,9 @@ def _l1_ball(dimension: int, radius_max: int, state_budget: int, targets) -> _L1
 class _L1Ball(Mapping):
     """Read-only {element: l1 norm} over the ball of radius r in Z^d.
 
-    Lookups take the keys _Box.encode takes; iteration enumerates the
-    lattice points, and values() yields each radius k |S(k)| times.
+    Lookups find the d-tuples of isinstance ints, so (True, 0) finds
+    (1, 0); iteration enumerates the lattice points, and values() yields
+    each radius k |S(k)| times.
     """
 
     __slots__ = ("_dimension", "_radius")
@@ -604,40 +604,24 @@ class _Box:
         return tuple(coords)
 
 
-def _entry_reach(moves, radius: int):
-    """radius times the largest |entry| of the moves, None for a non-int entry."""
-    entries = [x for g in moves for x in g]
-    if not all(isinstance(x, int) for x in entries):
-        return None
-    return radius * max(map(abs, entries))
-
-
-def _zd_packing(model: ZdModel, moves, radius: int):
-    """Z^d, any generating set: every generator is a constant delta."""
-    reach = _entry_reach(moves, radius)
-    if reach is None:
-        return None
-    box = _Box([reach] * model.dimension)
-    steps = [partial(map, box.delta(g).__add__) for g in moves]
-    return box.centre, steps, box.encode, box.decode
-
-
 def _twisted_step(shift: int, coefficient: int, x_base: int, level):
     # packed % x_base is the x digit, x + reach
     x_digits = map(x_base.__rmod__, level)
     return map(add, map(shift.__add__, level), map(coefficient.__mul__, x_digits))
 
 
-def _heisenberg_packing(model: HeisenbergModel, moves, radius: int):
-    """Heisenberg, any generating set, by right multiplication.
+def _heisenberg_packing(model: HeisenbergModel, moves, radius: int, state_budget: int):
+    """Heisenberg, any int generating set, by right multiplication.
 
     (x,y,z)(a,b,c) = (x+a, y+b, z+c+x*b): a constant delta on the packed
-    (x, y, z) plus b*x on the z digit.  Within the radius |x|, |y| <= reach
-    and |z| <= reach + reach^2, each step adding at most c + |x*b|.
+    (x, y, z) plus b*x on the z digit.  With reach the radius times the
+    largest |entry|, |x|, |y| <= reach and |z| <= reach + reach^2 within
+    the radius, each step adding at most c + |x*b|.
     """
-    reach = _entry_reach(moves, radius)
-    if reach is None:
+    entries = [x for g in moves for x in g]
+    if not all(isinstance(x, int) for x in entries):
         return None
+    reach = radius * max(map(abs, entries))
     box = _Box([reach, reach, reach + reach * reach])
     _, x_base, z_weight = box.weights
     steps = []
@@ -650,7 +634,7 @@ def _heisenberg_packing(model: HeisenbergModel, moves, radius: int):
     return box.centre, steps, box.encode, box.decode
 
 
-def _bs_packing(model: BS1nModel, moves, radius: int):
+def _bs_packing(model: BS1nModel, moves, radius: int, state_budget: int):
     """BS(1,n) over {a, b}, by left multiplication.
 
     a^±1 (k, m) = (k, m ± 1), b (k, m) = (k+1, n*m), b^-1 (k, m) =
@@ -658,10 +642,16 @@ def _bs_packing(model: BS1nModel, moves, radius: int):
     integer, since m is a sum of ±n^e with e >= -R.  The state packs into
     M*width + n^(k+R) with width = n^(2R) + 1, so a^±1 adds ±n^R*width,
     b multiplies by n and b^-1 divides by n, exactly inside B(R).
+
+    R is the radius, but at most 3b - 2, b the bit length of the cap: the
+    2^b words b^j a^(e_j) b^-1 .. b^-1 a^(e_0), j = b - 1, e_i in {0, 1},
+    have length at most 3j + 1 and values sum e_i n^i, all distinct, so
+    the search raises before any state leaves the box.
     """
     n = model.n
     if set(moves) != {(0, 1), (0, -1), (1, 0), (-1, 0)}:
         return None
+    radius = min(radius, 3 * max(state_budget, 1).bit_length() - 2)
     scale = n**radius
     width = n ** (2 * radius) + 1
     exponent_of = {n**j: j - radius for j in range(2 * radius + 1)}
@@ -698,9 +688,10 @@ def _bs_packing(model: BS1nModel, moves, radius: int):
     return scale, steps, encode, decode
 
 
-# exact model type -> packing(model, moves, radius) giving (start, steps,
-# encode, decode), or None to step by model.multiply
-_PACKINGS = {ZdModel: _zd_packing, HeisenbergModel: _heisenberg_packing, BS1nModel: _bs_packing}
+# exact model type -> packing(model, moves, radius, state_budget) giving
+# (start, steps, encode, decode), or None to step by model.multiply.  Z^d
+# has none: its ±e_i balls are _L1Ball, and its other sets multiply
+_PACKINGS = {HeisenbergModel: _heisenberg_packing, BS1nModel: _bs_packing}
 
 
 def bfs_word_length(
@@ -895,13 +886,6 @@ def distortion_profile(
             entries.append(ProfileEntry(n, known[n], "bound", floor))
         else:
             entries.append(ProfileEntry(n, None, "lower", floor))
-
-    for n in exact:
-        for m in exact:
-            if n + m in exact and exact[n + m] > exact[n] + exact[m]:
-                raise ValueError(
-                    f"metric not subadditive at {n}+{m}: BFS is broken"
-                )
 
     values = [e.value for e in entries]
     if None not in values and len(values) >= 4:

@@ -397,6 +397,8 @@ class TestBuildGroup:
             ({"kind": "baumslag_solitar", "base": "2"}, "base must be an integer"),
             ({"kind": "free_abelian", "rank": True}, "rank must be an integer"),
             ({"kind": "free_abelian", "rank": 2.0}, "rank must be an integer"),
+            ({"kind": "free_abelian", "rank": 0}, "rank must be an integer from 1 to 256"),
+            ({"kind": "free_abelian", "rank": 257}, "rank must be an integer from 1 to 256"),
         ],
     )
     def test_non_integer_base_and_rank_name_group(self, spec, message):

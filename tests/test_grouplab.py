@@ -133,13 +133,28 @@ def test_bs_translation_parts_canonicalized():
     assert outer == (0, 1) and isinstance(outer[1], int)
 
 
+CAPPED = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+"""
+
+
+def _run_capped(script, *args):
+    """Run script in a child under a 1 GB address-space cap and a 30 s timeout."""
+    src = Path(grouplab.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED + script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=30,
+    )
+
+
 # n^(10^12) would take about 200 GB, so under the 1 GB address-space cap
 # any power of n that scales a zero translation, or that a unit translation
 # could not be divided by anyway, ends in a MemoryError, if the timeout
 # does not end it first
 HUGE_DILATIONS = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import sys
 from shiftlab.cli import main
 from shiftlab.grouplab import BS1nModel, WordExpr
 model, E, F = BS1nModel(3), 10**12, 10**7
@@ -159,12 +174,7 @@ def test_huge_bs_dilations_raise_no_power_of_n(tmp_path):
            "params": {"group": "bs-3", "element": f"b^{10**12}", "radius": 4}}
     config = tmp_path / "far.json"
     config.write_text(json.dumps({"runs": [far], "out_dir": str(tmp_path / "out")}))
-    src = Path(grouplab.__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-c", HUGE_DILATIONS, str(config)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=30,
-    )
+    result = _run_capped(HUGE_DILATIONS, config)
     assert result.returncode == 0, result.stderr
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert summary[1] == "far,word_length,none,ok"
@@ -317,6 +327,8 @@ def bs_mixed_words(draw):
 @example((BS2, (("b", 5), ("a", 3), ("b", -2))))  # paid at the end
 @example((BS3, (("a", 1), ("b", -30))))  # ends below 0, nothing paid
 @example((BS2, (("a", 8), ("b", -2), ("a", -32), ("b", 9))))  # r back to 0
+@example((BS2, (("a", 1), ("b", -3))))  # ends below 0 at an int, (-3, 1)
+@example((BS2, (("b", -2), ("a", 1))))  # ends below 0 at a Fraction, (-2, 1/4)
 def test_bs_fold_matches_the_multiply_loop_on_mixed_words(case):
     model, tokens = case
     word = WordExpr(tokens)
@@ -424,8 +436,9 @@ def test_metric_symmetry_and_triangle(gpair):
 @st.composite
 def generated_groups(draw):
     """A model of each kind with its standard set, that set renamed with an
-    explicit inverse, or up to three drawn generators.  Fractional BS
-    translations, and any BS set but {a, b}, take the generic search."""
+    explicit inverse, or up to three drawn generators.  Drawn Z^d sets,
+    fractional BS translations, and any BS set but {a, b}, step by
+    multiply; the standard and renamed Z^d sets are l1 balls."""
     kind = draw(st.sampled_from(["zd", "heisenberg", "bs"]))
     if kind == "zd":
         model = ZdModel(draw(st.integers(min_value=1, max_value=3)))
@@ -538,8 +551,7 @@ def test_unit_basis_ball_matches_the_search(basis, radius, budget, data):
 # |B(r)| = (2r+1)(2r^2+2r+3)/3 in Z^3 first exceeds the default budget at
 # r = 155
 UNSEARCHED_BALLS = """
-import resource, time
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import time
 from shiftlab.errors import DEFAULT_BFS_STATES, BudgetExceededError
 from shiftlab.grouplab import GeneratingSet, ZdModel, bfs_word_length, cayley_ball
 z2, z3 = ZdModel(2), ZdModel(3)
@@ -568,13 +580,46 @@ assert time.perf_counter() - start < 1
 
 
 def test_unit_basis_balls_are_not_searched():
-    src = Path(grouplab.__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-c", UNSEARCHED_BALLS],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=30,
-    )
+    result = _run_capped(UNSEARCHED_BALLS)
     assert result.returncode == 0, result.stderr
+
+
+# a BS(1,2) box for radius R holds ints of 2R bits and 2R + 1 powers of 2,
+# so a box sized by a radius of 10^5 or more fills the 1 GB cap before the
+# search trips its budget of 10 at radius 2
+BUDGET_SIZED_BOX = """
+import sys, time
+from shiftlab.cli import main
+from shiftlab.errors import BudgetExceededError
+from shiftlab.grouplab import BS1nModel, GeneratingSet, cayley_ball
+bs = BS1nModel(2)
+start = time.perf_counter()
+try:
+    cayley_ball(bs, GeneratingSet.standard(bs), 10**9, state_budget=10)
+except BudgetExceededError as exc:
+    assert str(exc).endswith("needed 11, limit 10 (last completed radius 1)"), exc
+else:
+    raise AssertionError("no budget error")
+main(["run", sys.argv[1]])
+assert time.perf_counter() - start < 1
+"""
+
+
+def test_bs_box_is_sized_by_the_budget(tmp_path):
+    runs = [
+        {"name": f"r{radius}", "operation": "word_length",
+         "params": {"group": "bs-2", "element": "a b", "radius": radius}}
+        for radius in (10**5, 10**9)
+    ]
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps(
+        {"budgets": {"bfs_states": 10}, "runs": runs, "out_dir": str(tmp_path / "out")}
+    ))
+    result = _run_capped(BUDGET_SIZED_BOX, config)
+    assert result.returncode == 0, result.stderr
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    error = '"error: bfs states budget exceeded: needed 11, limit 10 (last completed radius 1)"'
+    assert summary[1:] == [f"r{r},word_length,-,{error}" for r in (10**5, 10**9)]
 
 
 BS3_FRACTIONAL = GeneratingSet.from_named(BS3, {"a": (0, Fraction(1, 3)), "b": (1, 0)})
@@ -654,11 +699,13 @@ def test_bs_target_finer_than_the_radius_is_missing():
 @pytest.mark.parametrize(
     "model, named",
     [(ZdModel(2), {"h": (Fraction(1, 2), 0), "e2": (0, 1)}),
-     (HEIS, {"u": (Fraction(1, 2), 0, 0), "t": (0, 1, 0)})],
-    ids=["z2", "heisenberg"],
+     (HEIS, {"u": (Fraction(1, 2), 0, 0), "t": (0, 1, 0)}),
+     (ZdModel(2), {"h": (2, 0), "e2": (0, 1)})],
+    ids=["z2", "heisenberg", "z2-not-unit"],
 )
 def test_non_int_generators_step_by_multiply(model, named):
-    # no packing box holds a half step, so the search multiplies instead
+    # no packing box holds a half step, and Z^d has no packing, so the
+    # search multiplies instead
     gens = GeneratingSet.from_named(model, named)
     ball = cayley_ball(model, gens, 4)
     assert type(ball) is dict
@@ -910,6 +957,38 @@ def test_profile_rejects_closure_below_a_broken_ball(monkeypatch):
         distortion_profile(z1, GeneratingSet.standard(z1), (1,), 6, radius_max=9)
 
 
+@st.composite
+def exact_metrics(draw):
+    """(upper, exact, max_power): exact values on some powers up to 40,
+    linear in n or drawn freely, at times with exact[n + m] raised above
+    exact[n] + exact[m], and upper bounds holding them and some more."""
+    spec = draw(st.lists(st.sampled_from(["none", "upper", "exact"]), min_size=2, max_size=40))
+    linear = draw(st.booleans())
+    value = st.integers(0, 20)
+    exact = {n: n if linear else draw(value) for n, kind in enumerate(spec, 1) if kind == "exact"}
+    upper = {n: draw(value) for n, kind in enumerate(spec, 1) if kind == "upper"}
+    if draw(st.booleans()):
+        n = draw(st.integers(1, len(spec) - 1))
+        m = draw(st.integers(1, len(spec) - n))
+        for k in (n, m):
+            exact.setdefault(k, draw(value))
+        exact[n + m] = exact[n] + exact[m] + draw(st.integers(1, 5))
+    return {**upper, **exact}, exact, len(spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_metrics())
+@example(({1: 1, 3: 3, 4: 9}, {1: 1, 3: 3, 4: 9}, 6))
+@example(({2: 1, 4: 3}, {2: 1, 4: 3}, 4))  # 2 + 2
+def test_closure_refuses_an_exact_metric_that_is_not_subadditive(case):
+    # a split of exact powers is a bound, so the closure itself refuses
+    # exact[n + m] > exact[n] + exact[m], and the profile needs no pairwise check
+    upper, exact, max_power = case
+    if any(n + m in exact and exact[n + m] > exact[n] + exact[m] for n in exact for m in exact):
+        with pytest.raises(ValueError, match="beats the exact metric"):
+            grouplab._subadditive_closure(upper, exact, max_power)
+
+
 def test_profile_without_certificate_beyond_radius():
     # l(g) itself exceeds the radius and nothing can be concluded
     z1 = ZdModel(1)
@@ -989,6 +1068,16 @@ def test_certificates_evaluate_with_one_multiply_per_token(monkeypatch):
     assert calls[0] == 0
     assert GroupModel.fold(heis, word.tokens, heis.generators()) == (0, 0, n)
     assert calls[0] <= len(word.tokens) + 2
+
+
+def test_words_ending_below_0_fold_without_a_multiply(monkeypatch):
+    # work gate: the BS(1,n) fold scales r once at the end, a final k < 0
+    # included, so neither word takes the generic fold's products
+    calls = _count_multiplies(monkeypatch, BS2)
+    for text, value in [("a b^-3", (-3, 1)), ("b^-2 a", (-2, Fraction(1, 4)))]:
+        got = WordExpr.parse(text).evaluate(BS2, BS2.generators())
+        assert got == value and type(got[1]) is type(value[1])
+    assert calls[0] == 0
 
 
 def test_square_certificate_values():
