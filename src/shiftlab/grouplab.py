@@ -167,9 +167,10 @@ class BS1nModel(GroupModel):
     Elements are pairs (k, m) with k an integer and m in Z[1/n], composed
     by (k1,m1)(k2,m2) = (k1+k2, n^k1 * m2 + m1).  The translation part is
     kept as a plain int whenever it is integral and as a Fraction
-    otherwise.  Words are evaluated by fold, Horner's rule on ints
-    wherever the product stays integral.  A zero translation is never
-    scaled, so a huge dilation costs no power of n.
+    otherwise.  Words over integral generators are evaluated by fold,
+    Horner's rule on ints with one signed pending exponent, scaled once
+    at the end.  A zero translation is never scaled, so a huge dilation
+    costs no power of n.
     """
 
     def __init__(self, n: int):
@@ -214,40 +215,29 @@ class BS1nModel(GroupModel):
         return super().power(a, e)
 
     def fold(self, tokens, binding):
-        """Horner's rule on ints: the product so far is (k, n^k * r * n^p).
+        """Horner's rule on ints: the product so far is (k, r * n^(k+p)).
 
-        A translation (0, m)^e adds m*e to r * n^p, and a dilation (d, 0)^e
-        scales it by n^(-d*e): b^-e adds e to the pending exponent p, which
-        is only paid on the next translation or at the end, and b^e takes e
-        from p and divides r exactly by what p cannot cover.  The end
-        scales r once by n^(k+p), a Fraction when k+p < 0.  A product that
-        leaves the ints on the way (a Fraction translation, an inexact
-        division) or a generator mixing both parts is left to the generic
-        fold.
+        A translation (0, m)^e adds m*e*n^k to the translation: it first
+        pays a pending p > 0 into r, then adds m*e*n^-p to r.  A dilation
+        (d, 0)^e adds d*e to k and, while r is nonzero, takes d*e from p,
+        so the translation stays put; b^e after a translation leaves p
+        below 0 and divides nothing.  The end scales r once by n^(k+p), a
+        Fraction when k+p < 0, so a dilation alone takes no power of n.
+        A generator with a Fraction translation, or mixing both parts, is
+        left to the generic fold.
         """
         n = self.n
         k = r = p = 0
         for name, e in tokens:
             dk, m = binding[name]
             if dk == 0 and type(m) is int:
-                if p:
-                    r *= n**p
-                    p = 0
-                r += m * e
+                if p > 0:
+                    r, p = r * n**p, 0
+                r += m * e * n**-p
             elif m == 0:
-                d = dk * e
-                k += d
+                k += dk * e
                 if r:
-                    p -= d
-                    if p < 0:
-                        # a nonzero r below n^-p in size is not divisible
-                        # by it, and the power would be wasted
-                        if r.bit_length() <= -p * (n.bit_length() - 1):
-                            return super().fold(tokens, binding)
-                        r, rest = divmod(r, n**-p)
-                        if rest:
-                            return super().fold(tokens, binding)
-                        p = 0
+                    p -= dk * e
             else:
                 return super().fold(tokens, binding)
         return (k, self._scale(k + p, r))

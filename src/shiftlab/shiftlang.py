@@ -485,9 +485,10 @@ class PeriodicOrbit(_FactorShift):
         self.alphabet = Alphabet.of(sorted(set(seed)))
         r = (seed + seed).index(seed, 1)
         root = seed[:r] if r < len(seed) else seed
-        rotations = [root[i:] + root[:i] for i in range(len(root))]
-        self.seed = min(rotations, key=self.alphabet.word_key)
-        self.period = len(self.seed)
+        # the alphabet is the sorted letters, so its order is the string order
+        twice, p = root + root, len(root)
+        start = min(range(p), key=lambda i: twice[i : i + p])
+        self.seed, self.period = twice[start : start + p], p
 
     def _text_of(self, depth):
         return self.seed * -(-(depth + self.period - 1) // self.period)

@@ -69,8 +69,9 @@ def build_patches(
     lookup in the code's image table (blockcode._Images), its row is the
     number of its central n-window, and patches are deduplicated as tuples
     of numbers.  Only kept patches are spelled, from the generating words'
-    central windows, which are all the legal n-words.  Words with an image
-    outside the language are slid instead, raising what sliding raises.
+    central windows, which are all the legal n-words.  A family with an
+    image outside the language is slid whole instead, raising what sliding
+    raises: a word whose images all stay legal slides to the same rows.
     The family is kept in `code.derived`.
     """
     if n < 1 or k < 1:
@@ -96,14 +97,13 @@ def _patches(
         # an illegal image is its length's sink, which maps to the next one's
         img, m = images.of_length(m), m - 2 * r
         levels.append(list(map((img + [index(m).count]).__getitem__, levels[-1])))
-    sink, slid = index(m).count, {}
-    if sink in levels[-1]:
-        # slid words keep placeholder numbers until their rows are known
-        for i, last in enumerate(levels[-1]):
-            if last == sink:
-                slid[i] = _slide(phi, words[i], n, k)
-                for level in levels[1:]:
-                    level[i] = 0
+    if index(m).count in levels[-1]:
+        # an image left the language: slide the whole family, raising what
+        # sliding raises, and keep each patch's first word
+        family = {}
+        for word in words:
+            family.setdefault(_slide(phi, word, n, k), word)
+        return tuple(map(SpacetimePatch, repeat(n), repeat(k), family, family.values()))
     rows, centre, width = [], range(index(n).count), n
     for level in reversed(levels):
         while width < n + 2 * r * len(rows):
@@ -113,17 +113,12 @@ def _patches(
         rows.insert(0, list(map(centre.__getitem__, level)))
     top = (k - 1) * r
     spell = dict(zip(rows[0], map(itemgetter(slice(top, top + n)), words)))
-    number = {word: x for x, word in spell.items()} if slid else {}
-    for i, slid_rows in slid.items():
-        # a row outside the language stays a string, equal to no number
-        for row, word in zip(rows, slid_rows):
-            row[i] = number.get(word, word)
     # walking back, the number stored last for each patch is its first word's
     first = dict(zip(zip(*map(reversed, rows)), range(len(words) - 1, -1, -1)))
     kept = sorted(first.values())
     picked = [list(map(row.__getitem__, kept)) for row in rows]
-    cells, sources = zip(*[map(spell.get, xs, xs) for xs in picked]), map(words.__getitem__, kept)
-    return tuple(map(SpacetimePatch, repeat(n), repeat(k), cells, sources))
+    cells = zip(*[map(spell.__getitem__, xs) for xs in picked])
+    return tuple(map(SpacetimePatch, repeat(n), repeat(k), cells, map(words.__getitem__, kept)))
 
 
 def _slide(phi: BlockCode, word: str, n: int, k: int) -> tuple[str, ...]:

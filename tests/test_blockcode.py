@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab import blockcode
 from shiftlab.blockcode import (
     BlockCode,
     IllegalWindowError,
@@ -248,6 +249,18 @@ def test_inverse_radius_cap_respected(full2):
     assert inverse_search(s2, 1) is None
     inv = inverse_search(s2, 2)
     assert inv is not None and codes_equal(inv, shift_power_code(full2, -2))
+
+
+def test_a_found_inverse_is_composed_once(full2, golden, monkeypatch):
+    # work gate: a table that passes the checks makes psi after phi the
+    # identity by construction, so only phi after psi is composed
+    calls = []
+    monkeypatch.setattr(blockcode, "compose", lambda *args: calls.append(args) or compose(*args))
+    for code, radius in [(flip(full2), 0), (shift_power_code(golden, 1), 1),
+                         (shift_power_code(full2, 2), 2)]:
+        calls.clear()
+        inv = inverse_search(code, radius)
+        assert [(outer.rule, inner) for outer, inner, _ in calls] == [(code.rule, inv)]
 
 
 # -- range profiles --------------------------------------------------------------

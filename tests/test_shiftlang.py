@@ -1,5 +1,6 @@
 """Language-level behavior of the four presentation kinds."""
 
+import json
 import math
 import os
 import re
@@ -371,6 +372,36 @@ def test_periodic_seed_normalization():
     assert a.seed == b.seed == "01"
     assert a == b
     assert a.period == 2
+
+
+# all p rotations of a 100000-letter seed would take 10^10 letters, so under
+# a 1 GB address-space cap building them ends in a MemoryError
+LONG_SEED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from shiftlab.cli import main
+main(["validate", sys.argv[1]])
+sys.exit(main(["run", sys.argv[1]]))
+"""
+
+
+def test_a_long_periodic_seed_is_normalized_in_linear_memory(tmp_path):
+    seed = "1" + "0" * 50000 + "2" + "0" * 49998
+    run = {"name": "long", "operation": "complexity", "params": {"shift": "long", "depth": 3}}
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps({"shifts": {"long": {"kind": "periodic", "seed": seed}},
+                                  "runs": [run], "out_dir": str(tmp_path / "out")}))
+    src = Path(shiftlang.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", LONG_SEED, str(config)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "ok: 1 shifts, 0 codes, 0 groups, 1 runs"
+    rows = (tmp_path / "out" / "long.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == [
+        len(periodic_words(seed, n)) for n in (1, 2, 3)
+    ] == [3, 5, 7]
 
 
 def test_periodic_words_frozen_example():

@@ -3,7 +3,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import build_patches_by_slide, rectangle_sweep
 
@@ -231,8 +231,14 @@ def _sft_codes(draw):
     return domain, draw(_codes(domain, 1))
 
 
+GOLDEN = SftForbidden(BINARY, ["11"])
+LEFT_FLIP = {"000": "1", "001": "1", "010": "1", "100": "0", "101": "0"}
+
+
 @settings(max_examples=40, deadline=None)
 @given(_sft_codes(), st.integers(1, 4), st.integers(1, 3), BUDGETS)
+# the top row over 00000 is 111: the family is slid whole and returns it
+@example((GOLDEN, code_from_table(GOLDEN, 1, LEFT_FLIP)), 3, 2, 5000)
 def test_sft_patches_match_slide(case, n, k, budget):
     _assert_matches_slide(*case, n, k, budget)
 
@@ -258,21 +264,17 @@ def test_thue_morse_and_periodic_patches_match_slide(data, domain, n, k, budget)
     _assert_matches_slide(domain, code, n, k, budget)
 
 
-LEFT_FLIP = {"000": "1", "001": "1", "010": "1", "100": "0", "101": "0"}
-
-
 @pytest.mark.parametrize("n, k, budget", [(3, 3, 5000), (2, 4, 5000), (3, 3, 20), (3, 3, 10)])
 def test_non_endomorphism_raises_like_slide(n, k, budget):
     # the image of 00000 is 111, which leaves the golden mean shift
-    golden = SftForbidden(BINARY, ["11"])
-    code = code_from_table(golden, 1, LEFT_FLIP)
+    code = code_from_table(GOLDEN, 1, LEFT_FLIP)
     with pytest.raises(IllegalWindowError) as slide:
-        build_patches_by_slide(golden, code, n, k)
-    assert _outcome(_patch_family, golden, code, n, k, 5000) == (
+        build_patches_by_slide(GOLDEN, code, n, k)
+    assert _outcome(_patch_family, GOLDEN, code, n, k, 5000) == (
         IllegalWindowError, str(slide.value)
     )
-    assert _outcome(rectangle_counts, golden, code, n, k, budget) == _outcome(
-        build_patches_by_slide, golden, code, n, k, budget
+    assert _outcome(rectangle_counts, GOLDEN, code, n, k, budget) == _outcome(
+        build_patches_by_slide, GOLDEN, code, n, k, budget
     )
 
 
