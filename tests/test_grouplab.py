@@ -1086,6 +1086,16 @@ def test_certificates_evaluate_with_one_multiply_per_token(monkeypatch):
     assert calls[0] <= len(word.tokens) + 2
 
 
+def test_words_ending_below_0_fold_without_a_multiply(monkeypatch):
+    # work gate: the BS(1,n) fold scales r once at the end, a final k < 0
+    # included, so neither word takes the generic fold's products
+    calls = _count_multiplies(monkeypatch, BS2)
+    for text, value in [("a b^-3", (-3, 1)), ("b^-2 a", (-2, Fraction(1, 4)))]:
+        got = WordExpr.parse(text).evaluate(BS2, BS2.generators())
+        assert got == value and type(got[1]) is type(value[1])
+    assert calls[0] == 0
+
+
 def test_square_certificate_values():
     assert heisenberg_square_certificate(0).length == 0
     assert heisenberg_square_certificate(1).evaluate(HEIS, HEIS.generators()) == (0, 0, 1)
