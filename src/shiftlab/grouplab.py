@@ -217,8 +217,9 @@ class BS1nModel(GroupModel):
     def fold(self, tokens, binding):
         """Horner's rule on ints: the product so far is (k, r * n^(k+p)).
 
-        A translation (0, m)^e adds m*e*n^k to the translation: it first
-        pays a pending p > 0 into r, then adds m*e*n^-p to r.  A dilation
+        A translation (0, m)^e with m*e nonzero adds m*e*n^k to the
+        translation: it first pays a pending p > 0 into r, then adds
+        m*e*n^-p to r; one that adds nothing pays nothing.  A dilation
         (d, 0)^e adds d*e to k and, while r is nonzero, takes d*e from p,
         so the translation stays put; b^e after a translation leaves p
         below 0 and divides nothing.  The end scales r once by n^(k+p), a
@@ -231,9 +232,10 @@ class BS1nModel(GroupModel):
         for name, e in tokens:
             dk, m = binding[name]
             if dk == 0 and type(m) is int:
-                if p > 0:
-                    r, p = r * n**p, 0
-                r += m * e * n**-p
+                if m * e:
+                    if p > 0:
+                        r, p = r * n**p, 0
+                    r += m * e * n**-p
             elif m == 0:
                 k += dk * e
                 if r:

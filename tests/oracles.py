@@ -3,16 +3,22 @@
 Everything here is deliberately naive: filter all strings, iterate rules
 to a long prefix, enumerate rotations.  The implementations under test are
 compared against these on small inputs, and frozen constants in the tests
-were produced by these functions once and pinned.
+were produced by these functions once and pinned.  run_capped runs a
+script in a child under a memory cap, for tests that a runaway power of n
+or a quadratic buffer must fail rather than slow down.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from pathlib import Path
 
+import shiftlab
 from shiftlab.blockcode import (
     LINEAR_LOWER_BOUNDED,
     SUBLINEAR_TREND,
@@ -492,3 +498,19 @@ def execute_each_run_alone(config, base_dir: Path) -> tuple[int, str]:
         status, summary = max(status, alone), summary + text.split("\n", 1)[1]
     (Path(config.out_dir) / "summary.csv").write_text(summary)
     return status, summary
+
+
+CAPPED = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+"""
+
+
+def run_capped(script: str, *args, timeout: float = 30):
+    """Run script in a child under a 1 GB address-space cap and a timeout."""
+    src = Path(shiftlab.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED + script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=timeout,
+    )

@@ -2,14 +2,10 @@
 
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +41,7 @@ from oracles import (
     embedding_step_bound_by_loop,
     evaluate_by_multiply,
     power_by_squaring,
+    run_capped,
     subadditive_closure_loop,
 )
 
@@ -133,26 +130,10 @@ def test_bs_translation_parts_canonicalized():
     assert outer == (0, 1) and isinstance(outer[1], int)
 
 
-CAPPED = """
-import resource
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-"""
-
-
-def _run_capped(script, *args):
-    """Run script in a child under a 1 GB address-space cap and a 30 s timeout."""
-    src = Path(grouplab.__file__).resolve().parent.parent
-    return subprocess.run(
-        [sys.executable, "-c", CAPPED + script, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=30,
-    )
-
-
 # n^(10^12) would take about 200 GB, so under the 1 GB address-space cap
-# any power of n that scales a zero translation, or that a dilation after a
-# translation pays before the end, ends in a MemoryError, if the timeout
-# does not end it first
+# any power of n that scales a zero translation, that a token adding nothing
+# pays, or that a dilation after a translation pays before the end, ends in a
+# MemoryError, if the timeout does not end it first
 HUGE_DILATIONS = """
 import sys
 from shiftlab.cli import main
@@ -160,7 +141,8 @@ from shiftlab.grouplab import BS1nModel, WordExpr
 model, E, F = BS1nModel(3), 10**12, 10**7
 for text, value in [(f"b^{E}", (E, 0)), (f"b^-{E}", (-E, 0)), (f"b^{E} b^-{E}", (0, 0)),
                     (f"a b^{F}", (F, 1)), (f"a b^-{F}", (-F, 1)), (f"a b^{E}", (E, 1)),
-                    (f"a b^-{E}", (-E, 1)), (f"a^3 b^{F}", (F, 3)), (f"a b^{E} b^-{E}", (0, 1))]:
+                    (f"a b^-{E}", (-E, 1)), (f"a^3 b^{F}", (F, 3)), (f"a b^{E} b^-{E}", (0, 1)),
+                    (f"a b^{E} a^0", (E, 1)), (f"a b^-{E} a^0", (-E, 1))]:
     assert WordExpr.parse(text).evaluate(model, model.generators()) == value, text
 assert model.inverse((E, 0)) == (-E, 0)
 assert model.multiply((E, 0), (E, 0)) == (2 * E, 0)
@@ -174,7 +156,7 @@ def test_huge_bs_dilations_raise_no_power_of_n(tmp_path):
            "params": {"group": "bs-3", "element": f"b^{10**12}", "radius": 4}}
     config = tmp_path / "far.json"
     config.write_text(json.dumps({"runs": [far], "out_dir": str(tmp_path / "out")}))
-    result = _run_capped(HUGE_DILATIONS, config)
+    result = run_capped(HUGE_DILATIONS, config)
     assert result.returncode == 0, result.stderr
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert summary[1] == "far,word_length,none,ok"
@@ -596,7 +578,7 @@ assert time.perf_counter() - start < 1
 
 
 def test_unit_basis_balls_are_not_searched():
-    result = _run_capped(UNSEARCHED_BALLS)
+    result = run_capped(UNSEARCHED_BALLS)
     assert result.returncode == 0, result.stderr
 
 
@@ -631,7 +613,7 @@ def test_bs_box_is_sized_by_the_budget(tmp_path):
     config.write_text(json.dumps(
         {"budgets": {"bfs_states": 10}, "runs": runs, "out_dir": str(tmp_path / "out")}
     ))
-    result = _run_capped(BUDGET_SIZED_BOX, config)
+    result = run_capped(BUDGET_SIZED_BOX, config)
     assert result.returncode == 0, result.stderr
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     error = '"error: bfs states budget exceeded: needed 11, limit 10 (last completed radius 1)"'
