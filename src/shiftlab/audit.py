@@ -236,19 +236,16 @@ def range_vs_wordlength_audit(
 def entropy_bound_audit(
     range_prof: RangeProfile,
     complexity_prof: ComplexityProfile,
-    tolerance: float = DEFAULT_ENTROPY_TOLERANCE,
 ) -> AuditReport:
     """Check the entropy floor 1/(2R) against the complexity profile.
 
     Applies only when the range profile of the automorphism fits R*log(m)
     (natural log) and the automorphism shows no finite-order evidence; the
     fitted all-m constant R then forces every entropy estimate log(P(n))/n
-    to sit above (1 - tolerance)/(2R).  Zero-entropy presentations are
-    expected to reach NotApplicable because no honest automorphism on them
-    sustains a logarithmic range profile.
+    to sit above (1 - DEFAULT_ENTROPY_TOLERANCE)/(2R).  Zero-entropy
+    presentations are expected to reach NotApplicable because no honest
+    automorphism on them sustains a logarithmic range profile.
     """
-    if not 0 <= tolerance < 1:
-        raise ValueError("tolerance must lie in [0, 1)")
     finite = _finite_order_report(ENTROPY_VS_LOG_RANGE, range_prof.entries)
     if finite is not None:
         return finite
@@ -259,14 +256,14 @@ def entropy_bound_audit(
         )
 
     constant = fit.constant_global
-    threshold = (1.0 - tolerance) / (2.0 * constant)
+    threshold = (1.0 - DEFAULT_ENTROPY_TOLERANCE) / (2.0 * constant)
     estimates = complexity_prof.entropy_estimates
     count = len(estimates)
     low = min(range(count), key=estimates.__getitem__)
     notes = [
         NATURAL_LOG_NOTE,
-        f"range constant enforced pointwise over every measured power m >= 2",
-        f"relative tolerance {tolerance} on the fitted constant",
+        "range constant enforced pointwise over every measured power m >= 2",
+        f"relative tolerance {DEFAULT_ENTROPY_TOLERANCE} on the fitted constant",
     ]
     if fit.constant_global > fit.constant_tail * (1 + 1e-9):
         notes.append(

@@ -21,8 +21,8 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, filterfalse, repeat
-from operator import add, mul, sub
+from itertools import chain, filterfalse, repeat
+from operator import add, sub
 
 from .errors import (
     DEFAULT_BFS_STATES,
@@ -369,8 +369,9 @@ def cayley_ball(
     by formulas (_L1Ball), with the same size, the same found keys and
     the budget error at the same radius as the search.  The Heisenberg
     group, and BS(1,n) over its standard {a, b}, search packed integer
-    states (see _PACKINGS): each generator moves a whole level at once,
-    and the Mapping encodes lookup keys and decodes iterated ones.
+    states (_heisenberg_packing, _bs_packing): each generator moves a
+    whole level at once, and the Mapping encodes lookup keys and decodes
+    iterated ones.
     BS(1,n) is searched by left multiplication.  That gives the same
     distances as right multiplication: both reach exactly the products of
     r generators at level r, and B(r) = S^r either way.  Any other model
@@ -384,8 +385,11 @@ def cayley_ball(
     moves = [element for _, element in gens.labeled()]
     if type(model) is ZdModel and _is_unit_basis(model, moves):
         return _l1_ball(model.dimension, radius_max, state_budget, targets)
-    packing = _PACKINGS.get(type(model))
-    packed = packing(model, moves, radius_max, state_budget) if packing else None
+    packed = None
+    if type(model) is HeisenbergModel:
+        packed = _heisenberg_packing(moves, radius_max)
+    elif type(model) is BS1nModel:
+        packed = _bs_packing(model.n, moves, radius_max, state_budget)
     if packed is None:
         multiply = model.multiply
         steps = [
@@ -562,71 +566,57 @@ def _l1_points(dimension: int, radius: int):
             yield (x, *rest)
 
 
-class _Box:
-    """Integer tuples with |coordinate i| <= reach[i], packed into one int.
-
-    Coordinate i is a digit of base 2*reach[i] + 1 offset by reach[i], the
-    first coordinate least significant, so adding delta(g) to a packed
-    state adds g coordinatewise while the sum stays in the box.
-    """
-
-    def __init__(self, reach):
-        self.reach = tuple(reach)
-        self.bases = [2 * r + 1 for r in self.reach]
-        self.weights = list(accumulate(self.bases[:-1], mul, initial=1))
-        self.centre = self.delta(self.reach)
-
-    def delta(self, g) -> int:
-        return sum(map(mul, g, self.weights))
-
-    def encode(self, g):
-        if (
-            isinstance(g, tuple)
-            and len(g) == len(self.reach)
-            and all(isinstance(x, int) and -r <= x <= r for x, r in zip(g, self.reach))
-        ):
-            return self.centre + self.delta(g)
-        return None
-
-    def decode(self, packed: int) -> tuple:
-        coords = []
-        for base, r in zip(self.bases, self.reach):
-            packed, digit = divmod(packed, base)
-            coords.append(digit - r)
-        return tuple(coords)
-
-
 def _twisted_step(shift: int, coefficient: int, x_base: int, level):
     # packed % x_base is the x digit, x + reach
     x_digits = map(x_base.__rmod__, level)
     return map(add, map(shift.__add__, level), map(coefficient.__mul__, x_digits))
 
 
-def _heisenberg_packing(model: HeisenbergModel, moves, radius: int, state_budget: int):
+def _heisenberg_packing(moves, radius: int):
     """Heisenberg, any int generating set, by right multiplication.
 
-    (x,y,z)(a,b,c) = (x+a, y+b, z+c+x*b): a constant delta on the packed
-    (x, y, z) plus b*x on the z digit.  With reach the radius times the
-    largest |entry|, |x|, |y| <= reach and |z| <= reach + reach^2 within
-    the radius, each step adding at most c + |x*b|.
+    With reach R the radius times the largest |entry|, every element of
+    the ball has |x|, |y| <= R and |z| <= R + R^2, so (x, y, z) packs into
+    the digits x + R, y + R and z + R + R^2 of base w = 2R + 1, x least
+    significant: encode adds x + y*w + z*w^2 to the packed identity and
+    decode reads the three digits back.  (x,y,z)(a,b,c) = (x+a, y+b,
+    z+c+x*b) adds the constant a + b*w + c*w^2 - b*R*w^2 plus b*w^2 times
+    the x digit, each step staying inside those bounds within the radius.
     """
     entries = [x for g in moves for x in g]
     if not all(isinstance(x, int) for x in entries):
         return None
     reach = radius * max(map(abs, entries))
-    box = _Box([reach, reach, reach + reach * reach])
-    _, x_base, z_weight = box.weights
+    z_reach = reach + reach * reach
+    w = 2 * reach + 1
+    z_weight = w * w
+    reaches = (reach, reach, z_reach)
+    centre = reach + reach * w + z_reach * z_weight
     steps = []
     for a, b, c in moves:
-        shift = box.delta((a, b, c)) - b * reach * z_weight
+        shift = a + b * w + c * z_weight - b * reach * z_weight
         if b:
-            steps.append(partial(_twisted_step, shift, b * z_weight, x_base))
+            steps.append(partial(_twisted_step, shift, b * z_weight, w))
         else:
             steps.append(partial(map, shift.__add__))
-    return box.centre, steps, box.encode, box.decode
+
+    def encode(g):
+        if not (isinstance(g, tuple) and len(g) == 3):
+            return None
+        if not all(isinstance(x, int) and -r <= x <= r for x, r in zip(g, reaches)):
+            return None
+        x, y, z = g
+        return centre + x + y * w + z * z_weight
+
+    def decode(packed: int) -> tuple:
+        high, x = divmod(packed, w)
+        z, y = divmod(high, w)
+        return x - reach, y - reach, z - z_reach
+
+    return centre, steps, encode, decode
 
 
-def _bs_packing(model: BS1nModel, moves, radius: int, state_budget: int):
+def _bs_packing(n: int, moves, radius: int, state_budget: int):
     """BS(1,n) over {a, b}, by left multiplication.
 
     a^±1 (k, m) = (k, m ± 1), b (k, m) = (k+1, n*m), b^-1 (k, m) =
@@ -640,7 +630,6 @@ def _bs_packing(model: BS1nModel, moves, radius: int, state_budget: int):
     have length at most 3j + 1 and values sum e_i n^i, all distinct, so
     the search raises before any state leaves the box.
     """
-    n = model.n
     if set(moves) != {(0, 1), (0, -1), (1, 0), (-1, 0)}:
         return None
     radius = min(radius, 3 * max(state_budget, 1).bit_length() - 2)
@@ -678,12 +667,6 @@ def _bs_packing(model: BS1nModel, moves, radius: int, state_budget: int):
 
     # the identity (0, 0) packs to n^R
     return scale, steps, encode, decode
-
-
-# exact model type -> packing(model, moves, radius, state_budget) giving
-# (start, steps, encode, decode), or None to step by model.multiply.  Z^d
-# has none: its ±e_i balls are _L1Ball, and its other sets multiply
-_PACKINGS = {HeisenbergModel: _heisenberg_packing, BS1nModel: _bs_packing}
 
 
 def bfs_word_length(
@@ -822,13 +805,14 @@ def distortion_profile(
 
     BFS supplies exact values inside the radius; a certifier (n -> WordExpr
     over the generating set's names) supplies upper bounds everywhere and
-    is validated against the model both for its target and, where BFS is
-    exact, for dominance.  Upper bounds are then closed under the metric's
-    subadditivity (the cheapest split g^n = g^k g^(n-k) is itself a
-    certificate), which also extrapolates past the ball when n = 1 is
-    known.  The trend is fitted on the closed upper sequence when it is
-    complete; a certified answer about shape therefore never depends on
-    where the ball search gave up.
+    is validated against the model for its target.  Upper bounds are then
+    closed under the metric's subadditivity (the cheapest split g^n =
+    g^k g^(n-k) is itself a certificate), which also extrapolates past the
+    ball when n = 1 is known.  The closure alone refuses a bound below an
+    exact value, a certificate shorter than the ball's distance included.
+    The trend is fitted on the closed upper sequence when it is complete;
+    a certified answer about shape therefore never depends on where the
+    ball search gave up.
     """
     if max_power < 1:
         raise ValueError("profile needs max_power >= 1")
@@ -858,14 +842,7 @@ def distortion_profile(
             value = word.evaluate(model, binding)
             if value != element:
                 raise ValueError(f"certificate for power {n} evaluates to {value!r}")
-            length = word.length
-            if n in exact and length < exact[n]:
-                raise ValueError(
-                    f"certificate length {length} beats the exact metric {exact[n]} "
-                    f"at power {n}: unsound"
-                )
-            if n not in exact:
-                upper[n] = length
+            upper[n] = min(upper.get(n, math.inf), word.length)
 
     known = _subadditive_closure(upper, exact, max_power)
 

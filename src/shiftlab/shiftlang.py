@@ -350,26 +350,25 @@ class FullShift(SftForbidden):
 
 class _FactorShift(ShiftPresentation):
     """A shift whose legal n-words, for every n <= N, are the n-factors of
-    the text _text_of(N).
+    a text: _text_of(depth) returns the text and its reach N >= depth.
 
-    The automaton is the suffix automaton of _text_of(N), N the deepest
-    length asked for; a deeper length n rebuilds it at the larger of n and
-    2N, and the cached words and indexes stay, as they depend on the words
-    only.  A suffix automaton reaches each state by at most one word of
-    each length, so P(n) is the number of end states of the n-words, and
-    each word is sliced out of the text at its end state's first end
-    position.
+    The automaton is the suffix automaton of the text, and _depth its
+    reach; a length n past the reach rebuilds it at depth the larger of n
+    and twice the reach, and the cached words and indexes stay, as they
+    depend on the words only.  A suffix automaton reaches each state by at
+    most one word of each length, so P(n) is the number of end states of
+    the n-words, and each word is sliced out of the text at its end
+    state's first end position.
     """
 
     _depth = 0
 
-    def _text_of(self, depth: int) -> str:
+    def _text_of(self, depth: int) -> tuple[str, int]:
         raise NotImplementedError
 
     def _deepen(self, n):
         if n > self._depth:
-            self._depth = depth = max(n, 2 * self._depth)
-            self._text = self._text_of(depth)
+            self._text, self._depth = self._text_of(max(n, 2 * self._depth))
             self._edges, self._ends = _suffix_automaton(self._text.translate(self.alphabet._rank))
             self._paths = [[0]]
 
@@ -396,8 +395,9 @@ class SubstitutionShift(_FactorShift):
     the map is monotone on a finite lattice, so a single repeat certifies
     it.  The text of depth N is a walk w through every legal 2-block and
     no other, inflated K times, K the least with every |rule^K(a)| >= N: a
-    factor of rule^K(w) of length n <= N touches at most two letter
-    images, so the n-factors are exactly the legal n-words.
+    factor of rule^K(w) of length n at most the shortest image touches at
+    most two letter images, so its n-factors are exactly the legal
+    n-words, and its reach is that shortest image.
     """
 
     def __init__(self, alphabet: Alphabet, rules: dict):
@@ -454,7 +454,7 @@ class SubstitutionShift(_FactorShift):
         images = self.rules
         while min(map(len, images.values())) < depth:
             images = {a: "".join(map(images.__getitem__, w)) for a, w in self.rules.items()}
-        return "".join(map(images.__getitem__, self._walk))
+        return "".join(map(images.__getitem__, self._walk)), min(map(len, images.values()))
 
     def descriptor(self):
         return (
@@ -474,7 +474,8 @@ class PeriodicOrbit(_FactorShift):
     The seed is normalized: a proper power collapses to its primitive root,
     and the root is rotated to its least cyclic rotation, so equal orbits
     get equal presentations.  The text of depth N is the seed repeated to
-    at least N + period - 1 letters, so the N-factors starting in its first
+    at least N + period - 1 letters; its reach is its length less
+    period - 1, the longest length whose factors starting in the first
     period, one for each rotation, are all there.
     """
 
@@ -491,7 +492,8 @@ class PeriodicOrbit(_FactorShift):
         self.seed, self.period = twice[start : start + p], p
 
     def _text_of(self, depth):
-        return self.seed * -(-(depth + self.period - 1) // self.period)
+        text = self.seed * -(-(depth + self.period - 1) // self.period)
+        return text, len(text) - self.period + 1
 
     def descriptor(self):
         return ("periodic", self.alphabet.symbols, self.seed)

@@ -247,11 +247,6 @@ def test_finite_order_evidence_gates_entropy_audit(full2):
     assert "finite-order" in report.reason
 
 
-def test_entropy_tolerance_validated(full2):
-    with pytest.raises(ValueError):
-        entropy_bound_audit(log_staircase_profile(16), entropy_profile(full2, 8), 1.5)
-
-
 # -- polynomial complexity floor ---------------------------------------------------
 
 

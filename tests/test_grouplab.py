@@ -694,6 +694,14 @@ def test_bs_target_finer_than_the_radius_is_missing():
         assert key not in ball and ball.get(key) is None
 
 
+def test_heisenberg_keys_outside_the_ball_are_missing():
+    # R = 3: the packing box holds |x|, |y| <= 3 and |z| <= 12
+    ball = cayley_ball(HEIS, GeneratingSet.standard(HEIS), 3)
+    for key in [(0, 0, 13), (4, 0, 0), (0, 0, 12), (0, 0), (0.5, 0, 0), "utz"]:
+        assert key not in ball and ball.get(key) is None
+    assert ball[(True, 0, 0)] == ball[(1, 0, 0)] == 1
+
+
 @pytest.mark.parametrize(
     "model, named",
     [(ZdModel(2), {"h": (Fraction(1, 2), 0), "e2": (0, 1)}),
@@ -940,8 +948,9 @@ def test_word_metrics_profiles_close_as_the_double_loop(monkeypatch, model, elem
 
 
 def test_profile_rejects_closure_below_a_broken_ball(monkeypatch):
-    # a ball that overstates |g^4| lets 1 + 3 undercut it: the closure check
-    # must refuse the profile before any entry is built
+    # a ball that overstates |g^4| lets 1 + 3, or the certificate e1^4,
+    # undercut it: the closure check must refuse the profile before any
+    # entry is built
     z1 = ZdModel(1)
     true_ball = grouplab.cayley_ball
 
@@ -951,8 +960,11 @@ def test_profile_rejects_closure_below_a_broken_ball(monkeypatch):
         return ball
 
     monkeypatch.setattr(grouplab, "cayley_ball", broken_ball)
-    with pytest.raises(ValueError, match="upper-bound closure 4 beats the exact metric 9"):
-        distortion_profile(z1, GeneratingSet.standard(z1), (1,), 6, radius_max=9)
+    for certifier in (None, lambda n: WordExpr((("e1", n),))):
+        with pytest.raises(ValueError, match="upper-bound closure 4 beats the exact metric 9"):
+            distortion_profile(
+                z1, GeneratingSet.standard(z1), (1,), 6, radius_max=9, certifier=certifier
+            )
 
 
 @st.composite

@@ -367,6 +367,16 @@ def test_periodic_index_builds_one_automaton_and_spells_nothing(monkeypatch):
     assert not x._word_cache
 
 
+def test_periodic_climb_rebuilds_only_past_the_text_reach(monkeypatch):
+    # work gate: the two-copy text of a period-50 seed holds every factor
+    # of lengths 2..51, so counting up to 51 builds two automata, not one
+    # per doubling of the depth asked for
+    built = _count_automata(monkeypatch)
+    x = PeriodicOrbit("0" * 49 + "1")
+    assert [x.count_words(n) for n in range(1, 52)] == [min(n + 1, 50) for n in range(1, 52)]
+    assert len(built) <= 2
+
+
 def test_periodic_seed_normalization():
     a = PeriodicOrbit("0101")
     b = PeriodicOrbit("10")
