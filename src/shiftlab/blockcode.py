@@ -1,15 +1,15 @@
 """Exact algebra of sliding block codes on a presented subshift.
 
-A code is a radius R and a total table giving an output symbol for every
-legal (2R+1)-word of its domain.  The algebra (composition, powers,
-minimal range, inverses, endomorphism checks) runs on the domain's word
-index (shiftlang.WordIndex): there a table is a list of output symbols by
-window number, and the image of a window under a code is one successor
-step from the image of its prefix, so each table row costs O(1) whatever
-the radius.  The codes returned carry `rule.table`, the window -> symbol
-mapping; the intermediate tables of powers and profiles never become
-codes.  Tables arriving from outside are validated once, by BlockCode;
-tables built here are total by construction and skip that check.
+A code is a radius R and its outputs: the alphabet index of its output on
+each legal (2R+1)-word of its domain, by window number in the domain's
+word index (shiftlang.WordIndex).  The algebra (composition, powers,
+minimal range, inverses, endomorphism checks) reads and writes these
+lists and spells no word: the image of a window under a code is one
+successor step from the image of its prefix, so each row costs O(1)
+whatever the radius.  `rule.table`, the window -> symbol mapping, is
+spelled on first read.  Tables arriving from outside are validated once,
+by BlockCode; outputs built here are total by construction and skip that
+check.
 Composition is written compose(outer, inner) and applies the inner code
 first, everywhere in this package.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_TABLE_BUDGET, BudgetExceededError
@@ -61,25 +60,22 @@ class LocalRule:
     table: dict
 
 
-@dataclass(frozen=True)
 class BlockCode:
-    """A sliding block code presented by its domain and local rule.
+    """A sliding block code presented by its domain, radius and outputs.
 
-    The declared range is the rule's radius; the true (minimal) range can
-    be smaller and is computed by minimal_range.  Codomain symbols must
-    lie in the domain alphabet: the codes studied here are candidate
-    endomorphisms of one shift.
+    The declared range is the radius; the true (minimal) range can be
+    smaller and is computed by minimal_range.  Codomain symbols must lie
+    in the domain alphabet: the codes studied here are candidate
+    endomorphisms of one shift.  BlockCode(domain, rule) checks the rule
+    once and keeps it; a code the algebra builds spells it on first read.
     """
 
-    domain: ShiftPresentation
-    rule: LocalRule
-
-    def __post_init__(self):
-        r = self.rule.radius
+    def __init__(self, domain: ShiftPresentation, rule: LocalRule):
+        r, table = rule.radius, rule.table
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        expected = set(self.domain.words_of_length(2 * r + 1))
-        keys = set(self.rule.table)
+        words = domain.words_of_length(2 * r + 1)
+        expected, keys = set(words), set(table)
         if keys != expected:
             missing = sorted(expected - keys)[:3]
             extra = sorted(keys - expected)[:3]
@@ -87,11 +83,20 @@ class BlockCode:
                 f"rule table must cover exactly the legal {2 * r + 1}-words; "
                 f"missing {missing}, extraneous {extra}"
             )
-        for w, out in self.rule.table.items():
+        rank = domain.alphabet._index
+        for w, out in table.items():
             if not (isinstance(out, str) and len(out) == 1):
                 raise ValueError(f"table output for {w!r} must be a single symbol")
-            if not self.domain.alphabet.contains_word(out):
+            if out not in rank:
                 raise ValueError(f"table output {out!r} for {w!r} is outside the alphabet")
+        self.domain, self.radius, self.rule = domain, r, rule
+        self.outputs = [rank[table[w]] for w in words]
+
+    @cached_property
+    def rule(self) -> LocalRule:
+        words = self.domain.words_of_length(2 * self.radius + 1)
+        outputs = map(self.domain.alphabet.symbols.__getitem__, self.outputs)
+        return LocalRule(self.radius, dict(zip(words, outputs)))
 
     @cached_property
     def derived(self) -> dict:
@@ -104,20 +109,10 @@ class BlockCode:
 
 
 def _code(domain: ShiftPresentation, radius: int, outputs: list) -> BlockCode:
-    """A code on a table built here: total by construction, so unchecked."""
-    words, symbols = domain.words_of_length(2 * radius + 1), domain.alphabet.symbols
-    rule = LocalRule(radius, dict(zip(words, map(symbols.__getitem__, outputs))))
+    """A code on outputs built here: total by construction, so unchecked."""
     code = object.__new__(BlockCode)
-    object.__setattr__(code, "domain", domain)
-    object.__setattr__(code, "rule", rule)
+    code.domain, code.radius, code.outputs = domain, radius, outputs
     return code
-
-
-def _outputs(code: BlockCode) -> list:
-    """The alphabet index of the code's output on each legal window,
-    windows in word-index order."""
-    rank, table = code.domain.alphabet._index, code.rule.table
-    return [rank[table[w]] for w in code.domain.words_of_length(2 * code.rule.radius + 1)]
 
 
 # -- construction helpers ------------------------------------------------
@@ -193,8 +188,8 @@ class _Images:
 
     def __init__(self, code: BlockCode):
         self.code, self.domain = code, code.domain
-        self.width = 2 * code.rule.radius + 1
-        out = _outputs(code)
+        self.width = 2 * code.radius + 1
+        out = code.outputs
         letters = self.domain.word_index(1).succ
         self.levels = [(out, [letters[a] for a in out])]
 
@@ -257,7 +252,7 @@ def _powers(code: BlockCode, table_budget: int):
     codes affordable.
     """
     domain, images = code.domain, _Images(code)
-    r, outs = _shrink(domain, code.rule.radius, _outputs(code))
+    r, outs = _shrink(domain, code.radius, code.outputs)
     while True:
         yield r, outs
         r, outs = _shrink(domain, *_compose(r, outs, images, table_budget))
@@ -273,26 +268,40 @@ def compose(
     """
     if outer.domain != inner.domain:
         raise ValueError("composition requires codes on the same presentation")
-    r, outs = _compose(outer.rule.radius, _outputs(outer), _Images(inner), table_budget)
+    r, outs = _compose(outer.radius, outer.outputs, _Images(inner), table_budget)
     return _code(outer.domain, r, outs)
 
 
 def power(code: BlockCode, n: int, table_budget: int = DEFAULT_TABLE_BUDGET) -> BlockCode:
-    """n-fold self-composition, minimizing after each step."""
+    """n-fold self-composition, minimizing after each step.
+
+    Each step is a function of the one before, so from the first repeat on
+    the steps are periodic.  Brent's cycle search compares each step with
+    the one saved at the last power of two; at a repeat, power i equals
+    power `mark`, and the answer is read off the cycle.  So the powers of
+    a code of finite order cost a few times its order in steps, whatever n.
+    """
     if n < 1:
         raise ValueError("power needs n >= 1")
-    return _code(code.domain, *next(islice(_powers(code, table_budget), n - 1, None)))
+    steps, mark = _powers(code, table_budget), 1
+    step = saved = next(steps)
+    for i, step in zip(range(2, n + 1), steps):
+        if step == saved:
+            return power(code, mark + (n - mark) % (i - mark), table_budget)
+        if i & (i - 1) == 0:
+            mark, saved = i, step
+    return _code(code.domain, *step)
 
 
 def minimal_range(code: BlockCode) -> int:
     """Least radius at which the rule's output is still well defined."""
-    return _shrink(code.domain, code.rule.radius, _outputs(code))[0]
+    return _shrink(code.domain, code.radius, code.outputs)[0]
 
 
 def minimized(code: BlockCode) -> BlockCode:
     """Equivalent code re-tabulated at its minimal range."""
-    m, outs = _shrink(code.domain, code.rule.radius, _outputs(code))
-    return code if m == code.rule.radius else _code(code.domain, m, outs)
+    m, outs = _shrink(code.domain, code.radius, code.outputs)
+    return code if m == code.radius else _code(code.domain, m, outs)
 
 
 def codes_equal(a: BlockCode, b: BlockCode) -> bool:
@@ -300,12 +309,12 @@ def codes_equal(a: BlockCode, b: BlockCode) -> bool:
     if a.domain != b.domain:
         return False
     am, bm = minimized(a), minimized(b)
-    return am.rule == bm.rule
+    return (am.radius, am.outputs) == (bm.radius, bm.outputs)
 
 
 def is_identity(code: BlockCode) -> bool:
     m = minimized(code)
-    return m.rule.radius == 0 and all(w == out for w, out in m.rule.table.items())
+    return m.radius == 0 and m.outputs == m.domain.word_index(1).last
 
 
 def endomorphism_check(code: BlockCode) -> bool:
@@ -322,7 +331,7 @@ def endomorphism_check(code: BlockCode) -> bool:
     domain = code.domain
     forbidden = getattr(domain, "forbidden", None)
     length = max(map(len, forbidden)) if forbidden else 8
-    img = _Images(code).of_length(length + 2 * code.rule.radius)
+    img = _Images(code).of_length(length + 2 * code.radius)
     return domain.word_index(length).count not in img
 
 
@@ -339,7 +348,7 @@ def inverse_search(
     bound, not a proof of non-invertibility.
     """
     phi = minimized(code)
-    domain, r = phi.domain, phi.rule.radius
+    domain, r = phi.domain, phi.radius
     images, rank = _Images(phi), domain.alphabet._index
     for r_inv in range(radius_max + 1):
         h = r + r_inv

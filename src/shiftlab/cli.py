@@ -199,7 +199,7 @@ def _op_minimal_range(budgets: Budgets, code) -> RunResult:
 
     r = minimal_range(code)
     body = _record_text(
-        (("declared_range", code.rule.radius), ("minimal_range", r))
+        (("declared_range", code.radius), ("minimal_range", r))
     )
     return RunResult(str(r), "ok", "txt", body)
 
@@ -213,8 +213,8 @@ def _op_inverse_search(budgets: Budgets, code, radius_cap) -> RunResult:
         pairs.append(("inverse", "none"))
         key = "none"
     else:
-        pairs.append(("inverse_radius", found.rule.radius))
-        key = f"radius {found.rule.radius}"
+        pairs.append(("inverse_radius", found.radius))
+        key = f"radius {found.radius}"
     return RunResult(key, "ok", "txt", _record_text(pairs))
 
 

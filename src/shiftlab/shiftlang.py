@@ -141,15 +141,14 @@ class ShiftPresentation:
     automaton (a full shift on its allowed letters) takes closed product
     forms.
 
-    Instances are immutable after construction.  Word enumerations and
-    word indexes are cached per length, and a cached value equals what a
-    fresh computation would produce.
+    Instances are immutable after construction.  Word indexes are cached
+    per length, and a cached value equals what a fresh computation would
+    produce; word lists are spelled afresh on each request.
     """
 
     alphabet: Alphabet
 
     def __init__(self):
-        self._word_cache: dict[int, tuple[str, ...]] = {}
         self._index_cache: dict[int, WordIndex] = {}
         self._paths = [[0]]
 
@@ -197,12 +196,7 @@ class ShiftPresentation:
     def words_of_length(self, n: int) -> tuple[str, ...]:
         """All legal words of length n, sorted in alphabet order."""
         _check_length(n)
-        if n == 0:
-            return ("",)
-        cached = self._word_cache.get(n)
-        if cached is None:
-            cached = self._word_cache[n] = self._enumerate(n)
-        return cached
+        return self._enumerate(n) if n else ("",)
 
     def word_index(self, n: int) -> WordIndex:
         """The WordIndex of length n >= 1, built up from the longest cached

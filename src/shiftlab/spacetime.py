@@ -88,7 +88,7 @@ def _patches(
     domain: ShiftPresentation, code: BlockCode, n: int, k: int, word_budget: int
 ) -> tuple[SpacetimePatch, ...]:
     phi = minimized(code)
-    r = phi.rule.radius
+    r = phi.radius
     length = n + 2 * (k - 1) * r
     check_words(domain, length, word_budget, "generating words", "build_patches")
     words, images, index = domain.words_of_length(length), _Images(phi), domain.word_index

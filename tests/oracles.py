@@ -5,7 +5,9 @@ to a long prefix, enumerate rotations.  The implementations under test are
 compared against these on small inputs, and frozen constants in the tests
 were produced by these functions once and pinned.  run_capped runs a
 script in a child under a memory cap, for tests that a runaway power of n
-or a quadratic buffer must fail rather than slow down.
+or a quadratic buffer must fail rather than slow down.  record_spelling
+and forbid_spelling watch the word lists a presentation spells, for the
+work gates.
 """
 
 import math
@@ -17,6 +19,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from pathlib import Path
+
+import pytest
 
 import shiftlab
 from shiftlab.blockcode import (
@@ -514,3 +518,17 @@ def run_capped(script: str, *args, timeout: float = 30):
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=timeout,
     )
+
+
+def record_spelling(shift) -> list:
+    """Make shift record the length of every word list it spells, in call
+    order, into the list returned."""
+    spelled, enumerate_words = [], shift._enumerate
+    shift._enumerate = lambda n: spelled.append(n) or enumerate_words(n)
+    return spelled
+
+
+def forbid_spelling(shift):
+    """Make any word list that shift spells fail the test at once: a work
+    gate, or a guard for lengths whose words would exhaust memory."""
+    shift._enumerate = lambda n: pytest.fail(f"spelled words of length {n}")

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import forbid_spelling
 
 from shiftlab.audit import (
     CONSISTENT,
@@ -359,7 +360,7 @@ def test_periodic_orbit_not_applicable():
 def test_shift_power_table_is_checked_before_it_is_built():
     # its 2**81 rows would exhaust memory, so any enumeration fails at once
     full2 = FullShift(BINARY)
-    full2._enumerate = lambda n: pytest.fail(f"enumerated words of length {n}")
+    forbid_spelling(full2)
     with pytest.raises(BudgetExceededError, match=f"needed {2**81}, limit 2000000"):
         sigma_power_range_audit(40, full2, 1)
 

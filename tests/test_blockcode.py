@@ -1,10 +1,12 @@
 """Sliding-block-code algebra: application, composition, ranges, inverses."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import run_capped
 
 from shiftlab import blockcode
 from shiftlab.blockcode import (
@@ -64,14 +66,25 @@ def xor_code(domain):
 
 
 def test_table_totality_enforced(full2):
-    with pytest.raises(ValueError):
-        code_from_table(full2, 0, {"0": "1"})  # missing row for "1"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"legal 1-words; missing \['1'\], extraneous \[\]$"):
+        code_from_table(full2, 0, {"0": "1"})
+    with pytest.raises(ValueError, match=r"missing \[\], extraneous \['2'\]$"):
         code_from_table(full2, 0, {"0": "1", "1": "0", "2": "0"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^table output 'x' for '0' is outside the alphabet$"):
         code_from_table(full2, 0, {"0": "x", "1": "0"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^table output for '0' must be a single symbol$"):
+        code_from_table(full2, 0, {"0": "01", "1": "0"})
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
         BlockCode(full2, LocalRule(-1, {}))
+    with pytest.raises(ValueError, match="^symbol map misses legal symbol '1'$"):
+        symbol_map_code(full2, {"0": "1"})
+
+
+def test_a_hand_built_code_keeps_its_rule(full2):
+    rule = LocalRule(0, {"1": "0", "0": "1"})
+    code = BlockCode(full2, rule)
+    assert code.rule is rule
+    assert (code.radius, code.outputs) == (0, [1, 0])
 
 
 def test_shift_code_applies_as_index_shift(full2):
@@ -148,6 +161,45 @@ def test_compose_rejects_non_endomorphic_inner(golden):
 
 def test_power_of_flip_has_order_two(full2):
     assert is_identity(power(flip(full2), 2))
+
+
+def test_power_needs_a_positive_exponent(full2):
+    with pytest.raises(ValueError, match="^power needs n >= 1$"):
+        power(flip(full2), 0)
+
+
+# a finite-order code's tables never outgrow the table budget, so without a
+# cycle search its 10**9-th power would climb one power at a time
+HUGE_ORDER = """
+import sys
+from shiftlab.cli import main
+status = main(["validate", sys.argv[1]])
+sys.exit(status or main(["run", sys.argv[1]]))
+"""
+
+
+def test_a_finite_order_power_reads_its_cycle(tmp_path):
+    # the flip's powers cycle from the first; the squash's powers reach
+    # their cycle only at the second, which the first does not lie on
+    squash = {"kind": "symbol_map", "domain": "full-3", "image": {"0": "1", "1": "2", "2": "2"}}
+    codes = {"flip": "full-2/flip", "squash": "squash"}
+    doc = {
+        "shifts": {"full-3": {"kind": "full", "alphabet": "012"}},
+        "codes": {"squash": squash, **{
+            f"huge-{name}": {"kind": "power", "base": base, "exponent": 10**9}
+            for name, base in codes.items()
+        }},
+        "runs": [{"name": name, "operation": "minimal_range", "params": {"code": f"huge-{name}"}}
+                 for name in codes],
+        "out_dir": str(tmp_path / "out"),
+    }
+    config = tmp_path / "huge-order.json"
+    config.write_text(json.dumps(doc))
+    result = run_capped(HUGE_ORDER, config)
+    assert result.returncode == 0, result.stderr
+    for name in codes:
+        text = (tmp_path / "out" / f"{name}.txt").read_text()
+        assert text == "declared_range: 0\nminimal_range: 0\n"
 
 
 def test_power_of_shift_has_exact_range(full2, golden, fibonacci):
@@ -301,13 +353,17 @@ def test_profile_budget_truncation(full2):
         compose(shift_power_code(full2, 1), shift_power_code(full2, 1), table_budget=4)
 
 
-def test_profile_validation_guards():
+def test_profile_validation_guards(full2):
     with pytest.raises(ValueError):
         RangeProfile.from_entries((1, 5))  # not subadditive
     with pytest.raises(ValueError):
         RangeProfile((1, 2), Fraction(7), "LinearLowerBounded")  # wrong ratio
     with pytest.raises(ValueError):
         RangeProfile.from_entries(())
+    with pytest.raises(ValueError, match="^profile needs at least one entry$"):
+        RangeProfile((), Fraction(0), "SublinearTrend")
+    with pytest.raises(ValueError, match="^profile needs max_power >= 1$"):
+        range_profile(shift_power_code(full2, 1), 0)
     # the bare constructor skips the subadditivity law on purpose: audit
     # detector tests need corrupted profiles to be constructible
     fake = RangeProfile((1, 5), Fraction(1), "LinearLowerBounded")

@@ -12,14 +12,17 @@ from shiftlab.blockcode import (
     IllegalWindowError,
     RangeProfile,
     code_from_table,
+    codes_equal,
     compose,
     endomorphism_check,
     inverse_search,
+    is_identity,
     minimal_range,
     minimized,
     power,
     range_profile,
     shift_power_code,
+    symbol_map_code,
 )
 from shiftlab.errors import BudgetExceededError
 from shiftlab.shiftlang import (
@@ -31,6 +34,7 @@ from shiftlab.shiftlang import (
 )
 
 BINARY = Alphabet.of("01")
+FIBONACCI = {"0": "01", "1": "0"}
 BUDGETS = st.sampled_from((4, 40, 400, 4000))
 
 
@@ -40,7 +44,7 @@ def domains(draw):
     shift, or one of the built-in substitution and periodic shifts."""
     kind = draw(st.sampled_from(("sft", "sft", "sft", "full", "fibonacci", "periodic")))
     if kind == "fibonacci":
-        return SubstitutionShift(BINARY, {"0": "01", "1": "0"})
+        return SubstitutionShift(BINARY, FIBONACCI)
     if kind == "periodic":
         return PeriodicOrbit(draw(st.sampled_from(("01", "0010111"))))
     symbols = draw(st.sampled_from(("01", "012")))
@@ -118,6 +122,47 @@ def test_powers_and_profiles_match_the_string_reference(data):
     )
 
 
+FINITE_ORDER_DOMAINS = (
+    FullShift(Alphabet.of("012")), PeriodicOrbit("0012"), SubstitutionShift(BINARY, FIBONACCI)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_finite_order_powers_match_the_string_reference(data):
+    # a letter permutation, maybe composed with sigma, its inverse or both:
+    # of finite order unless a lone shift is left on an infinite shift, so
+    # deep powers are read off a cycle, or end in the budget or an illegal
+    # window at the same power as the reference
+    domain = data.draw(st.sampled_from(FINITE_ORDER_DOMAINS))
+    symbols = domain.alphabet.symbols
+    code = symbol_map_code(domain, dict(zip(symbols, data.draw(st.permutations(symbols)))))
+    for j in data.draw(st.lists(st.sampled_from((1, -1)), max_size=2)):
+        code = compose(code, shift_power_code(domain, j))
+    n, budget = data.draw(st.integers(1, 60)), data.draw(BUDGETS)
+    assert outcome(power, code, n, budget) == outcome(oracles.power_by_slide, code, n, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_identity_and_equality_match_the_string_reference(data):
+    # the shift by j and back is the identity at declared radius 2|j|, so
+    # identities and equal pairs come up among composites
+    domain = data.draw(domains())
+    j = data.draw(st.integers(-1, 1))
+    identity = compose(shift_power_code(domain, -j), shift_power_code(domain, j))
+    code = data.draw(codes(domain))
+    pool = [identity, code, compose(code, identity)]
+    try:
+        pool.append(compose(code, data.draw(codes(domain))))
+    except IllegalWindowError:
+        pass
+    rules = [oracles.minimized_by_scan(a).rule for a in pool]
+    for a, rule in zip(pool, rules):
+        assert is_identity(a) == oracles.is_identity_by_scan(a)
+        assert [codes_equal(a, b) for b in pool] == [rule == other for other in rules]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_inverse_search_matches_the_string_reference(data):
@@ -141,21 +186,45 @@ def test_endomorphism_check_matches_the_string_reference(data):
     assert endomorphism_check(code) == oracles.endomorphism_check_by_slide(code)
 
 
-# -- work gate -------------------------------------------------------------------
+# -- work gates ------------------------------------------------------------------
+
+PRESENTATIONS = {
+    "full": lambda: FullShift(BINARY),
+    "sft": lambda: SftForbidden(BINARY, ["11"]),
+    "fibonacci": lambda: SubstitutionShift(BINARY, FIBONACCI),
+    "periodic": lambda: PeriodicOrbit("01"),
+}
 
 
-@pytest.mark.parametrize(
-    "domain", [FullShift(BINARY), SftForbidden(BINARY, ["11"])], ids=["full", "sft"]
-)
-def test_range_profile_builds_rows_without_sliding_the_rule(monkeypatch, domain):
+@pytest.mark.parametrize("kind", ["full", "sft"])
+def test_range_profile_builds_rows_without_sliding_the_rule(monkeypatch, kind):
     # a row is one successor lookup: the rule is never slid along a window,
     # and no word longer than the code's own window is ever spelled out
+    domain = PRESENTATIONS[kind]()
     slid = []
     monkeypatch.setattr(blockcode, "apply_to_word", lambda *args: slid.append(args))
-    spelled = []
-    enumerate_words = domain._enumerate
-    monkeypatch.setattr(domain, "_enumerate", lambda n: spelled.append(n) or enumerate_words(n))
+    spelled = oracles.record_spelling(domain)
     profile = range_profile(shift_power_code(domain, 1), 6)
     assert profile.entries == (1, 2, 3, 4, 5, 6)
     assert slid == []
     assert max(spelled) <= 3
+
+
+@pytest.mark.parametrize("kind", PRESENTATIONS)
+def test_the_algebra_spells_no_word(kind):
+    # work gate: codes built by the algebra carry outputs, not spelled
+    # tables, so only reading a rule spells, and only its own windows
+    domain = PRESENTATIONS[kind]()
+    sigma, back = shift_power_code(domain, 1), shift_power_code(domain, -1)
+    flip = symbol_map_code(domain, {"0": "1", "1": "0"})
+    spelled = oracles.record_spelling(domain)
+    cube, there_and_back = power(sigma, 3), compose(back, sigma)
+    assert is_identity(minimized(there_and_back)) and minimal_range(there_and_back) == 0
+    assert not codes_equal(cube, there_and_back) and codes_equal(cube, power(cube, 1))
+    # on the orbit of 01 the shift is the flip
+    assert is_identity(compose(flip, sigma)) == (kind == "periodic")
+    range_profile(sigma, 5)
+    endomorphism_check(flip)
+    assert spelled == []
+    assert len(cube.rule.table) == domain.count_words(2 * cube.radius + 1)
+    assert spelled == [2 * cube.radius + 1]

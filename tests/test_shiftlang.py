@@ -29,8 +29,10 @@ from shiftlab.shiftlang import (
 
 from oracles import (
     fibonacci_rules,
+    forbid_spelling,
     golden_mean_words,
     periodic_words,
+    record_spelling,
     run_capped,
     sft_words_brute,
     special_words_by_extension,
@@ -319,10 +321,10 @@ def test_deep_profile_builds_few_automata_and_spells_nothing(monkeypatch):
     # ceil(log2(400)) + 1 automata, and counting never spells a word
     built = _count_automata(monkeypatch)
     x = SubstitutionShift(BINARY, fibonacci_rules())
+    forbid_spelling(x)
     profile = entropy_profile(x, 400)
     assert profile.values == tuple(range(2, 402))
     assert len(built) <= math.ceil(math.log2(400)) + 1
-    assert not x._word_cache
 
 
 def test_deep_range_profile_does_not_inflate_per_length(monkeypatch):
@@ -330,10 +332,11 @@ def test_deep_range_profile_does_not_inflate_per_length(monkeypatch):
     # automata, and only the code's own table length is spelled
     built = _count_automata(monkeypatch)
     x = SubstitutionShift(BINARY, fibonacci_rules())
+    spelled = record_spelling(x)
     profile = range_profile(shift_power_code(x, 1), 200)
     assert profile.entries == tuple(range(1, 201))
     assert len(built) <= math.ceil(math.log2(401)) + 1
-    assert set(x._word_cache) == {3}
+    assert set(spelled) == {3}
 
 
 # -- periodic orbits ---------------------------------------------------------
@@ -361,10 +364,10 @@ def test_periodic_index_builds_one_automaton_and_spells_nothing(monkeypatch):
     # few automata, deepened once for the length asked, and spells no word
     built = _count_automata(monkeypatch)
     x = PeriodicOrbit("01")
+    forbid_spelling(x)
     index = x.word_index(1600)
     assert (index.count, index.prefix, index.suffix) == (2, [0, 1], [1, 0])
     assert len(built) <= math.ceil(math.log2(1600)) + 1
-    assert not x._word_cache
 
 
 def test_periodic_climb_rebuilds_only_past_the_text_reach(monkeypatch):
@@ -610,26 +613,21 @@ def test_sft_complexity_matches_brute_force(data):
         assert complexity(x, n) == len(sft_words_brute(alphabet, forbidden, n))
 
 
-def _forbid_enumeration(shift):
-    # an enumeration of 2**40 words would exhaust memory, so a regression
-    # fails here at its first enumeration instead
-    shift._enumerate = lambda n: pytest.fail(f"enumerated words of length {n}")
-
-
 def test_profiles_count_without_enumerating_long_words():
     # P(n) by closed form or path count and word indexes by extension
     # along the automaton: an SFT spells no word at any length
     full = FullShift(BINARY)
     golden = SftForbidden(BINARY, ["11"])
     mixed = SftForbidden(BINARY, ["111", "00"])
+    # an enumeration of 2**40 words would exhaust memory, so a regression
+    # fails at its first enumeration instead
     for x in (full, golden, mixed):
-        _forbid_enumeration(x)
+        forbid_spelling(x)
     assert entropy_profile(full, 40).values[-1] == 2**40
     assert entropy_profile(golden, 40).values[-1] == 267914296
     assert morse_hedlund_test(mixed, 40).witness is None
     for x in (full, golden, mixed):
         assert x.word_index(12).count == x.count_words(12)
-        assert not x._word_cache
 
 
 # -- structural invariants, property style -----------------------------------

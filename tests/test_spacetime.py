@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import build_patches_by_slide, rectangle_sweep
+from oracles import build_patches_by_slide, record_spelling, rectangle_sweep
 
 from shiftlab import blockcode, cli, spacetime
 from shiftlab.blockcode import (
@@ -14,7 +14,6 @@ from shiftlab.blockcode import (
     code_from_table,
     compose,
     identity_code,
-    minimized,
     shift_power_code,
     symbol_map_code,
 )
@@ -307,19 +306,13 @@ def test_family_builds_on_word_numbers(monkeypatch):
     # length, 6 + 2 * 3 * radius, is spelled
     domain = FullShift(BINARY)
     code = code_from_table(domain, 1, PERMUTIVE)
-    minimized(code)  # spells the code's own windows
-    lengths, enumerate_words = [], domain._enumerate
-
-    def recording_enumerate(n):
-        lengths.append(n)
-        return enumerate_words(n)
 
     def no_slide(*args):
         raise AssertionError("apply_to_word called")
 
     monkeypatch.setattr(spacetime, "apply_to_word", no_slide)
     monkeypatch.setattr(blockcode, "apply_to_word", no_slide)
-    domain._enumerate = recording_enumerate
+    lengths = record_spelling(domain)
     family = build_patches(domain, code, 6, 4)
     assert lengths == [12]
     assert len(family) == 1216
@@ -354,20 +347,14 @@ def test_rectangle_sweep_builds_one_family(monkeypatch):
     # only its generating length, 16 + 2 * 9 * radius, not one per (n, k)
     domain = SubstitutionShift(BINARY, {"0": "01", "1": "0"})
     sigma = shift_power_code(domain, 1)
-    minimized(sigma)  # enumerates the lengths of the code's own tables
-    shapes, lengths = [], []
-    build, enumerate_words = spacetime.build_patches, domain._enumerate
+    shapes, build = [], spacetime.build_patches
 
     def counting_build(domain, code, n, k, *args):
         shapes.append((n, k))
         return build(domain, code, n, k, *args)
 
-    def recording_enumerate(n):
-        lengths.append(n)
-        return enumerate_words(n)
-
     monkeypatch.setattr(spacetime, "build_patches", counting_build)
-    domain._enumerate = recording_enumerate
+    lengths = record_spelling(domain)
     run = cli.OPERATIONS["rectangle_complexity"]
     result = run(Budgets(), shift=domain, code=sigma, cols=16, rows=10)
     assert shapes == [(16, 10)]
