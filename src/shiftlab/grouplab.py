@@ -37,7 +37,11 @@ from .trends import TrendFit, fit_trend, growth_degree, trend_label
 
 
 class GroupModel:
-    """Exact group arithmetic on hashable canonical elements."""
+    """Exact group arithmetic on hashable canonical elements.
+
+    fold is the one word evaluator, and each model implements it; power(a,
+    e) is the one-token word a^e.
+    """
 
     name: str
 
@@ -54,23 +58,12 @@ class GroupModel:
         """Named standard generators, in a fixed order."""
         raise NotImplementedError
 
-    def power(self, a, e: int):
-        if e < 0:
-            a, e = self.inverse(a), -e
-        acc = self.identity()
-        while e:
-            if e & 1:
-                acc = self.multiply(acc, a)
-            a = self.multiply(a, a)
-            e >>= 1
-        return acc
-
     def fold(self, tokens, binding):
         """The product of binding[name]^e over the (name, e) tokens."""
-        acc = self.identity()
-        for name, e in tokens:
-            acc = self.multiply(acc, self.power(binding[name], e))
-        return acc
+        raise NotImplementedError
+
+    def power(self, a, e: int):
+        return self.fold((("a", e),), {"a": a})
 
     def descriptor(self) -> tuple:
         raise NotImplementedError
@@ -103,8 +96,11 @@ class ZdModel(GroupModel):
     def inverse(self, a):
         return tuple(-x for x in a)
 
-    def power(self, a, e):
-        return tuple(x * e for x in a)
+    def fold(self, tokens, binding):
+        acc = self.identity()
+        for name, e in tokens:
+            acc = tuple(x + e * y for x, y in zip(acc, binding[name]))
+        return acc
 
     def generators(self):
         basis = {}
@@ -137,14 +133,10 @@ class HeisenbergModel(GroupModel):
         x, y, z = a
         return (-x, -y, -z + x * y)
 
-    def power(self, a, e):
-        # the e(e-1)/2 ordered pairs of copies each add x*y to the centre;
-        # the same formula holds for e <= 0
-        x, y, z = a
-        return (e * x, e * y, e * z + x * y * e * (e - 1) // 2)
-
     def fold(self, tokens, binding):
-        # power then multiply, token by token, on three running ints
+        # (a,b,c)^e = (e*a, e*b, e*c + a*b*e(e-1)/2), for e <= 0 too: each
+        # of the e(e-1)/2 ordered pairs of copies adds a*b to the centre.
+        # Each token's power multiplies in on three running ints.
         x = y = z = 0
         for name, e in tokens:
             a, b, c = binding[name]
@@ -167,10 +159,10 @@ class BS1nModel(GroupModel):
     Elements are pairs (k, m) with k an integer and m in Z[1/n], composed
     by (k1,m1)(k2,m2) = (k1+k2, n^k1 * m2 + m1).  The translation part is
     kept as a plain int whenever it is integral and as a Fraction
-    otherwise.  Words over integral generators are evaluated by fold,
-    Horner's rule on ints with one signed pending exponent, scaled once
-    at the end.  A zero translation is never scaled, so a huge dilation
-    costs no power of n.
+    otherwise.  Words are evaluated by fold, Horner's rule with one signed
+    pending exponent, scaled once at the end, on ints for words over
+    integral generators.  A zero translation is never scaled, so a huge
+    dilation costs no power of n.
     """
 
     def __init__(self, n: int):
@@ -204,18 +196,8 @@ class BS1nModel(GroupModel):
         k, m = a
         return (-k, self._scale(-k, -m))
 
-    def power(self, a, e):
-        k, m = a
-        if k == 0:
-            # pure translations compose additively
-            return (0, self._canonical(m * e))
-        if m == 0:
-            # so do pure dilations
-            return (k * e, 0)
-        return super().power(a, e)
-
     def fold(self, tokens, binding):
-        """Horner's rule on ints: the product so far is (k, r * n^(k+p)).
+        """Horner's rule: the product so far is (k, r * n^(k+p)).
 
         A translation (0, m)^e with m*e nonzero adds m*e*n^k to the
         translation: it first pays a pending p > 0 into r, then adds
@@ -224,8 +206,10 @@ class BS1nModel(GroupModel):
         so the translation stays put; b^e after a translation leaves p
         below 0 and divides nothing.  The end scales r once by n^(k+p), a
         Fraction when k+p < 0, so a dilation alone takes no power of n.
-        A generator with a Fraction translation, or mixing both parts, is
-        left to the generic fold.
+        Any other generator (d, m), a Fraction m or both parts nonzero, has
+        (d, m)^e = (d*e, m*s) with s = (n^(d*e) - 1)/(n^d - 1), or e when
+        d = 0: for e != 0 it pays p like a translation, adds m*s*n^-p to
+        r and then dilates like a dilation; for e = 0 it pays nothing.
         """
         n = self.n
         k = r = p = 0
@@ -240,8 +224,15 @@ class BS1nModel(GroupModel):
                 k += dk * e
                 if r:
                     p -= dk * e
-            else:
-                return super().fold(tokens, binding)
+            elif e:
+                if p > 0:
+                    r, p = r * n**p, 0
+                de = dk * e
+                s = (Fraction(n) ** de - 1) / (Fraction(n) ** dk - 1) if dk else e
+                r += m * s * n**-p
+                k += de
+                if r:
+                    p -= de
         return (k, self._scale(k + p, r))
 
     def generators(self):
@@ -357,7 +348,8 @@ def cayley_ball(
 ) -> Mapping:
     """Exact distances to every element within radius_max, by level BFS.
 
-    Returns a read-only Mapping {element: word length}.  With targets
+    Returns a read-only Mapping {element: word length} whose values()
+    run in nondecreasing order, the search's level order.  With targets
     given, the search stops as soon as every target has a distance (the
     recorded distances are still exact).  Exceeding the state budget is an
     error naming the last completed radius; distances already assigned at
@@ -709,12 +701,8 @@ def ball_growth(
 ) -> BallGrowth:
     if radius < MIN_GROWTH_RADIUS:
         raise ValueError(f"growth fitting needs radius >= {MIN_GROWTH_RADIUS}")
-    dist = cayley_ball(model, gens, radius, state_budget)
-    sizes = [0] * (radius + 1)
-    for d in dist.values():
-        sizes[d] += 1
-    for r in range(1, radius + 1):
-        sizes[r] += sizes[r - 1]
+    distances = list(cayley_ball(model, gens, radius, state_budget).values())
+    sizes = [bisect_right(distances, r) for r in range(radius + 1)]
     start = max(2, radius // 2)
     return BallGrowth(tuple(sizes), *growth_degree(sizes, start), start)
 

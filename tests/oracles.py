@@ -197,16 +197,18 @@ def power_by_squaring(model, a, e: int):
 
 
 def evaluate_by_multiply(word, model, binding: dict):
-    """A word's value by one model.power and one model.multiply per token.
+    """A word's value by square-and-multiply powers and one model.multiply
+    per token.
 
     The evaluation shiftlab used before per-model folds, kept as the
-    reference: it checks each name as it reaches its token.
+    reference: it checks each name as it reaches its token, and reaches
+    the model only through identity, inverse and multiply.
     """
     acc = model.identity()
     for name, exp in word.tokens:
         if name not in binding:
             raise ValueError(f"word uses unbound generator {name!r}")
-        acc = model.multiply(acc, model.power(binding[name], exp))
+        acc = model.multiply(acc, power_by_squaring(model, binding[name], exp))
     return acc
 
 

@@ -16,7 +16,6 @@ from shiftlab.errors import BudgetExceededError
 from shiftlab.grouplab import (
     BS1nModel,
     GeneratingSet,
-    GroupModel,
     HeisenbergModel,
     WordExpr,
     ZdModel,
@@ -273,6 +272,9 @@ def bound_words(draw):
 @example((BS2, BS2.generators(), (("b", 1), ("a", 1), ("b", -1))))
 @example((BS3, {"b": (-1, 0), "a": (0, 5)}, (("b", 2), ("a", -3), ("b", -2))))
 @example((HEIS, HEIS.generators(), (("u", 3), ("x", 1), ("y", 1))))
+@example((BS3, {"g": (-2, 5), "a": (0, 1)}, (("a", 1), ("g", -3))))  # mixed, k < 0, e < 0
+@example((BS2, {"g": (1, 3), **BS2.generators()}, (("a", 1), ("b", -2), ("g", 2))))  # pays p = 2
+@example((BS2, {"h": (0, Fraction(1, 3)), **BS2.generators()}, (("a", 1), ("b", -1), ("h", 0))))
 def test_evaluate_matches_the_multiply_loop(case):
     model, binding, tokens = case
     word = WordExpr(tokens)
@@ -405,6 +407,14 @@ def test_bfs_budget_exceeded():
     z2 = ZdModel(2)
     with pytest.raises(BudgetExceededError):
         cayley_ball(z2, GeneratingSet.standard(z2), 10, state_budget=20)
+
+
+def test_cayley_ball_checks_its_arguments():
+    gens = GeneratingSet.standard(HEIS)
+    with pytest.raises(ValueError, match="radius_max must be nonnegative"):
+        cayley_ball(HEIS, gens, -1)
+    with pytest.raises(ValueError, match="generating set belongs to a different model"):
+        cayley_ball(BS2, gens, 3)
 
 
 def test_targeted_search_matches_full_ball():
@@ -742,6 +752,25 @@ def test_ball_sizes_of_the_word_metrics_searches(model, radius, size):
     assert len(cayley_ball(model, GeneratingSet.standard(model), radius)) == size
 
 
+@pytest.mark.parametrize(
+    "model, named, radius",
+    [(HEIS, None, 5), (BS2, None, 5), (ZdModel(3), None, 6),
+     (ZdModel(2), {"h": (2, 0), "e2": (0, 1)}, 6)],
+    ids=["packed-heisenberg", "packed-bs2", "l1-z3", "generic-z2"],
+)
+def test_ball_values_run_in_nondecreasing_order(model, named, radius):
+    # ball_growth reads its sizes off this order by bisection
+    if named is None:
+        gens = GeneratingSet.standard(model)
+    else:
+        gens = GeneratingSet.from_named(model, named)
+    values = list(cayley_ball(model, gens, radius).values())
+    assert values == sorted(values)
+    expected = cayley_ball_by_multiply(model, gens, radius, 10**6).values()
+    sizes = tuple(sum(d <= r for d in expected) for r in range(radius + 1))
+    assert ball_growth(model, gens, radius).sizes == sizes
+
+
 # -- ball growth -----------------------------------------------------------------------
 
 
@@ -839,6 +868,12 @@ def test_profile_rejects_finite_order():
     z1 = ZdModel(1)
     with pytest.raises(ValueError):
         distortion_profile(z1, GeneratingSet.standard(z1), (0,), 5)
+
+
+def test_profile_needs_a_positive_power():
+    z1 = ZdModel(1)
+    with pytest.raises(ValueError, match="profile needs max_power >= 1"):
+        distortion_profile(z1, GeneratingSet.standard(z1), (1,), 0)
 
 
 def test_profile_rejects_bad_certificate():
@@ -1058,16 +1093,13 @@ def _count_multiplies(monkeypatch, model):
 
 def test_certificates_evaluate_with_one_multiply_per_token(monkeypatch):
     # work gate: the BS(1,n) and Heisenberg folds evaluate a certificate on
-    # ints without a single product; the generic fold's closed-form powers
-    # cost no multiplications, so it takes one product per token (generic
-    # squaring took 2.5x as many here)
+    # ints without a single product
     bs = BS1nModel(2)
     calls = _count_multiplies(monkeypatch, bs)
     m = 2**199 + 0x5DEECE66D * 3**70
     word = bs_horner_certificate(m, 2)
     assert word.evaluate(bs, bs.generators()) == (0, m)
     assert calls[0] == 0
-    assert GroupModel.fold(bs, word.tokens, bs.generators()) == (0, m)
     assert len(word.tokens) > 200 and calls[0] <= len(word.tokens) + 2
 
     heis = HeisenbergModel()
@@ -1076,18 +1108,24 @@ def test_certificates_evaluate_with_one_multiply_per_token(monkeypatch):
     word = base_q_certificate(n)
     assert word.evaluate(heis, heis.generators()) == (0, 0, n)
     assert calls[0] == 0
-    assert GroupModel.fold(heis, word.tokens, heis.generators()) == (0, 0, n)
     assert calls[0] <= len(word.tokens) + 2
 
 
 def test_words_ending_below_0_fold_without_a_multiply(monkeypatch):
     # work gate: the BS(1,n) fold scales r once at the end, a final k < 0
-    # included, so neither word takes the generic fold's products
+    # included, so neither word takes a product
     calls = _count_multiplies(monkeypatch, BS2)
     for text, value in [("a b^-3", (-3, 1)), ("b^-2 a", (-2, Fraction(1, 4)))]:
         got = WordExpr.parse(text).evaluate(BS2, BS2.generators())
         assert got == value and type(got[1]) is type(value[1])
     assert calls[0] == 0
+
+
+def test_heisenberg_certificates_reject_bad_input():
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        heisenberg_square_certificate(-1)
+    with pytest.raises(ValueError, match="certificate needs n >= 1"):
+        base_q_certificate(0)
 
 
 def test_square_certificate_values():
