@@ -123,10 +123,15 @@ def code_from_table(domain: ShiftPresentation, radius: int, table: dict) -> Bloc
 
 
 def shift_power_code(domain: ShiftPresentation, j: int) -> BlockCode:
-    """The index shift by j as a code of declared radius |j|."""
+    """The index shift by j as a code of declared radius |j|: a window's last
+    letter for j >= 0, else its first, found by following prefixes down."""
     r = abs(j)
-    table = {w: w[r + j] for w in domain.words_of_length(2 * r + 1)}
-    return code_from_table(domain, r, table)
+    if j >= 0:
+        return _code(domain, r, list(domain.word_index(2 * r + 1).last))
+    firsts = domain.word_index(1).last
+    for n in range(2, 2 * r + 2):
+        firsts = list(map(firsts.__getitem__, domain.word_index(n).prefix))
+    return _code(domain, r, firsts)
 
 
 def symbol_map_code(domain: ShiftPresentation, mapping: dict) -> BlockCode:

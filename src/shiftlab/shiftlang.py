@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,8 @@ class WordIndex:
 def _suffix_automaton(text: str):
     """Suffix automaton (Blumer et al., TCS 40, 1985) of a text over chr(letter
     index), whose paths from state 0 spell its factors: per state, its out-edges
-    (letter index, next state) in alphabet order and its first end position."""
+    (letter index, next state) in alphabet order, its first end position, its
+    suffix link and the length of its longest word."""
     nxt, link, length, ends = [{}], [-1], [0], [-1]
     last = 0
     for i, c in enumerate(map(ord, text)):
@@ -126,7 +127,7 @@ def _suffix_automaton(text: str):
                     nxt[p][c], p = clone, link[p]
                 link[q] = link[cur] = clone
         last = cur
-    return [sorted(out.items()) for out in nxt], ends
+    return [sorted(out.items()) for out in nxt], ends, link, length
 
 
 class ShiftPresentation:
@@ -136,10 +137,10 @@ class ShiftPresentation:
     _edges[t] lists (letter index, next state) for the out-edges of state t
     in alphabet order, and the legal n-words are the labels of its n-step
     paths, one path each.  So the sorted n-words are the sorted (n-1)-words
-    each extended along its end state's edges, and counts, word indexes
-    and enumerations all walk them that way, except that a one-state
-    automaton (a full shift on its allowed letters) takes closed product
-    forms.
+    each extended along its end state's edges, and word indexes and
+    enumerations walk them that way, except that a one-state automaton (a
+    full shift on its allowed letters) takes closed product forms.  An
+    n-word's right extensions are the out-edges of its end state.
 
     Instances are immutable after construction.  Word indexes are cached
     per length, and a cached value equals what a fresh computation would
@@ -349,13 +350,14 @@ class _FactorShift(ShiftPresentation):
     The automaton is the suffix automaton of the text, and _depth its
     reach; a length n past the reach rebuilds it at depth the larger of n
     and twice the reach, and the cached words and indexes stay, as they
-    depend on the words only.  A suffix automaton reaches each state by at
-    most one word of each length, so P(n) is the number of end states of
-    the n-words, and each word is sliced out of the text at its end
-    state's first end position.
+    depend on the words only.  A state v other than 0 holds exactly one
+    factor of each length in (len(link v), len v] (Blumer et al.), so each
+    rebuild counts the factors of every length with one difference array,
+    and each word is sliced out of the text at its end state's first end
+    position.
     """
 
-    _depth = 0
+    _depth, _counts = 0, (1,)
 
     def _text_of(self, depth: int) -> tuple[str, int]:
         raise NotImplementedError
@@ -363,8 +365,14 @@ class _FactorShift(ShiftPresentation):
     def _deepen(self, n):
         if n > self._depth:
             self._text, self._depth = self._text_of(max(n, 2 * self._depth))
-            self._edges, self._ends = _suffix_automaton(self._text.translate(self.alphabet._rank))
+            self._edges, self._ends, link, length = _suffix_automaton(
+                self._text.translate(self.alphabet._rank))
             self._paths = [[0]]
+            steps = [1, -1] + [0] * len(self._text)  # state 0: the empty word
+            for v in range(1, len(link)):
+                steps[length[link[v]] + 1] += 1
+                steps[length[v] + 1] -= 1
+            self._counts = list(accumulate(steps))
 
     def _enumerate(self, n):
         tails = self._tails(n)  # deepens first, so the text below is current
@@ -373,7 +381,8 @@ class _FactorShift(ShiftPresentation):
 
     def count_words(self, n):
         _check_length(n)
-        return len(self._tails(n))
+        self._deepen(n)
+        return self._counts[n]
 
 
 class SubstitutionShift(_FactorShift):
@@ -485,6 +494,10 @@ class PeriodicOrbit(_FactorShift):
         start = min(range(p), key=lambda i: twice[i : i + p])
         self.seed, self.period = twice[start : start + p], p
 
+    def count_words(self, n):
+        # Morse–Hedlund: an orbit of least period p has p words of each length n >= p
+        return super().count_words(min(n, self.period))
+
     def _text_of(self, depth):
         text = self.seed * -(-(depth + self.period - 1) // self.period)
         return text, len(text) - self.period + 1
@@ -508,10 +521,16 @@ def special_words(shift: ShiftPresentation, n: int, side: str = "right") -> tupl
     """Length-n words with at least two legal one-letter extensions on `side`."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    # an n-word has one extension on `side` per (n+1)-word that numbers it
-    # as its prefix (right) or suffix (left), and the numbers follow sorted order
-    index = shift.word_index(n + 1)
-    extensions = Counter(index.prefix if side == "right" else index.suffix)
+    if side == "right":
+        # with the (n+1)-words carried, an n-word's right extensions are its end state's out-edges
+        shift._deepen(n + 1)
+        edges, words = shift._edges, shift.words_of_length(n)
+        if len(edges) == 1:
+            return words if len(edges[0]) > 1 else ()
+        return tuple(w for w, t in zip(words, shift._tails(n)) if len(edges[t]) > 1)
+    # an n-word has one left extension per (n+1)-word that numbers it as its
+    # suffix, and the numbers follow sorted order
+    extensions = Counter(shift.word_index(n + 1).suffix)
     words = shift.words_of_length(n)
     return tuple(words[i] for i in sorted(extensions) if extensions[i] >= 2)
 
@@ -553,7 +572,8 @@ class ComplexityProfile:
 def entropy_profile(shift: ShiftPresentation, max_length: int) -> ComplexityProfile:
     if max_length < 1:
         raise ValueError("profile needs max_length >= 1")
-    values = tuple(complexity(shift, n) for n in range(1, max_length + 1))
+    # longest first: a factor shift builds its automaton once, for max_length
+    values = tuple(reversed([complexity(shift, n) for n in range(max_length, 0, -1)]))
     estimates = tuple(math.log(p) / n for n, p in enumerate(values, start=1))
     return ComplexityProfile(values, estimates)
 

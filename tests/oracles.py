@@ -152,6 +152,17 @@ def periodic_words(seed: str, n: int) -> set[str]:
     return {s[i : i + n] for i in range(len(seed))}
 
 
+def count_words_by_paths(shift, n: int) -> int:
+    """|L_n| as the number of n-step paths from state 0 of the shift's
+    automaton, walked one level at a time: how factor shifts counted before
+    they read P(n) off the suffix links."""
+    shift._deepen(n)
+    tails = [0]
+    for _ in range(n):
+        tails = [u for t in tails for _, u in shift._edges[t]]
+    return len(tails)
+
+
 def special_words_by_extension(longer: set[str], side: str) -> set[str]:
     """The n-words with at least two one-letter extensions on `side`, read
     off the set of legal (n+1)-words by spelling each one's core."""
@@ -335,6 +346,13 @@ def rectangle_sweep(domain, code, cols: int, rows: int, word_budget: int = 2_000
 # The string implementation the word-index algebra in shiftlab.blockcode
 # replaced: every table row slides the inner rule along its window.  Errors
 # are raised at the same points and with the same text.
+
+
+def shift_power_code_by_table(domain, j: int):
+    """The index shift by j as a spelled table {window: window[r + j]}, r = |j|."""
+    r = abs(j)
+    table = {w: w[r + j] for w in domain.words_of_length(2 * r + 1)}
+    return code_from_table(domain, r, table)
 
 
 def _check_table_budget(domain, radius: int, budget: int, context: str):

@@ -199,7 +199,7 @@ PRESENTATIONS = {
 @pytest.mark.parametrize("kind", ["full", "sft"])
 def test_range_profile_builds_rows_without_sliding_the_rule(monkeypatch, kind):
     # a row is one successor lookup: the rule is never slid along a window,
-    # and no word longer than the code's own window is ever spelled out
+    # and no word is ever spelled out, not even the code's own windows
     domain = PRESENTATIONS[kind]()
     slid = []
     monkeypatch.setattr(blockcode, "apply_to_word", lambda *args: slid.append(args))
@@ -207,7 +207,23 @@ def test_range_profile_builds_rows_without_sliding_the_rule(monkeypatch, kind):
     profile = range_profile(shift_power_code(domain, 1), 6)
     assert profile.entries == (1, 2, 3, 4, 5, 6)
     assert slid == []
-    assert max(spelled) <= 3
+    assert spelled == []
+
+
+@pytest.mark.parametrize("kind", PRESENTATIONS)
+def test_shift_power_codes_are_read_off_the_word_index(kind):
+    # work gate and oracle: the shift by j takes each window's last (j >= 0)
+    # or first (j < 0) letter from the word index, spelling no word, and
+    # equals the spelled table {w: w[r + j]}
+    for j in range(-3, 4):
+        domain = PRESENTATIONS[kind]()
+        spelled = oracles.record_spelling(domain)
+        code = shift_power_code(domain, j)
+        assert spelled == []
+        want = oracles.shift_power_code_by_table(domain, j)
+        assert code.radius == want.radius == abs(j)
+        assert code.outputs == want.outputs
+        assert code.rule == want.rule
 
 
 @pytest.mark.parametrize("kind", PRESENTATIONS)

@@ -1,5 +1,6 @@
 """Language-level behavior of the four presentation kinds."""
 
+import copy
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from shiftlab.shiftlang import (
 )
 
 from oracles import (
+    count_words_by_paths,
     fibonacci_rules,
     forbid_spelling,
     golden_mean_words,
@@ -317,26 +319,26 @@ def _count_automata(monkeypatch):
 
 
 def test_deep_profile_builds_few_automata_and_spells_nothing(monkeypatch):
-    # work gate: depths double, so a profile to depth 400 builds at most
-    # ceil(log2(400)) + 1 automata, and counting never spells a word
+    # work gate: a profile counts its longest length first, so a profile to
+    # depth 400 builds one automaton, and counting never spells a word
     built = _count_automata(monkeypatch)
     x = SubstitutionShift(BINARY, fibonacci_rules())
     forbid_spelling(x)
     profile = entropy_profile(x, 400)
     assert profile.values == tuple(range(2, 402))
-    assert len(built) <= math.ceil(math.log2(400)) + 1
+    assert len(built) == 1
 
 
 def test_deep_range_profile_does_not_inflate_per_length(monkeypatch):
     # r(sigma^n) = n needs words of length 2n + 1 up to 401: a handful of
-    # automata, and only the code's own table length is spelled
+    # automata, and no word is spelled, not even the code's own table
     built = _count_automata(monkeypatch)
     x = SubstitutionShift(BINARY, fibonacci_rules())
     spelled = record_spelling(x)
     profile = range_profile(shift_power_code(x, 1), 200)
     assert profile.entries == tuple(range(1, 201))
     assert len(built) <= math.ceil(math.log2(401)) + 1
-    assert set(spelled) == {3}
+    assert spelled == []
 
 
 # -- periodic orbits ---------------------------------------------------------
@@ -380,12 +382,40 @@ def test_periodic_climb_rebuilds_only_past_the_text_reach(monkeypatch):
     assert len(built) <= 2
 
 
+def test_periodic_profile_builds_one_text_of_a_few_periods(monkeypatch):
+    # work gate: P(n) = p for n >= p, so a profile far past the period
+    # builds one automaton, of a text that holds the p-words only
+    built = _count_automata(monkeypatch)
+    x = PeriodicOrbit("00001")
+    assert entropy_profile(x, 1000).values == (2, 3, 4) + (5,) * 997
+    assert len(built) == 1 and built[0] < 3 * x.period
+
+
+HUGE_PERIODIC_COUNT = """
+from shiftlab.shiftlang import PeriodicOrbit
+print(PeriodicOrbit("01").count_words(10**8))
+"""
+
+
+def test_a_periodic_count_at_a_huge_length_builds_no_long_text():
+    # a text of 10**8 letters would outgrow the 1 GB cap, or the timeout
+    result = run_capped(HUGE_PERIODIC_COUNT, timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "2\n"
+
+
 def test_periodic_seed_normalization():
     a = PeriodicOrbit("0101")
     b = PeriodicOrbit("10")
     assert a.seed == b.seed == "01"
     assert a == b
     assert a.period == 2
+
+
+def test_periodic_seed_must_be_a_nonempty_word():
+    for seed in ("", None):
+        with pytest.raises(ValueError, match="seed must be a nonempty word"):
+            PeriodicOrbit(seed)
 
 
 # all p rotations of a 100000-letter seed would take 10^10 letters, so under
@@ -464,8 +494,13 @@ def test_special_words_periodic_none():
 def _shifts_with_words(draw):
     """A shift and its legal words of each length, from an oracle: an SFT,
     a primitive substitution or a periodic orbit."""
-    kind = draw(st.sampled_from(("sft", "substitution", "periodic")))
+    kind = draw(st.sampled_from(("sft", "substitution", "periodic", "full", "one-letter")))
     symbols = draw(st.sampled_from(("01", "012")))
+    if kind in ("full", "one-letter"):
+        # one-state automata: every letter loops, or one letter alone does
+        forbidden = list(symbols[1:]) if kind == "one-letter" else []
+        shift = SftForbidden(Alphabet.of(symbols), forbidden)
+        return shift, lambda n: sft_words_brute(symbols, forbidden, n)
     if kind == "substitution":
         rules = draw(primitive_substitutions())
         shift = SubstitutionShift(Alphabet.of(sorted(rules)), rules)
@@ -482,11 +517,15 @@ def _shifts_with_words(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_shifts_with_words(), st.integers(0, 7), st.sampled_from(("right", "left")))
-def test_special_words_match_the_extensions_of_longer_words(case, n, side):
+@given(_shifts_with_words(), st.lists(st.integers(0, 7), min_size=1, max_size=3),
+       st.sampled_from(("right", "left")))
+def test_special_words_match_the_extensions_of_longer_words(case, lengths, side):
+    # the lengths in the drawn order, then from the deepest down, so some
+    # length is always asked after a deeper one
     x, words = case
-    want = special_words_by_extension(words(n + 1), side)
-    assert special_words(x, n, side) == tuple(sorted(want, key=x.alphabet.word_key))
+    for n in lengths + sorted(lengths, reverse=True):
+        want = special_words_by_extension(words(n + 1), side)
+        assert special_words(x, n, side) == tuple(sorted(want, key=x.alphabet.word_key))
 
 
 def test_special_words_rejects_bad_side(golden):
@@ -565,6 +604,13 @@ def test_morse_hedlund_longer_period():
     assert v.witness == 7
 
 
+def test_profiles_need_a_positive_length(golden):
+    with pytest.raises(ValueError, match="profile needs max_length >= 1"):
+        entropy_profile(golden, 0)
+    with pytest.raises(ValueError, match="max_length must be >= 1"):
+        morse_hedlund_test(golden, 0)
+
+
 # -- counting against enumeration ------------------------------------------
 
 
@@ -576,6 +622,16 @@ def _one_of_each_kind():
         "substitution": SubstitutionShift(BINARY, fibonacci_rules()),
         "periodic": PeriodicOrbit("0010111"),
     }
+
+
+def test_repr_names_every_kind():
+    assert [repr(x) for _, x in sorted(_one_of_each_kind().items())] == [
+        "<FullShift full shift on {0,1}>",
+        "<PeriodicOrbit periodic orbit of 0010111>",
+        "<SftForbidden SFT on {0,1} forbidding {00,111}>",
+        "<SftForbidden SFT on {a,b,c} forbidding {b}>",
+        "<SubstitutionShift substitution 0->01, 1->0>",
+    ]
 
 
 @pytest.mark.parametrize("kind", sorted(_one_of_each_kind()))
@@ -593,6 +649,29 @@ def test_count_words_matches_enumeration(kind):
     counts = [x.count_words(n) for n in range(12)]
     assert counts == [len(x.words_of_length(n)) for n in range(12)]
     assert counts == [x.count_words(n) for n in range(12)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shifts_with_words(), st.data())
+def test_counts_match_the_path_walk(case, data):
+    # lengths out of order: a deeper request rebuilds a factor shift's
+    # automaton, and shorter ones are then read off the rebuilt counts; the
+    # walk runs on a twin, so it rebuilds nothing of x's.  The walk lists
+    # every path, so SFTs, which may grow exponentially, stay short.
+    x, _ = case
+    twin = copy.deepcopy(x)
+    longest = 10 if isinstance(x, SftForbidden) else 80
+    for n in data.draw(st.lists(st.integers(0, longest), min_size=1, max_size=5)):
+        assert x.count_words(n) == count_words_by_paths(twin, n)
+
+
+@pytest.mark.parametrize("kind", sorted(_one_of_each_kind()))
+def test_right_special_words_build_no_word_index(kind):
+    # work gate: right extensions are read off the automaton's out-edges
+    x = _one_of_each_kind()[kind]
+    for n in (6, 2):
+        special_words(x, n, "right")
+    assert x._index_cache == {}
 
 
 sft_alphabets = st.sampled_from(["0", "01", "012"])
