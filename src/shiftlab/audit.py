@@ -39,8 +39,6 @@ _EQUALITY_NOTE = "equality holds at every checked power"
 def _fmt(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

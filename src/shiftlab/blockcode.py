@@ -115,6 +115,15 @@ def _code(domain: ShiftPresentation, radius: int, outputs: list) -> BlockCode:
     return code
 
 
+def _letters(domain: ShiftPresentation, n: int, i: int) -> list:
+    """The alphabet index of letter i of each legal n-word, in word-index
+    order: the last letters of the (i+1)-words, carried up by prefixes."""
+    letters = list(domain.word_index(i + 1).last)
+    for m in range(i + 2, n + 1):
+        letters = list(map(letters.__getitem__, domain.word_index(m).prefix))
+    return letters
+
+
 # -- construction helpers ------------------------------------------------
 
 
@@ -124,14 +133,9 @@ def code_from_table(domain: ShiftPresentation, radius: int, table: dict) -> Bloc
 
 def shift_power_code(domain: ShiftPresentation, j: int) -> BlockCode:
     """The index shift by j as a code of declared radius |j|: a window's last
-    letter for j >= 0, else its first, found by following prefixes down."""
+    letter for j >= 0, else its first, both read by number (_letters)."""
     r = abs(j)
-    if j >= 0:
-        return _code(domain, r, list(domain.word_index(2 * r + 1).last))
-    firsts = domain.word_index(1).last
-    for n in range(2, 2 * r + 2):
-        firsts = list(map(firsts.__getitem__, domain.word_index(n).prefix))
-    return _code(domain, r, firsts)
+    return _code(domain, r, _letters(domain, 2 * r + 1, 2 * r if j >= 0 else 0))
 
 
 def symbol_map_code(domain: ShiftPresentation, mapping: dict) -> BlockCode:
@@ -354,16 +358,16 @@ def inverse_search(
     """
     phi = minimized(code)
     domain, r = phi.domain, phi.radius
-    images, rank = _Images(phi), domain.alphabet._index
+    images = _Images(phi)
     for r_inv in range(radius_max + 1):
         h = r + r_inv
         check_words(domain, 2 * h + 1, table_budget, "table rows", "inverse search")
         count = domain.word_index(2 * r_inv + 1).count
         table = [None] * (count + 1)  # the last slot collects illegal images
-        for j, w in zip(images.of_length(2 * h + 1), domain.words_of_length(2 * h + 1)):
+        for j, a in zip(images.of_length(2 * h + 1), _letters(domain, 2 * h + 1, h)):
             if table[j] is None:
-                table[j] = rank[w[h]]
-            elif table[j] != rank[w[h]]:
+                table[j] = a
+            elif table[j] != a:
                 break
         else:
             # a total inverse needs every legal window, and only those, as an image

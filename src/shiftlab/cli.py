@@ -112,8 +112,6 @@ def _record_text(pairs) -> str:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if value is None:
         return "none"
     return str(value)

@@ -464,11 +464,7 @@ def _is_unit_basis(model: ZdModel, moves) -> bool:
     """Are the moves exactly the int vectors ±e_1, .., ±e_d?"""
     basis = model.generators().values()
     units = {*basis, *map(model.inverse, basis)}
-    return (
-        len(moves) == len(units)
-        and all(isinstance(x, int) for g in moves for x in g)
-        and set(moves) == units
-    )
+    return all(isinstance(x, int) for g in moves for x in g) and set(moves) == units
 
 
 def _l1_norm(g, dimension: int):

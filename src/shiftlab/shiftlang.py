@@ -279,16 +279,13 @@ class SftForbidden(ShiftPresentation):
     def __init__(self, alphabet: Alphabet, forbidden):
         super().__init__()
         self.alphabet = alphabet
-        fset = []
-        seen = set()
+        fset = set()
         for f in forbidden:
             if not isinstance(f, str) or len(f) == 0:
                 raise ValueError("forbidden words must be nonempty strings")
             if not alphabet.contains_word(f):
                 raise ValueError(f"forbidden word {f!r} uses symbols outside the alphabet")
-            if f not in seen:
-                seen.add(f)
-                fset.append(f)
+            fset.add(f)
         self.forbidden = tuple(sorted(fset, key=lambda w: (len(w), alphabet.word_key(w))))
         symbols = alphabet.symbols
         b = max(map(len, self.forbidden), default=1) - 1
@@ -487,8 +484,7 @@ class PeriodicOrbit(_FactorShift):
         if not isinstance(seed, str) or len(seed) == 0:
             raise ValueError("seed must be a nonempty word")
         self.alphabet = Alphabet.of(sorted(set(seed)))
-        r = (seed + seed).index(seed, 1)
-        root = seed[:r] if r < len(seed) else seed
+        root = seed[: (seed + seed).index(seed, 1)]
         # the alphabet is the sorted letters, so its order is the string order
         twice, p = root + root, len(root)
         start = min(range(p), key=lambda i: twice[i : i + p])

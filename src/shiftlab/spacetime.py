@@ -264,7 +264,7 @@ def cyr_kra_audit(patches, n: int, k: int) -> CyrKraVerdict:
 
 def _least_period(column: str) -> int:
     k = len(column)
-    for p in range(1, k + 1):
+    for p in range(1, k):
         if all(column[y] == column[y + p] for y in range(k - p)):
             return p
     return k

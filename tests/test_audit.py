@@ -317,6 +317,8 @@ def test_loosely_linear_range_is_not_a_sublinear_power(fibonacci):
 def test_polynomial_audit_argument_guards(full2):
     prof = sqrt_staircase_profile(16)
     complexity = entropy_profile(full2, 8)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        polynomial_bound_audit(prof, complexity, 0)
     with pytest.raises(ValueError):
         polynomial_bound_audit(prof, complexity, 12)  # deeper than measured
     with pytest.raises(ValueError):

@@ -241,6 +241,7 @@ def test_the_algebra_spells_no_word(kind):
     assert is_identity(compose(flip, sigma)) == (kind == "periodic")
     range_profile(sigma, 5)
     endomorphism_check(flip)
+    assert codes_equal(inverse_search(sigma, 1), back)
     assert spelled == []
     assert len(cube.rule.table) == domain.count_words(2 * cube.radius + 1)
     assert spelled == [2 * cube.radius + 1]

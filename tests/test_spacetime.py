@@ -110,6 +110,14 @@ def test_patch_provenance_ignored_in_identity(full2):
     assert a.as_text() == "0"
 
 
+def test_build_patches_argument_guards(full2, fibonacci):
+    for n, k in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="patch dimensions must be positive"):
+            build_patches(full2, flip(full2), n, k)
+    with pytest.raises(ValueError, match="code is not defined on the given presentation"):
+        build_patches(fibonacci, flip(full2), 2, 2)
+
+
 def test_build_patches_budget(full2):
     with pytest.raises(BudgetExceededError):
         build_patches(full2, shift_power_code(full2, 1), 3, 12, word_budget=100)

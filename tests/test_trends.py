@@ -13,6 +13,7 @@ from shiftlab.trends import (
     TIGHT_LINEAR_RESIDUAL,
     TrendFit,
     fit_trend,
+    growth_degree,
     linear_floor,
     trend_label,
 )
@@ -112,6 +113,11 @@ def test_float_overflow_is_a_value_error():
     # the squared residuals of entries near 10**200 overflow a float
     with pytest.raises(ValueError, match="^trend fit of 8 values overflows float arithmetic$"):
         fit_trend([10**200] * 4 + [3] * 4)
+
+
+def test_growth_degree_on_a_one_radius_window():
+    # one point fits no line: degree 0 and not superpolynomial
+    assert growth_degree([1, 3, 5, 9], 3) == (0.0, False)
 
 
 def test_window_is_top_half_log_scale():
