@@ -39,12 +39,9 @@ SUBLINEAR_TREND = "SublinearTrend"
 class IllegalWindowError(LookupError):
     """A rule lookup hit a window outside the domain language."""
 
-    def __init__(self, window: str, detail: str = ""):
+    def __init__(self, window: str, detail: str):
         self.window = window
-        msg = f"window {window!r} is not in the rule's domain language"
-        if detail:
-            msg += f"; {detail}"
-        super().__init__(msg)
+        super().__init__(f"window {window!r} is not in the rule's domain language; {detail}")
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def build_code(
             raise ConfigError(f"code {name!r}: give 'table' or 'file', not both")
         if "file" in spec:
             path = Path(spec["file"])
-            if base_dir is not None and not path.is_absolute():
+            if base_dir is not None:
                 path = base_dir / path
             try:
                 text = path.read_text()

@@ -21,7 +21,7 @@ class BudgetExceededError(RuntimeError):
     instead of a silently wrong one.
     """
 
-    def __init__(self, kind: str, limit: int, attempted: int, context: str = ""):
+    def __init__(self, kind: str, limit: int, attempted: int, context: str):
         self.kind = kind
         self.limit = limit
         self.attempted = attempted
@@ -31,10 +31,7 @@ class BudgetExceededError(RuntimeError):
         except ValueError:
             # more digits than the interpreter will print
             needed = f"at least 2**{attempted.bit_length() - 1}"
-        msg = f"{kind} budget exceeded: needed {needed}, limit {limit}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        super().__init__(f"{kind} budget exceeded: needed {needed}, limit {limit} ({context})")
 
 
 class ConfigError(ValueError):

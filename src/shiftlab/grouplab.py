@@ -199,40 +199,28 @@ class BS1nModel(GroupModel):
     def fold(self, tokens, binding):
         """Horner's rule: the product so far is (k, r * n^(k+p)).
 
-        A translation (0, m)^e with m*e nonzero adds m*e*n^k to the
-        translation: it first pays a pending p > 0 into r, then adds
-        m*e*n^-p to r; one that adds nothing pays nothing.  A dilation
-        (d, 0)^e adds d*e to k and, while r is nonzero, takes d*e from p,
-        so the translation stays put; b^e after a translation leaves p
-        below 0 and divides nothing.  The end scales r once by n^(k+p), a
-        Fraction when k+p < 0, so a dilation alone takes no power of n.
-        Any other generator (d, m), a Fraction m or both parts nonzero, has
-        (d, m)^e = (d*e, m*s) with s = (n^(d*e) - 1)/(n^d - 1), or e when
-        d = 0: for e != 0 it pays p like a translation, adds m*s*n^-p to
-        r and then dilates like a dilation; for e = 0 it pays nothing.
+        A token (d, m)^e is (d*e, m*s), with s = e when d = 0 and the
+        geometric sum s = (n^(d*e) - 1)/(n^d - 1) otherwise.  When m*e is
+        nonzero it pays a pending p > 0 into r and adds m*s*n^-p to r;
+        then, when d is nonzero, it adds d*e to k and, while r is nonzero,
+        takes d*e from p, so the translation stays put and b^e after a
+        translation leaves p below 0 and divides nothing.  The end scales
+        r once by n^(k+p), a Fraction when k+p < 0, so a dilation alone
+        takes no power of n and a word over {a, b} folds on ints.
         """
         n = self.n
         k = r = p = 0
         for name, e in tokens:
             dk, m = binding[name]
-            if dk == 0 and type(m) is int:
-                if m * e:
-                    if p > 0:
-                        r, p = r * n**p, 0
-                    r += m * e * n**-p
-            elif m == 0:
+            if m and e:
+                if p > 0:
+                    r, p = r * n**p, 0
+                s = (Fraction(n) ** (dk * e) - 1) / (Fraction(n) ** dk - 1) if dk else e
+                r += m * s * n**-p
+            if dk:
                 k += dk * e
                 if r:
                     p -= dk * e
-            elif e:
-                if p > 0:
-                    r, p = r * n**p, 0
-                de = dk * e
-                s = (Fraction(n) ** de - 1) / (Fraction(n) ** dk - 1) if dk else e
-                r += m * s * n**-p
-                k += de
-                if r:
-                    p -= de
         return (k, self._scale(k + p, r))
 
     def generators(self):
@@ -636,15 +624,11 @@ def _bs_packing(n: int, moves, radius: int, state_budget: int):
         if not (isinstance(g, tuple) and len(g) == 2):
             return None
         k, m = g
-        if not (isinstance(k, int) and -radius <= k <= radius):
+        if not (isinstance(k, int) and -radius <= k <= radius and isinstance(m, (int, Fraction))):
             return None
-        if isinstance(m, int):
-            big = m * scale
-        elif isinstance(m, Fraction):
-            big, rest = divmod(m.numerator * scale, m.denominator)
-            if rest:
-                return None
-        else:
+        # an int is its own numerator over 1
+        big, rest = divmod(m.numerator * scale, m.denominator)
+        if rest:
             return None
         return big * width + n ** (k + radius)
 

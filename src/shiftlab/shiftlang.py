@@ -539,6 +539,8 @@ class ComplexityProfile:
     and log(P(n))/n then converges to its infimum; the minimum recorded
     estimate is therefore an upper estimate of the growth rate.  Both facts
     are validated here so a corrupted profile fails loudly at construction.
+    The pair scan for P(i + j) <= P(i)P(j) stops a row once P(i)P(j)
+    reaches P(N), as every later pair then holds, so it stays exact.
     All logarithms are natural.
     """
 
@@ -554,11 +556,14 @@ class ComplexityProfile:
             if i and p < self.values[i - 1]:
                 raise ValueError(f"P({i + 1}) < P({i}): counts must be nondecreasing")
         # (i, j) fails iff (j, i) does, and i <= j comes first in this order
-        n = len(self.values)
+        values, n = self.values, len(self.values)
         for i in range(1, n // 2 + 1):
             for j in range(i, n - i + 1):
-                if self.values[i + j - 1] > self.values[i - 1] * self.values[j - 1]:
+                bound = values[i - 1] * values[j - 1]
+                if values[i + j - 1] > bound:
                     raise ValueError(f"P({i + j}) > P({i})P({j}): not submultiplicative")
+                if bound >= values[-1]:
+                    break
 
     @property
     def entropy_upper_estimate(self) -> float:

@@ -42,6 +42,7 @@ from shiftlab.shiftlang import (
     SubstitutionShift,
     entropy_profile,
 )
+from shiftlab.trends import fit_trend
 
 BINARY = Alphabet.of("01")
 
@@ -106,6 +107,16 @@ def test_report_text_inlines_sequences():
     assert text.endswith("note: a note\n")
     assert not report.consistent
     assert report.violation_index == 2
+
+
+def test_report_text_prints_a_dash_for_none():
+    # kills `_fmt`'s `if value is None` forced False, which prints `None`
+    report = AuditReport(
+        "x", VIOLATION, (1, 2), (None, 3), (4, 5), counterexample=(1, None, 4)
+    )
+    text = report.to_text()
+    assert "left: - 3\n" in text
+    assert "counterexample: index=1 left=- right=4\n" in text
 
 
 # -- range vs word length ---------------------------------------------------------
@@ -248,6 +259,17 @@ def test_finite_order_evidence_gates_entropy_audit(full2):
     assert "finite-order" in report.reason
 
 
+def test_no_tail_window_note_when_the_constants_agree(full2):
+    # kills the tail-window note's guard forced True: up to m = 16 the
+    # staircase's all-m constant is its tail-window constant
+    prof = log_staircase_profile(16)
+    fit = fit_trend(prof.entries)
+    assert fit.constant_global == fit.constant_tail
+    report = entropy_bound_audit(prof, entropy_profile(full2, 16))
+    assert report.verdict == CONSISTENT
+    assert not [note for note in report.notes if note.startswith("tail-window")]
+
+
 # -- polynomial complexity floor ---------------------------------------------------
 
 
@@ -302,6 +324,19 @@ def test_log_fit_accepts_any_explicit_root_but_selects_none(full2):
     report = polynomial_bound_audit(prof, complexity, 16)
     assert report.verdict == NOT_APPLICABLE
     assert "explicitly" in report.reason
+
+
+def test_explicit_root_below_the_fitted_root_is_kept(full2):
+    # kills `if root is None` forced True, which replaces root 1 by the
+    # fitted root 3 and checks P(n)/n^4 instead of P(n)/n^2
+    prof = RangeProfile.from_entries(
+        tuple(max(k for k in range(1, 17) if k**3 <= 64 * m) for m in range(1, 65))
+    )
+    fit = fit_trend(prof.entries)
+    assert (fit.kind, fit.root) == ("polynomial", 3)
+    report = polynomial_bound_audit(prof, entropy_profile(full2, 12), 12, root=1)
+    assert report.verdict == CONSISTENT
+    assert report.notes == ("minimum P(n)/n^2 = 0.8888888888888888 attained at n = 3",)
 
 
 def test_loosely_linear_range_is_not_a_sublinear_power(fibonacci):

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import json
 import math
 import os
@@ -259,6 +260,28 @@ class TestRun:
             b"word: u^7 t^7 u^-7 t^-7\nlength: 28\nlength_bound: 28\nverified: true\n",
         }
 
+    def test_certificate_off_its_target_is_an_error_row(self, tmp_path, capsys, monkeypatch):
+        # the check behind `verified: true`, which no shipped certificate
+        # fails: a constructor whose target is off by one reaches it
+        from shiftlab import grouplab
+
+        named = grouplab.named_certificate
+
+        def off_by_one(kind, **params):
+            word, model, (k, m), bound = named(kind, **params)
+            return word, model, (k, m + 1), bound
+
+        monkeypatch.setattr(grouplab, "named_certificate", off_by_one)
+        run = {"name": "horner", "operation": "certificate",
+               "params": {"base": 3, "m": 1000, "kind": "bs_horner"}}
+        doc = {"runs": [run], "out_dir": str(tmp_path / "out")}
+        status, _ = run_cli(capsys, "run", str(write_config(tmp_path, doc)))
+        assert status == 1
+        assert summary_rows(tmp_path / "out") == [
+            ["horner", "certificate", "-",
+             "error: certificate evaluates to (0, 1000), expected (0, 1001)"],
+        ]
+
     def test_no_inverse_and_growth_formula_records(self, tmp_path, capsys):
         # majority of three is not injective, so no radius has an inverse
         majority = {w: str(int(w.count("1") >= 2))
@@ -459,6 +482,11 @@ class TestDeterminism:
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1] == trees[2]
         assert "summary.csv" in trees[0]
+        # the benchmark's pinned digests kill a found inverse printed as
+        # `inverse: none` (cli) and `indices: -` printed empty (audit)
+        pins = json.loads((SCRIPTS.parent / "perfbench" / "pins.json").read_text())
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in trees[0].items()}
+        assert digests == pins["trees"]["demo"]
 
 
 SIBLING = {"name": "sibling", "operation": "complexity",
@@ -949,6 +977,11 @@ class TestValidate:
          "code 'c' references code 'later' which is not defined earlier in the document"),
         ("groups", "g", {"kind": "baumslag_solitar", "base": 2.5},
          "group 'g': base must be an integer"),
+        # a window of length 0 has radius -1; kills the code domain's
+        # `if radius >= 0` forced True, whose budget check then fails first
+        # with `word length must be nonnegative`
+        ("codes", "c", {"kind": "table", "domain": "full-2", "table": {"": "0"}},
+         "code 'c': radius must be nonnegative"),
     ])
     def test_bad_document_entry_rejected_unused(self, section, name, spec, error,
                                                 tmp_path, capsys):

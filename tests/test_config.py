@@ -277,6 +277,16 @@ class TestBuildCode:
         )
         assert apply_to_word(code, "0110") == "11"
 
+    def test_table_file_path_without_base_dir_or_absolute_is_read_as_given(self, tmp_path):
+        # kills `if base_dir is not None` forced True in build_code, which
+        # joins the path to None; an absolute path ignores base_dir
+        rules = tmp_path / "rule.txt"
+        rules.write_text("".join(f"{w} {w[1]}\n" for w in ["000", "001", "010", "011", "100", "101", "110", "111"]))
+        spec = {"kind": "table", "domain": "bits", "file": str(rules)}
+        for base_dir in (None, tmp_path / "elsewhere"):
+            code = build_code("copy", spec, self.SHIFTS, {}, base_dir=base_dir)
+            assert apply_to_word(code, "0110") == "11"
+
     def test_missing_file_names_code(self, tmp_path):
         with pytest.raises(ConfigError, match="code 'x': cannot read"):
             build_code(

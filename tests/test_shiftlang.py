@@ -571,11 +571,8 @@ def test_complexity_profile_validation():
         ComplexityProfile((), ())
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
-def test_complexity_profile_names_the_first_failing_pair(steps):
+def assert_pair_scan_matches_the_full_scan(values):
     # nondecreasing counts, so only submultiplicativity can fail
-    values = tuple(sum(steps[: i + 1]) for i in range(len(steps)))
     want = submultiplicative_failure(values)
     try:
         ComplexityProfile(values, (0.1,) * len(values))
@@ -583,6 +580,38 @@ def test_complexity_profile_names_the_first_failing_pair(steps):
         assert str(exc) == want
     else:
         assert want is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+def test_complexity_profile_names_the_first_failing_pair(steps):
+    assert_pair_scan_matches_the_full_scan(tuple(sum(steps[: i + 1]) for i in range(len(steps))))
+
+
+@st.composite
+def nondecreasing_counts(draw):
+    """Sorted positive ints, or a submultiplicative shape (c*n + 1, (n + c)^2
+    or (c + 1)^n) with one count raised and the later ones lifted to stay
+    nondecreasing, so that failures also sit in rows the scan cuts short."""
+    if draw(st.booleans()):
+        return tuple(sorted(draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=40))))
+    c = draw(st.integers(1, 3))
+    grow = draw(st.sampled_from(
+        [lambda n: c * n + 1, lambda n: (n + c) ** 2, lambda n: (c + 1) ** n]
+    ))
+    values = [grow(n) for n in range(1, draw(st.integers(1, 60)) + 1)]
+    spot = draw(st.integers(0, len(values) - 1))
+    values[spot] += draw(st.integers(0, 3 * values[spot]))
+    for i in range(spot + 1, len(values)):
+        values[i] = max(values[i], values[i - 1])
+    return tuple(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nondecreasing_counts())
+def test_complexity_profile_early_stop_matches_the_full_scan(values):
+    # each row of the scan stops once P(i)P(j) >= P(N); the oracle scans every pair
+    assert_pair_scan_matches_the_full_scan(values)
 
 
 def test_morse_hedlund_periodic_witness():
