@@ -9,10 +9,9 @@ inputs (the detector tests) or an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import DEFAULT_TABLE_BUDGET
+from .errors import DEFAULT_TABLE_BUDGET, record
 from .trends import fit_trend
 
 if TYPE_CHECKING:
@@ -48,7 +47,7 @@ def _seq(values) -> str:
     return " ".join(_fmt(v) for v in values)
 
 
-@dataclass(frozen=True)
+@record
 class AuditReport:
     """Outcome of one inequality check over index-aligned sequences.
 

@@ -21,12 +21,11 @@ an explicitly truncated result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_TABLE_BUDGET, BudgetExceededError
+from .errors import DEFAULT_TABLE_BUDGET, BudgetExceededError, record
 from .trends import linear_floor
 
 if TYPE_CHECKING:
@@ -44,7 +43,7 @@ class IllegalWindowError(LookupError):
         super().__init__(f"window {window!r} is not in the rule's domain language; {detail}")
 
 
-@dataclass(frozen=True)
+@record
 class LocalRule:
     """Radius plus a total output table on legal (2R+1)-words.
 
@@ -379,7 +378,7 @@ def inverse_search(
 # -- range profiles -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RangeProfile:
     """Minimal ranges of successive powers, with growth verdicts.
 

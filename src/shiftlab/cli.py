@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 from .audit import (
@@ -47,7 +45,7 @@ from .corpus import (
     builtin_groups,
     builtin_shifts,
 )
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, record, replace
 
 SUMMARY_HEADER = ("name", "operation", "result", "verdict")
 
@@ -117,7 +115,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@record
 class RunResult:
     """What one run produced: file content plus its summary row."""
 
@@ -482,7 +480,7 @@ def _load_config(path: Path) -> tuple[ExperimentConfig, Path]:
 def _cmd_run(args) -> int:
     config, base_dir = _load_config(Path(args.config))
     if args.out_dir is not None:
-        config = dataclasses.replace(config, out_dir=args.out_dir)
+        config = replace(config, out_dir=args.out_dir)
     status, summary = execute_config(config, base_dir)
     sys.stdout.write(summary)
     return status

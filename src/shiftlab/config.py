@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from typing import AbstractSet, Mapping
 
 from .errors import (
     DEFAULT_BFS_STATES,
     DEFAULT_RADIUS,
     DEFAULT_TABLE_BUDGET,
+    MAX_DEPTH,
     MIN_GROWTH_RADIUS,
     ConfigError,
+    asdict,
+    field,
+    record,
 )
 
 RUN_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -31,7 +34,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@record
 class Budgets:
     """Resource ceilings shared by every run of one experiment."""
 
@@ -47,7 +50,7 @@ class Budgets:
                 raise ConfigError(f"budget {name} must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class RunSpec:
     """One operation invocation: a unique name, the operation, its params.
 
@@ -72,7 +75,7 @@ class RunSpec:
             raise ConfigError(f"run {self.name!r}: fabricated must be true or false")
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     shifts: dict = field(default_factory=dict)
     codes: dict = field(default_factory=dict)
@@ -91,7 +94,7 @@ _RUN_KEYS = {"name", "operation", "params", "fabricated"}
 REQUIRED = object()
 
 
-@dataclass(frozen=True)
+@record
 class Param:
     """One operation parameter: the kind of value it takes and its default.
 
@@ -106,7 +109,7 @@ class Param:
     default: object = REQUIRED
 
 
-@dataclass(frozen=True)
+@record
 class Operation:
     """The parameters of one operation.
 
@@ -127,6 +130,7 @@ SHIFT = Param("shift")
 CODE = Param("code")
 GROUP = Param("group")
 POSITIVE = Param("positive")
+DEPTH = Param("depth")
 RADIUS = Param("positive", lambda budgets: budgets.radius_cap)
 ELEMENT = Param("word")
 PROFILE = Param("profile")
@@ -136,16 +140,16 @@ _PATCH_FAMILY = {"shift": SHIFT, "code": CODE, "length": POSITIVE, "height": POS
 # audits read a range profile either literally or by profiling a code
 _PROFILE_SOURCE = {
     "range_entries": {"range_entries": PROFILE},
-    "code": {"code": CODE, "depth_range": POSITIVE},
+    "code": {"code": CODE, "depth_range": DEPTH},
 }
 
 OPERATION_PARAMS = {
-    "complexity": Operation({"shift": SHIFT, "depth": POSITIVE}),
+    "complexity": Operation({"shift": SHIFT, "depth": DEPTH}),
     "morse_hedlund": Operation({"shift": SHIFT, "limit": POSITIVE}),
     "special_words": Operation(
         {"shift": SHIFT, "length": POSITIVE, "side": Param(("right", "left"), "right")}
     ),
-    "range_profile": Operation({"code": CODE, "depth": POSITIVE}),
+    "range_profile": Operation({"code": CODE, "depth": DEPTH}),
     "minimal_range": Operation({"code": CODE}),
     "inverse_search": Operation({"code": CODE, "radius_cap": RADIUS}),
     "endomorphism_check": Operation({"code": CODE}),
@@ -161,7 +165,7 @@ OPERATION_PARAMS = {
     "ball_growth": Operation({"group": GROUP, "radius": Param("growth_radius")}),
     "word_length": Operation({"group": GROUP, "element": ELEMENT, "radius": RADIUS}),
     "distortion": Operation(
-        {"group": GROUP, "element": ELEMENT, "depth": POSITIVE, "radius": RADIUS}
+        {"group": GROUP, "element": ELEMENT, "depth": DEPTH, "radius": RADIUS}
     ),
     "certificate": Operation(
         {},
@@ -182,7 +186,7 @@ OPERATION_PARAMS = {
         },
     ),
     "audit_range_word": Operation(
-        {"group": GROUP, "element": ELEMENT, "depth": POSITIVE,
+        {"group": GROUP, "element": ELEMENT, "depth": DEPTH,
          "codes": Param("code_map"), "radius": RADIUS},
         variants={
             "range_entries": {"range_entries": PROFILE},
@@ -190,16 +194,16 @@ OPERATION_PARAMS = {
         },
     ),
     "audit_entropy": Operation(
-        {"shift": SHIFT, "depth_complexity": POSITIVE},
+        {"shift": SHIFT, "depth_complexity": DEPTH},
         variants=_PROFILE_SOURCE,
     ),
     "audit_polynomial": Operation(
-        {"shift": SHIFT, "depth": POSITIVE, "root": Param("positive", None),
+        {"shift": SHIFT, "depth": DEPTH, "root": Param("positive", None),
          "require_sublinear": Param("bool", True)},
         variants=_PROFILE_SOURCE,
     ),
     "audit_shift_power": Operation(
-        {"shift": SHIFT, "exponent": Param("nonzero"), "depth": POSITIVE}
+        {"shift": SHIFT, "exponent": Param("nonzero"), "depth": DEPTH}
     ),
 }
 
@@ -399,6 +403,8 @@ def _profile(entries: list):
 _VALUE_KINDS = {
     "nonzero": (lambda v: _is_int(v) and v != 0, "a nonzero integer", None),
     "positive": (lambda v: _is_int(v) and v >= 1, "an integer >= 1", None),
+    "depth": (lambda v: _is_int(v) and 1 <= v <= MAX_DEPTH,
+              f"an integer from 1 to {MAX_DEPTH}", None),
     "base": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", None),
     "growth_radius": (
         lambda v: _is_int(v) and v >= MIN_GROWTH_RADIUS,

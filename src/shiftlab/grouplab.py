@@ -18,7 +18,6 @@ import math
 import re
 from bisect import bisect_right
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, filterfalse, repeat
@@ -29,6 +28,7 @@ from .errors import (
     DEFAULT_RADIUS,
     MIN_GROWTH_RADIUS,
     BudgetExceededError,
+    record,
 )
 from .trends import TrendFit, fit_trend, growth_degree, trend_label
 
@@ -233,7 +233,7 @@ class BS1nModel(GroupModel):
 # -- generating sets and words -----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GeneratingSet:
     """Named group elements, closed under inversion for metric use.
 
@@ -286,7 +286,7 @@ class GeneratingSet:
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
+@record
 class WordExpr:
     """A formal word in named generators: tokens (name, exponent).
 
@@ -656,7 +656,7 @@ def bfs_word_length(
 # -- ball growth -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BallGrowth:
     """Ball sizes |B(r)| for r = 0..radius with a growth-shape verdict.
 
@@ -690,7 +690,7 @@ def ball_growth(
 # -- distortion profiles --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ProfileEntry:
     """Best knowledge about one word length ℓ(g^n).
 
@@ -706,7 +706,7 @@ class ProfileEntry:
     lower: int
 
 
-@dataclass(frozen=True)
+@record
 class DistortionProfile:
     entries: tuple
     trend: TrendFit | None

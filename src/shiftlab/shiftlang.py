@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, product
 
+from .errors import record
 
-@dataclass(frozen=True)
+
+@record
 class Alphabet:
     """Ordered finite set of single-character symbols.
 
@@ -531,7 +532,7 @@ def special_words(shift: ShiftPresentation, n: int, side: str = "right") -> tupl
     return tuple(words[i] for i in sorted(extensions) if extensions[i] >= 2)
 
 
-@dataclass(frozen=True)
+@record
 class ComplexityProfile:
     """Word counts P(1..N) and per-length entropy estimates log(P(n))/n.
 
@@ -579,7 +580,7 @@ def entropy_profile(shift: ShiftPresentation, max_length: int) -> ComplexityProf
     return ComplexityProfile(values, estimates)
 
 
-@dataclass(frozen=True)
+@record
 class MorseHedlundVerdict:
     """Outcome of the low-complexity periodicity test.
 

@@ -14,16 +14,15 @@ n + 2(k-1)r; every row is then read off centered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import itemgetter
 
 from .blockcode import BlockCode, _Images, apply_to_word, check_words, minimized
-from .errors import DEFAULT_TABLE_BUDGET
+from .errors import DEFAULT_TABLE_BUDGET, field, record
 from .shiftlang import ShiftPresentation
 
 
-@dataclass(frozen=True)
+@record
 class SpacetimePatch:
     """One n-wide, k-tall rectangle of a spacetime configuration.
 
@@ -204,7 +203,7 @@ def horizontal_segment(radius: int, row: int = 0):
 # -- low-complexity periodicity audit ------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CyrKraVerdict:
     """Outcome of the rectangle-count periodicity criterion.
 

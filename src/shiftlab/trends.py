@@ -33,7 +33,8 @@ growth_degree (Cayley-ball degree and exponential test) and trend_label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .errors import record
 
 TIGHT_LINEAR_RESIDUAL = 0.03
 LOOSE_RESIDUAL = 0.10
@@ -79,7 +80,7 @@ def _pointwise_constant(values, indices, basis):
     return max([0.0, *(values[n - 1] / basis(n) for n in indices)])
 
 
-@dataclass(frozen=True)
+@record
 class TrendFit:
     """Classification verdict with its certified constants.
 

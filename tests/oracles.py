@@ -7,14 +7,15 @@ were produced by these functions once and pinned.  run_capped runs a
 script in a child under a memory cap, for tests that a runaway power of n
 or a quadratic buffer must fail rather than slow down.  record_spelling
 and forbid_spelling watch the word lists a presentation spells, for the
-work gates.
+work gates.  dataclass_twin rebuilds a record class as the frozen
+dataclass it stands in for.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -33,7 +34,7 @@ from shiftlab.blockcode import (
     minimized,
 )
 from shiftlab.cli import execute_config
-from shiftlab.errors import BudgetExceededError
+from shiftlab.errors import BudgetExceededError, field, replace
 
 
 def golden_mean_words(n: int) -> set[str]:
@@ -552,3 +553,19 @@ def forbid_spelling(shift):
     """Make any word list that shift spells fail the test at once: a work
     gate, or a guard for lengths whose words would exhaust memory."""
     shift._enumerate = lambda n: pytest.fail(f"spelled words of length {n}")
+
+
+def dataclass_twin(cls):
+    """The frozen dataclass that the record class cls stands in for: the
+    same name, fields, defaults, comparison flags and __post_init__."""
+    fields = []
+    for name in cls._fields:
+        spec = cls.__dict__.get(name, dataclasses.MISSING)
+        if isinstance(spec, field):
+            spec = dataclasses.field(**spec)
+        fields.append((name, object) if spec is dataclasses.MISSING else (name, object, spec))
+    # a __post_init__ may read the field names, as Budgets' does through asdict
+    namespace = {"_fields": cls._fields}
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,10 +22,10 @@ from shiftlab.cli import OPERATIONS, main
 from shiftlab.blockcode import shift_power_code
 from shiftlab.config import OPERATION_PARAMS, parse_config
 from shiftlab.corpus import BUILTIN_NAMES, build_code
-from shiftlab.errors import ConfigError
+from shiftlab.errors import MAX_DEPTH, ConfigError, replace
 from shiftlab.shiftlang import Alphabet, FullShift, ShiftPresentation
 
-from oracles import execute_each_run_alone
+from oracles import execute_each_run_alone, run_capped
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -541,6 +540,7 @@ class TestParameterErrors:
                                                 "length": 3, "height": 2,
                                                 "cells_a": [["x", 0]], "cells_b": [[0, 1]]}),
         "depth": ("depth", "complexity", {"shift": "fibonacci", "depth": "3"}),
+        "depth-cap": ("depth", "complexity", {"shift": "fibonacci", "depth": MAX_DEPTH + 1}),
         "base": ("base", "certificate", {"kind": "bs_horner", "m": 5}),
         "side": ("side", "special_words", {"shift": "golden-mean", "length": 3, "side": "up"}),
         "dpeth": ("dpeth", "complexity", {"shift": "fibonacci", "dpeth": 3}),
@@ -617,6 +617,19 @@ class TestParameterErrors:
         assert status == 1
         assert "budget table_rows must be an integer" in err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_runaway_depth_ends_in_one_line(self, tmp_path, command):
+        # this document used to pass validate, then end run in a
+        # MemoryError traceback while building a 10**8-letter automaton
+        big = {"name": "big", "operation": "complexity",
+               "params": {"shift": "periodic-01", "depth": 10**8}}
+        config = write_config(tmp_path, {"runs": [big], "out_dir": str(tmp_path / "out")})
+        main = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        result = run_capped(main, command, config)
+        line = f"run 'big': parameter 'depth' must be an integer from 1 to {MAX_DEPTH}\n"
+        assert result.returncode == 1
+        assert result.stderr == (line if command == "validate" else f"run big: {line}")
+
     def test_every_handler_has_a_parameter_table(self):
         handlers = {name[len("_op_"):] for name in vars(cli) if name.startswith("_op_")}
         assert handlers == set(OPERATIONS) == set(OPERATION_PARAMS)
@@ -646,6 +659,7 @@ PLAUSIBLE = {
                                 min_size=1, max_size=2),
     "group": st.sampled_from(("z1", "z2", "heisenberg", "bs-2")),
     "positive": st.integers(1, 4),
+    "depth": st.integers(1, 4),
     "nonzero": st.sampled_from((-2, -1, 1, 3)),
     "base": st.integers(2, 4),
     "growth_radius": st.integers(3, 5),

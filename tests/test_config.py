@@ -21,7 +21,7 @@ from shiftlab.config import (
     serialize_config,
 )
 from shiftlab.corpus import build_code, build_group, build_shift, load_rule_table
-from shiftlab.errors import ConfigError
+from shiftlab.errors import MAX_DEPTH, ConfigError
 from shiftlab.grouplab import BS1nModel, HeisenbergModel, ZdModel
 from shiftlab.shiftlang import (
     Alphabet,
@@ -522,6 +522,21 @@ class TestCheckRun:
     def test_unknown_operation_rejected(self):
         with pytest.raises(ConfigError, match="uses unknown operation 'x'"):
             self.check("x")
+
+    def test_every_depth_shares_one_cap(self):
+        depths = {
+            name: param.kind
+            for op in OPERATION_PARAMS.values()
+            for params in (op.params, *op.variants.values())
+            for name, param in params.items()
+            if name.startswith("depth")
+        }
+        assert depths == dict.fromkeys(["depth", "depth_complexity", "depth_range"], "depth")
+        assert self.check("complexity", shift="full-2", depth=MAX_DEPTH)["depth"] == MAX_DEPTH
+        with pytest.raises(ConfigError, match=f"run 'r': parameter 'depth_complexity' must be "
+                                              f"an integer from 1 to {MAX_DEPTH}$"):
+            self.check("audit_entropy", shift="full-2", depth_complexity=MAX_DEPTH + 1,
+                       range_entries=[1])
 
 
 # Every parameter a run of each operation may set, its variants' and the

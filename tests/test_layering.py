@@ -111,3 +111,15 @@ def test_complexity_documents_load_no_fractions(tmp_path, command):
     # need exact fractions
     (tmp_path / "doc.json").write_text(json.dumps({"runs": SHIFTS_ONLY[:1], "out_dir": "out"}))
     assert "fractions" not in loaded_modules(tmp_path, command, "doc.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "groups.json"), ("run", "groups.json"),
+    ("validate", "shifts.json"), ("run", "shifts.json"), ("list-builtins",),
+])
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv):
+    # records are errors.record classes; dataclasses would load inspect
+    # and generate code for every class at start-up
+    for name, runs in (("groups.json", GROUPS_ONLY), ("shifts.json", SHIFTS_ONLY)):
+        (tmp_path / name).write_text(json.dumps({"runs": runs, "out_dir": "out"}))
+    assert not {"dataclasses", "inspect"} & loaded_modules(tmp_path, *argv)
