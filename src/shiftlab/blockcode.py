@@ -21,7 +21,6 @@ an explicitly truncated result.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -29,6 +28,8 @@ from .errors import DEFAULT_TABLE_BUDGET, BudgetExceededError, record
 from .trends import linear_floor
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .shiftlang import ShiftPresentation
 
 LINEAR_LOWER_BOUNDED = "LinearLowerBounded"
@@ -401,6 +402,8 @@ class RangeProfile:
     truncated_at: int | None = None
 
     def __post_init__(self):
+        from fractions import Fraction
+
         if not self.entries:
             raise ValueError("profile needs at least one entry")
         best = min(Fraction(v, n) for n, v in enumerate(self.entries, start=1))
@@ -409,6 +412,8 @@ class RangeProfile:
 
     @classmethod
     def from_entries(cls, entries, truncated_at=None) -> "RangeProfile":
+        from fractions import Fraction
+
         entries = tuple(entries)
         if not entries:
             raise ValueError("profile needs at least one entry")

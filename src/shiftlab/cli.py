@@ -10,13 +10,18 @@ it first runs, so a document loads only the layers its runs use.  One
 line per written file and per failure goes to standard error, data to
 files and standard output, and repeated runs of one configuration
 produce byte-identical output trees.
+
+`main` reads its command line itself (USAGE, `_parse_args`) rather than
+through argparse, which with gettext and locale cost a measurable share
+of every process's start-up; `csv` loads on the first CSV written.  A
+malformed command line prints USAGE and an error to standard error and
+exits 2, and -h prints USAGE to standard output and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -96,6 +101,8 @@ class RunContext:
 
 
 def _csv_text(header, rows) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -477,17 +484,17 @@ def _load_config(path: Path) -> tuple[ExperimentConfig, Path]:
     return parse_config(text, BUILTIN_NAMES), path.resolve().parent
 
 
-def _cmd_run(args) -> int:
-    config, base_dir = _load_config(Path(args.config))
-    if args.out_dir is not None:
-        config = replace(config, out_dir=args.out_dir)
+def _cmd_run(path: str, out_dir: str | None) -> int:
+    config, base_dir = _load_config(Path(path))
+    if out_dir is not None:
+        config = replace(config, out_dir=out_dir)
     status, summary = execute_config(config, base_dir)
     sys.stdout.write(summary)
     return status
 
 
-def _cmd_validate(args) -> int:
-    config, base_dir = _load_config(Path(args.config))
+def _cmd_validate(path: str, _out_dir: None) -> int:
+    config, base_dir = _load_config(Path(path))
     ctx = RunContext(config, base_dir)
     # building the document's entries surfaces bad element specs, and
     # check_run builds the built-in entries a run uses
@@ -505,7 +512,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_list_builtins(_args) -> int:
+def _cmd_list_builtins(_path: None, _out_dir: None) -> int:
     lines = []
     for section, names in BUILTIN_NAMES.items():
         lines += [f"{section}:", *(f"  {name}" for name in names)]
@@ -516,28 +523,90 @@ def _cmd_list_builtins(_args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="shiftlab",
-        description="Deterministic batch runner for shift, code, and group experiments.",
+# -- command line ----------------------------------------------------------------
+
+COMMANDS = {"run": _cmd_run, "validate": _cmd_validate, "list-builtins": _cmd_list_builtins}
+USAGE = """\
+usage: shiftlab run CONFIG [--out-dir DIR]   execute a configuration document
+       shiftlab validate CONFIG              check a configuration without running it
+       shiftlab list-builtins                print the built-in catalog
+"""
+# what argparse reads as a negative number, an argument and not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(token: str) -> bool:
+    return (
+        token.startswith("-") and token not in ("-", "--") and " " not in token
+        and not _NEGATIVE_NUMBER.match(token)
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a configuration document")
-    run_p.add_argument("config", help="path to the JSON configuration")
-    run_p.add_argument("--out-dir", help="override the configured output directory")
-    run_p.set_defaults(func=_cmd_run)
 
-    val_p = sub.add_parser("validate", help="check a configuration without running it")
-    val_p.add_argument("config", help="path to the JSON configuration")
-    val_p.set_defaults(func=_cmd_validate)
+def _usage_error(message: str):
+    sys.stderr.write(f"{USAGE}shiftlab: error: {message}\n")
+    raise SystemExit(2)
 
-    lb_p = sub.add_parser("list-builtins", help="print the built-in catalog")
-    lb_p.set_defaults(func=_cmd_list_builtins)
 
-    args = parser.parse_args(argv)
+def _parse_args(argv) -> tuple[str, str | None, str | None]:
+    """(command, CONFIG, DIR) of a command line, read as argparse read USAGE
+    before, less option abbreviations.
+
+    Tokens are read in order.  -h or --help prints USAGE and exits 0; an
+    unknown command, or --out-dir with no value, is an error at once.  A
+    missing command or CONFIG and unrecognized arguments are errors only
+    once the line is read, so a later -h still wins.  `--` ends the
+    options; it is dropped right before or right after CONFIG, and
+    unrecognized anywhere else.  The last --out-dir wins.
+    """
+    command = config = config_end = out_dir = None
+    extras = []
+    options = True  # until `--`
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if options and token in ("-h", "--help"):
+            sys.stdout.write(USAGE)
+            raise SystemExit(0)
+        if command is None:
+            if _is_option(token):
+                extras.append(token)
+            elif token in COMMANDS:
+                command = token
+            else:
+                _usage_error(f"invalid command {token!r} (choose from {', '.join(COMMANDS)})")
+            continue
+        wants_config = command != "list-builtins" and config is None
+        if options and token == "--":
+            options = False
+            if config_end != i - 1 and not (wants_config and i < len(argv)):
+                extras.append(token)
+        elif command == "run" and options and token.startswith("--out-dir="):
+            out_dir = token.removeprefix("--out-dir=")
+        elif command == "run" and options and token == "--out-dir":
+            if i == len(argv) or argv[i] == "--" or _is_option(argv[i]):
+                _usage_error("argument --out-dir: expected one argument")
+            out_dir = argv[i]
+            i += 1
+        elif options and _is_option(token):
+            extras.append(token)
+        elif wants_config:
+            config, config_end = token, i
+        else:
+            extras.append(token)
+    if command is None:
+        _usage_error("the following arguments are required: command")
+    if config is None and command != "list-builtins":
+        _usage_error("the following arguments are required: CONFIG")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return command, config, out_dir
+
+
+def main(argv=None) -> int:
+    command, config, out_dir = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return COMMANDS[command](config, out_dir)
     except RUN_ERRORS as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -480,7 +480,9 @@ def _l1_ball(dimension: int, radius_max: int, state_budget: int, targets) -> _L1
     The search stops at radius_max, or at the largest target norm once
     every target lies inside it.  Its budget trips at the least radius
     whose ball outgrows the cap, found by bisection, since a document's
-    radius is uncapped.
+    radius is uncapped.  The ball of radius cap holds 2 cap + 1 > cap
+    points, so the bisection needs no radius above cap, and a radius too
+    large to index a range still ends in the budget error.
     """
     stop = radius_max
     if targets is not None:
@@ -488,7 +490,7 @@ def _l1_ball(dimension: int, radius_max: int, state_budget: int, targets) -> _L1
         if None not in norms and max(norms, default=0) <= radius_max:
             stop = max(norms, default=0)
     cap = max(state_budget, 1)
-    over = bisect_right(range(stop + 1), cap, key=partial(_l1_ball_size, dimension))
+    over = bisect_right(range(min(stop, cap) + 1), cap, key=partial(_l1_ball_size, dimension))
     if over <= stop:
         raise BudgetExceededError(
             "bfs states", state_budget, cap + 1, f"last completed radius {over - 1}"

@@ -8,9 +8,11 @@ script in a child under a memory cap, for tests that a runaway power of n
 or a quadratic buffer must fail rather than slow down.  record_spelling
 and forbid_spelling watch the word lists a presentation spells, for the
 work gates.  dataclass_twin rebuilds a record class as the frozen
-dataclass it stands in for.
+dataclass it stands in for.  argparse_command_line reads a command line
+with the argparse parser that `shiftlab` used before it read its own.
 """
 
+import argparse
 import dataclasses
 import math
 import os
@@ -569,3 +571,25 @@ def dataclass_twin(cls):
     if hasattr(cls, "__post_init__"):
         namespace["__post_init__"] = cls.__post_init__
     return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)
+
+
+def argparse_command_line(argv) -> tuple:
+    """(command, config, out_dir) of argv as the argparse parser of
+    `shiftlab` read it, built without option abbreviations; exits as
+    argparse does: status 0 after help, 2 on a malformed line."""
+    parser = argparse.ArgumentParser(
+        prog="shiftlab",
+        description="Deterministic batch runner for shift, code, and group experiments.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_p = sub.add_parser("run", help="execute a configuration document", allow_abbrev=False)
+    run_p.add_argument("config", help="path to the JSON configuration")
+    run_p.add_argument("--out-dir", help="override the configured output directory")
+    val_p = sub.add_parser(
+        "validate", help="check a configuration without running it", allow_abbrev=False
+    )
+    val_p.add_argument("config", help="path to the JSON configuration")
+    sub.add_parser("list-builtins", help="print the built-in catalog", allow_abbrev=False)
+    args = parser.parse_args(argv)
+    return args.command, getattr(args, "config", None), getattr(args, "out_dir", None)

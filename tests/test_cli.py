@@ -1,7 +1,9 @@
 """End-to-end runs of the command line driver."""
 
+import contextlib
 import csv
 import gc
+import io
 import hashlib
 import json
 import math
@@ -25,7 +27,7 @@ from shiftlab.corpus import BUILTIN_NAMES, build_code
 from shiftlab.errors import MAX_DEPTH, ConfigError, replace
 from shiftlab.shiftlang import Alphabet, FullShift, ShiftPresentation
 
-from oracles import execute_each_run_alone, run_capped
+from oracles import argparse_command_line, execute_each_run_alone, run_capped
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -155,6 +157,30 @@ class TestRun:
         assert status == 1
         verdict = summary_rows(tmp_path / "out")[0][3]
         assert verdict.startswith("error") and "50" in verdict
+
+    def test_a_huge_zd_radius_is_a_budget_row(self, tmp_path, capsys):
+        # a radius of 10^400 used to end in "Python int too large to
+        # convert to C ssize_t"; it must trip the budget where 10^7 does
+        runs = [
+            {"name": f"{op}-{size}", "operation": op, "params": params}
+            for size, radius in (("large", 10**7), ("huge", 10**400))
+            for op, params in (
+                ("ball_growth", {"group": "z2", "radius": radius}),
+                ("word_length", {"group": "z2", "element": f"e1^{radius + 1}",
+                                 "radius": radius}),
+            )
+        ]
+        config = write_config(tmp_path, {
+            "runs": runs, "out_dir": str(tmp_path / "out"),
+            "budgets": {"bfs_states": 2_000_000},
+        })
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        error = ("error: bfs states budget exceeded: needed 2000001, limit 2000000 "
+                 "(last completed radius 999)")
+        assert summary_rows(tmp_path / "out") == [
+            [run["name"], run["operation"], "-", error] for run in runs
+        ]
 
     def test_special_words_is_checked_before_it_enumerates(
         self, tmp_path, capsys, monkeypatch
@@ -1106,3 +1132,85 @@ class TestListBuiltins:
                        {"s": shift_power_code(full2, 1)})
         with pytest.raises(ConfigError, match="unknown kind 'full'"):
             build_code("c", {"kind": "full", "alphabet": "01"}, {"full-2": full2}, {})
+
+
+ARGV_TOKENS = ("run", "validate", "list-builtins", "-h", "--help", "--out-dir",
+               "--out-dir=o", "--", "a.json", "b", "-x", "--bogus", "-1", "")
+
+
+def parse_outcome(parse, argv):
+    """("parsed", (command, config, out_dir)) or ("exit", status) of
+    parse(argv), with what it prints swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "parsed", parse(list(argv))
+        except SystemExit as exc:
+            return "exit", exc.code
+
+
+class TestCommandLine:
+    """cli._parse_args reads what the argparse parser it replaced read,
+    option abbreviations aside (oracles.argparse_command_line)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=5))
+    def test_parses_as_argparse_did(self, argv):
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(argparse_command_line, argv)
+
+    @pytest.mark.parametrize("argv, parsed", [
+        (["list-builtins"], ("list-builtins", None, None)),
+        (["validate", "a.json"], ("validate", "a.json", None)),
+        (["run", "a.json"], ("run", "a.json", None)),
+        (["run", "a.json", "--out-dir", "d"], ("run", "a.json", "d")),
+        (["run", "--out-dir", "d", "a.json"], ("run", "a.json", "d")),
+        (["run", "a.json", "--out-dir=d"], ("run", "a.json", "d")),
+        (["run", "--out-dir=", "a.json"], ("run", "a.json", "")),
+        (["run", "--out-dir", "-1", "a.json"], ("run", "a.json", "-1")),
+        (["run", "--out-dir", "d", "a.json", "--out-dir=e"], ("run", "a.json", "e")),
+        (["run", "--", "-x"], ("run", "-x", None)),
+        (["run", "--out-dir", "d", "--", "--help"], ("run", "--help", "d")),
+        (["validate", "a.json", "--"], ("validate", "a.json", None)),
+        (["validate", "-1"], ("validate", "-1", None)),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_accepted_forms(self, argv, parsed):
+        assert cli._parse_args(argv) == parsed
+        assert argparse_command_line(argv) == parsed
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["-x", "-h"], ["run", "-h"], ["validate", "a.json", "b", "--help"],
+        ["list-builtins", "--bogus", "-h"],
+    ], ids=" ".join)
+    def test_help_prints_the_usage_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        assert capsys.readouterr() == (cli.USAGE, "")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["--", "run", "a.json"],
+         "invalid command '--' (choose from run, validate, list-builtins)"),
+        (["bogus"], "invalid command 'bogus' (choose from run, validate, list-builtins)"),
+        (["run"], "the following arguments are required: CONFIG"),
+        (["run", "--out-dir"], "argument --out-dir: expected one argument"),
+        (["run", "--out-dir", "--", "a.json"], "argument --out-dir: expected one argument"),
+        (["run", "--out-dir", "-h", "a.json"], "argument --out-dir: expected one argument"),
+        (["run", "a.json", "--out", "d"], "unrecognized arguments: --out d"),
+        (["run", "a.json", "--out-dir=d", "--"], "unrecognized arguments: --"),
+        (["run", "a.json", "--", "b"], "unrecognized arguments: b"),
+        (["validate", "a.json", "--out-dir", "d"], "unrecognized arguments: --out-dir d"),
+        (["list-builtins", "--"], "unrecognized arguments: --"),
+        (["-x", "list-builtins"], "unrecognized arguments: -x"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_a_malformed_line_exits_2_with_the_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert capsys.readouterr() == ("", f"{cli.USAGE}shiftlab: error: {message}\n")
+        assert parse_outcome(argparse_command_line, argv) == ("exit", 2)
+
+    def test_without_argv_main_reads_sys_argv(self, capsys, monkeypatch):
+        # the [project.scripts] entry point calls main()
+        monkeypatch.setattr(sys, "argv", ["shiftlab", "list-builtins"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("shifts:\n")

@@ -662,6 +662,22 @@ def test_budget_error_text_pinned(case):
     assert str(raised.value) == f"bfs states budget exceeded: {text}"
 
 
+@pytest.mark.parametrize("radius", [10**7, 10**400], ids=["large", "huge"])
+def test_a_huge_zd_radius_ends_in_the_budget_error(radius):
+    # |B(999)| = 1998001 in Z^2; a radius too large to index a range must
+    # trip the budget where a large one does, not overflow
+    z2 = ZdModel(2)
+    gens = GeneratingSet.standard(z2)
+    text = ("bfs states budget exceeded: needed 2000001, limit 2000000 "
+            "(last completed radius 999)")
+    with pytest.raises(BudgetExceededError) as raised:
+        ball_growth(z2, gens, radius, 2_000_000)
+    assert str(raised.value) == text
+    with pytest.raises(BudgetExceededError) as raised:
+        bfs_word_length(z2, gens, (radius + 1, 0), radius, 2_000_000)
+    assert str(raised.value) == text
+
+
 @pytest.mark.parametrize(
     "model, gens",
     [(ZdModel(2), None), (HEIS, None), (BS2, None), (BS3, BS3_FRACTIONAL)],

@@ -5,7 +5,7 @@ across modules are pinned here, so a new reach-in is a deliberate change
 to this list rather than a quiet one.
 
 The compute layers load on first use: a `shiftlab` process loads only the
-layers its document's runs need.
+layers its document's runs need, and only the stdlib modules they use.
 """
 
 import ast
@@ -66,6 +66,14 @@ SHIFTS_ONLY = [
     {"name": "s", "operation": "special_words",
      "params": {"shift": "golden-mean", "length": 4}},
 ]
+CODES_ONLY = [
+    {"name": "r", "operation": "rectangle_complexity",
+     "params": {"shift": "full-2", "code": "full-2/flip", "cols": 3, "rows": 2}},
+]
+DOCUMENTS = {"groups.json": GROUPS_ONLY, "shifts.json": SHIFTS_ONLY, "codes.json": CODES_ONLY}
+COMMAND_LINES = [
+    (command, name) for name in DOCUMENTS for command in ("validate", "run")
+] + [("list-builtins",)]
 
 
 def loaded_modules(tmp_path, *argv) -> set:
@@ -123,3 +131,29 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path, argv):
     for name, runs in (("groups.json", GROUPS_ONLY), ("shifts.json", SHIFTS_ONLY)):
         (tmp_path / name).write_text(json.dumps({"runs": runs, "out_dir": "out"}))
     assert not {"dataclasses", "inspect"} & loaded_modules(tmp_path, *argv)
+
+
+def write_documents(tmp_path):
+    for name, runs in DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps({"runs": runs, "out_dir": "out"}))
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_no_command_loads_argparse(tmp_path, argv):
+    # cli reads its own command line; argparse loads gettext, and locale
+    # once it parses
+    write_documents(tmp_path)
+    assert not {"argparse", "gettext", "locale"} & loaded_modules(tmp_path, *argv)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_validate_loads_no_csv(tmp_path, name):
+    write_documents(tmp_path)
+    assert "csv" not in loaded_modules(tmp_path, "validate", name)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_codes_only_documents_load_no_fractions(tmp_path, command):
+    # blockcode builds a Fraction only for range profiles
+    write_documents(tmp_path)
+    assert not {"fractions", "decimal"} & loaded_modules(tmp_path, command, "codes.json")
