@@ -4,7 +4,8 @@ Each audit takes measured profiles from the other modules, evaluates one
 inequality at every measured index, and returns a typed report carrying
 the full left/right sequences.  On honest data every audit must come back
 Consistent or NotApplicable; a Violation is only possible on fabricated
-inputs (the detector tests) or an implementation bug.
+inputs (the detector tests) or an implementation bug.  The two audits
+that fit a range profile load trends when they first fit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import DEFAULT_TABLE_BUDGET, record
-from .trends import fit_trend
 
 if TYPE_CHECKING:
     from .blockcode import RangeProfile
@@ -246,6 +246,8 @@ def entropy_bound_audit(
     finite = _finite_order_report(ENTROPY_VS_LOG_RANGE, range_prof.entries)
     if finite is not None:
         return finite
+    from .trends import fit_trend
+
     fit = fit_trend(range_prof.entries)
     if fit.kind != "logarithmic":
         return _not_applicable(
@@ -314,6 +316,7 @@ def polynomial_bound_audit(
         return finite
     if require_sublinear:
         from .blockcode import LINEAR_LOWER_BOUNDED
+        from .trends import fit_trend
 
         if range_prof.classification == LINEAR_LOWER_BOUNDED:
             return _not_applicable(

@@ -9,7 +9,10 @@ explicit certificate words (Horner words in BS(1,n), commutator words in
 Heisenberg) give certified upper bounds far beyond any searchable ball.
 Z^d over the basis ±e_i needs no search: word length there is the l1
 norm, so its balls are answered by formulas, and their state budget trips
-at the radius where the search's would.
+at the radius where the search's would.  The module loads trends on its
+first fit, and fractions only where a Fraction is built or recognized: a
+BS(1,n) translation that is not an int, a mixed token's geometric sum, or
+embedding_step_bound's exponent.  A word over {a, b} folds on ints alone.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import math
 import re
 from bisect import bisect_right
 from collections.abc import Callable, Mapping
-from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, filterfalse, repeat
 from operator import add, sub
+from typing import TYPE_CHECKING
 
 from .errors import (
     DEFAULT_BFS_STATES,
@@ -30,7 +33,19 @@ from .errors import (
     BudgetExceededError,
     record,
 )
-from .trends import TrendFit, fit_trend, growth_degree, trend_label
+
+if TYPE_CHECKING:
+    from .trends import TrendFit
+
+
+@cache
+def _fraction():
+    """fractions.Fraction, imported on the first call, so a process that
+    builds and recognizes no Fraction never loads fractions, and no import
+    statement runs per multiply."""
+    from fractions import Fraction
+
+    return Fraction
 
 
 # -- models ----------------------------------------------------------------
@@ -173,7 +188,9 @@ class BS1nModel(GroupModel):
 
     @staticmethod
     def _canonical(m):
-        if type(m) is Fraction and m.denominator == 1:
+        if type(m) is int:
+            return m
+        if type(m) is _fraction() and m.denominator == 1:
             return int(m)
         return m
 
@@ -185,7 +202,7 @@ class BS1nModel(GroupModel):
             return 0
         if k >= 0:
             return self._canonical(self.n**k * m)
-        return self._canonical(Fraction(m, self.n ** (-k)))
+        return self._canonical(_fraction()(m, self.n ** (-k)))
 
     def multiply(self, a, b):
         k1, m1 = a
@@ -215,7 +232,11 @@ class BS1nModel(GroupModel):
             if m and e:
                 if p > 0:
                     r, p = r * n**p, 0
-                s = (Fraction(n) ** (dk * e) - 1) / (Fraction(n) ** dk - 1) if dk else e
+                if dk:
+                    q = _fraction()(n)
+                    s = (q ** (dk * e) - 1) / (q**dk - 1)
+                else:
+                    s = e
                 r += m * s * n**-p
             if dk:
                 k += dk * e
@@ -479,10 +500,10 @@ def _l1_ball(dimension: int, radius_max: int, state_budget: int, targets) -> _L1
 
     The search stops at radius_max, or at the largest target norm once
     every target lies inside it.  Its budget trips at the least radius
-    whose ball outgrows the cap, found by bisection, since a document's
-    radius is uncapped.  The ball of radius cap holds 2 cap + 1 > cap
-    points, so the bisection needs no radius above cap, and a radius too
-    large to index a range still ends in the budget error.
+    whose ball outgrows the cap, found by bisection on ints, since neither
+    a document's radius nor its budget is capped.  The ball of radius cap
+    holds 2 cap + 1 > cap points, so the bisection needs no radius above
+    cap.
     """
     stop = radius_max
     if targets is not None:
@@ -490,7 +511,13 @@ def _l1_ball(dimension: int, radius_max: int, state_budget: int, targets) -> _L1
         if None not in norms and max(norms, default=0) <= radius_max:
             stop = max(norms, default=0)
     cap = max(state_budget, 1)
-    over = bisect_right(range(min(stop, cap) + 1), cap, key=partial(_l1_ball_size, dimension))
+    over, high = 0, min(stop, cap) + 1  # the least radius whose ball outgrows cap
+    while over < high:
+        mid = (over + high) // 2
+        if _l1_ball_size(dimension, mid) > cap:
+            high = mid
+        else:
+            over = mid + 1
     if over <= stop:
         raise BudgetExceededError(
             "bfs states", state_budget, cap + 1, f"last completed radius {over - 1}"
@@ -626,7 +653,9 @@ def _bs_packing(n: int, moves, radius: int, state_budget: int):
         if not (isinstance(g, tuple) and len(g) == 2):
             return None
         k, m = g
-        if not (isinstance(k, int) and -radius <= k <= radius and isinstance(m, (int, Fraction))):
+        if not (isinstance(k, int) and -radius <= k <= radius):
+            return None
+        if not (isinstance(m, int) or isinstance(m, _fraction())):
             return None
         # an int is its own numerator over 1
         big, rest = divmod(m.numerator * scale, m.denominator)
@@ -637,7 +666,7 @@ def _bs_packing(n: int, moves, radius: int, state_budget: int):
     def decode(packed: int) -> tuple:
         big, low = divmod(packed, width)
         whole, rest = divmod(big, scale)
-        return exponent_of[low], Fraction(big, scale) if rest else whole
+        return exponent_of[low], _fraction()(big, scale) if rest else whole
 
     # the identity (0, 0) packs to n^R
     return scale, steps, encode, decode
@@ -683,6 +712,8 @@ def ball_growth(
 ) -> BallGrowth:
     if radius < MIN_GROWTH_RADIUS:
         raise ValueError(f"growth fitting needs radius >= {MIN_GROWTH_RADIUS}")
+    from .trends import growth_degree
+
     distances = list(cayley_ball(model, gens, radius, state_budget).values())
     sizes = [bisect_right(distances, r) for r in range(radius + 1)]
     start = max(2, radius // 2)
@@ -786,6 +817,8 @@ def distortion_profile(
     """
     if max_power < 1:
         raise ValueError("profile needs max_power >= 1")
+    from .trends import fit_trend, trend_label
+
     ident = model.identity()
     powers = {}
     acc = ident
@@ -983,7 +1016,7 @@ def embedding_step_bound(complexity_exponent) -> int:
     """
     if complexity_exponent <= 0:
         raise ValueError("exponent must be positive")
-    c = math.ceil(2 * Fraction(complexity_exponent) - 4)
+    c = math.ceil(2 * _fraction()(complexity_exponent) - 4)
     m = math.isqrt(max(c, 0))
     if m * (m + 1) < c:
         m += 1

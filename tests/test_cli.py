@@ -182,6 +182,27 @@ class TestRun:
             [run["name"], run["operation"], "-", error] for run in runs
         ]
 
+    def test_a_huge_zd_radius_and_budget_is_a_budget_row(self, tmp_path, capsys):
+        # a radius and a budget both past 2^63 used to end in "Python int
+        # too large to convert to C ssize_t"
+        huge = 10**30
+        runs = [
+            {"name": "growth", "operation": "ball_growth",
+             "params": {"group": "z2", "radius": huge}},
+            {"name": "length", "operation": "word_length",
+             "params": {"group": "z2", "element": f"e1^{huge + 1}", "radius": huge}},
+        ]
+        config = write_config(tmp_path, {
+            "runs": runs, "out_dir": str(tmp_path / "out"), "budgets": {"bfs_states": huge},
+        })
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        error = (f"error: bfs states budget exceeded: needed {huge + 1}, limit {huge} "
+                 "(last completed radius 707106781186547)")
+        assert summary_rows(tmp_path / "out") == [
+            [run["name"], run["operation"], "-", error] for run in runs
+        ]
+
     def test_special_words_is_checked_before_it_enumerates(
         self, tmp_path, capsys, monkeypatch
     ):

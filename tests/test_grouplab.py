@@ -131,8 +131,9 @@ def test_bs_translation_parts_canonicalized():
 
 # n^(10^12) would take about 200 GB, so under the 1 GB address-space cap
 # any power of n that scales a zero translation, that a token adding nothing
-# pays, or that a dilation after a translation pays before the end, ends in a
-# MemoryError, if the timeout does not end it first
+# pays, that a dilation after a translation pays before the end, or that a
+# dilation before any translation charges to it, ends in a MemoryError, if
+# the timeout does not end it first
 HUGE_DILATIONS = """
 import sys
 from shiftlab.cli import main
@@ -141,7 +142,8 @@ model, E, F = BS1nModel(3), 10**12, 10**7
 for text, value in [(f"b^{E}", (E, 0)), (f"b^-{E}", (-E, 0)), (f"b^{E} b^-{E}", (0, 0)),
                     (f"a b^{F}", (F, 1)), (f"a b^-{F}", (-F, 1)), (f"a b^{E}", (E, 1)),
                     (f"a b^-{E}", (-E, 1)), (f"a^3 b^{F}", (F, 3)), (f"a b^{E} b^-{E}", (0, 1)),
-                    (f"a b^{E} a^0", (E, 1)), (f"a b^-{E} a^0", (-E, 1))]:
+                    (f"a b^{E} a^0", (E, 1)), (f"a b^-{E} a^0", (-E, 1)),
+                    (f"b^{E} a a^-1", (E, 0)), (f"b^-{E} a a^-1", (-E, 0))]:
     assert WordExpr.parse(text).evaluate(model, model.generators()) == value, text
 assert model.inverse((E, 0)) == (-E, 0)
 assert model.multiply((E, 0), (E, 0)) == (2 * E, 0)
@@ -359,6 +361,10 @@ def test_labeled_deduplicates_explicit_inverses():
     gens = GeneratingSet.from_named(z1, {"a": (1,), "a_back": (-1,)})
     labels = gens.labeled()
     assert len(labels) == 2  # formal inverses coincide with the given pair
+    # a generator repeated under a second name is one move (kills the
+    # mutant of `labeled` that forces `if element not in seen` True)
+    gens = GeneratingSet.from_named(z1, {"a": (1,), "again": (1,)})
+    assert gens.labeled() == (("a", (1,)), ("a^-1", (-1,)))
 
 
 # -- Cayley balls -------------------------------------------------------------------
@@ -678,6 +684,22 @@ def test_a_huge_zd_radius_ends_in_the_budget_error(radius):
     assert str(raised.value) == text
 
 
+def test_a_huge_zd_radius_and_budget_end_in_the_budget_error():
+    # |B(r)| = 2r^2 + 2r + 1 in Z^2 first passes 10^30 at r = 707106781186548;
+    # a budget past 2^63 must not make the bisection index a range
+    z2 = ZdModel(2)
+    gens = GeneratingSet.standard(z2)
+    huge = 10**30
+    text = (f"bfs states budget exceeded: needed {huge + 1}, limit {huge} "
+            "(last completed radius 707106781186547)")
+    with pytest.raises(BudgetExceededError) as raised:
+        bfs_word_length(z2, gens, (huge + 1, 0), huge, huge)
+    assert str(raised.value) == text
+    with pytest.raises(BudgetExceededError) as raised:
+        ball_growth(z2, gens, huge, huge)
+    assert str(raised.value) == text
+
+
 @pytest.mark.parametrize(
     "model, gens",
     [(ZdModel(2), None), (HEIS, None), (BS2, None), (BS3, BS3_FRACTIONAL)],
@@ -755,6 +777,15 @@ def test_packed_ball_is_a_read_only_mapping():
     assert all(type(m) is int or m.denominator > 1 for _, m in ball)
     with pytest.raises(TypeError):
         ball[(0, 0)] = 1
+
+
+def test_keys_outside_the_packing_box_are_missing():
+    # at radius 2 the x digit has base 5, so (3, -1, 0) would pack onto
+    # (-2, 0, 0) if encode let its x digit carry (kills the mutant of
+    # `_heisenberg_packing.encode` that drops the box check's return)
+    ball = cayley_ball(HEIS, GeneratingSet.standard(HEIS), 2)
+    assert ball[(-2, 0, 0)] == 2
+    assert (3, -1, 0) not in ball and ball.get((3, -1, 0)) is None
 
 
 @pytest.mark.parametrize(
@@ -1127,6 +1158,15 @@ def test_certificates_evaluate_with_one_multiply_per_token(monkeypatch):
     assert calls[0] <= len(word.tokens) + 2
 
 
+def test_packed_balls_search_without_a_multiply(monkeypatch):
+    # work gate: Heisenberg and BS(1,n) over {a, b} step packed ints (kills
+    # the mutant of `cayley_ball` that drops the Heisenberg packing)
+    for model in (HeisenbergModel(), BS2):
+        calls = _count_multiplies(monkeypatch, model)
+        assert len(cayley_ball(model, GeneratingSet.standard(model), 4)) > 1
+        assert calls[0] == 0
+
+
 def test_words_ending_below_0_fold_without_a_multiply(monkeypatch):
     # work gate: the BS(1,n) fold scales r once at the end, a final k < 0
     # included, so neither word takes a product
@@ -1146,6 +1186,9 @@ def test_heisenberg_certificates_reject_bad_input():
 
 def test_square_certificate_values():
     assert heisenberg_square_certificate(0).length == 0
+    # the empty word, not four zero-exponent tokens (kills the mutant of
+    # `heisenberg_square_certificate` that drops `if n == 0`'s return)
+    assert heisenberg_square_certificate(0) == WordExpr(())
     assert heisenberg_square_certificate(1).evaluate(HEIS, HEIS.generators()) == (0, 0, 1)
     w3 = heisenberg_square_certificate(3)
     assert w3.length == 12

@@ -157,3 +157,39 @@ def test_codes_only_documents_load_no_fractions(tmp_path, command):
     # blockcode builds a Fraction only for range profiles
     write_documents(tmp_path)
     assert not {"fractions", "decimal"} & loaded_modules(tmp_path, command, "codes.json")
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("validate", {"shiftlab.trends", "fractions", "decimal", "numbers"}),
+    ("run", {"fractions", "decimal"}),
+])
+def test_groups_only_documents_load_no_fractions(tmp_path, command, unloaded):
+    # grouplab loads trends on its first fit, which validate never makes,
+    # and fractions on its first non-integral BS(1,n) translation; the
+    # Horner words of a in BS(1,2) fold on ints alone
+    write_documents(tmp_path)
+    assert not unloaded & loaded_modules(tmp_path, command, "groups.json")
+
+
+# perfbench/tracer.py's LAYERS
+TRACED_LAYERS = ("shiftlang", "blockcode", "spacetime", "grouplab",
+                 "trends", "audit", "config", "corpus")
+
+
+def test_the_tracer_finds_every_layer_loaded():
+    # the tracer's install() imports the five modules of the probe, then
+    # reads every layer from sys.modules: cli must load audit, config and
+    # corpus, and blockcode must load trends, at import time, or
+    # `perfbench/run.py --trace 1` breaks. A benchmark change that makes
+    # the tracer import every layer itself may delete this test.
+    probe = (
+        "import sys; from shiftlab import blockcode, cli, grouplab, shiftlang, spacetime; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert {f"shiftlab.{name}" for name in TRACED_LAYERS} <= loaded
