@@ -396,10 +396,9 @@ class _CodeCatalog(Catalog):
     alive after its last user drops it.
     """
 
-    def __init__(self, specs, shifts, document, base_dir, table_budget):
+    def __init__(self, specs, shifts, base_dir, table_budget):
         super().__init__(specs)
-        self.shifts, self.document = shifts, document
-        self.base_dir, self.table_budget = base_dir, table_budget
+        self.shifts, self.base_dir, self.table_budget = shifts, base_dir, table_budget
 
     def build(self, name: str, spec: dict) -> BlockCode:
         names = list(self.specs)
@@ -411,8 +410,7 @@ class _CodeCatalog(Catalog):
                 needed.add(ref)
                 pending += code_references(self.specs[ref]).values()
         built = {ref: self[ref] for ref in names if ref in needed}
-        budget = self.table_budget if name in self.document else DEFAULT_TABLE_BUDGET
-        return build_code(name, spec, self.shifts, built, self.base_dir, budget)
+        return build_code(name, spec, self.shifts, built, self.base_dir, self.table_budget)
 
 
 def builtin_codes(
@@ -422,16 +420,14 @@ def builtin_codes(
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> Catalog:
     """Every built-in code over `shifts`, then the `document` specs, each
-    built fresh on first use.  Document codes take `table_budget`,
-    built-in ones the default.
+    built fresh on first use.  Every code takes `table_budget`.
 
     A code may use the codes defined before it.  Building one first builds
     the earlier codes it references, transitively and in order, so a long
     chain of references recurses one level at a time.
     """
-    document = document or {}
-    specs = {**BUILTIN_CODE_SPECS, **document}
-    return _CodeCatalog(specs, shifts, document, base_dir, table_budget)
+    specs = {**BUILTIN_CODE_SPECS, **(document or {})}
+    return _CodeCatalog(specs, shifts, base_dir, table_budget)
 
 
 def builtin_groups(document: Mapping | None = None) -> Catalog:

@@ -54,34 +54,16 @@ def _fraction():
 class GroupModel:
     """Exact group arithmetic on hashable canonical elements.
 
-    fold is the one word evaluator, and each model implements it; power(a,
-    e) is the one-token word a^e.
+    Each model provides identity, multiply, inverse, generators (the named
+    standard generators, in a fixed order), fold (the product of
+    binding[name]^e over the (name, e) tokens) and descriptor.  fold is the
+    one word evaluator; power(a, e) is the one-token word a^e.
     """
 
     name: str
 
-    def identity(self):
-        raise NotImplementedError
-
-    def multiply(self, a, b):
-        raise NotImplementedError
-
-    def inverse(self, a):
-        raise NotImplementedError
-
-    def generators(self) -> dict:
-        """Named standard generators, in a fixed order."""
-        raise NotImplementedError
-
-    def fold(self, tokens, binding):
-        """The product of binding[name]^e over the (name, e) tokens."""
-        raise NotImplementedError
-
     def power(self, a, e: int):
         return self.fold((("a", e),), {"a": a})
-
-    def descriptor(self) -> tuple:
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, GroupModel) and self.descriptor() == other.descriptor()

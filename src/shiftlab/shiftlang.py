@@ -145,7 +145,9 @@ class ShiftPresentation:
 
     Instances are immutable after construction.  Word indexes are cached
     per length, and a cached value equals what a fresh computation would
-    produce; word lists are spelled afresh on each request.
+    produce; word lists are spelled afresh on each request.  Each
+    presentation provides descriptor, the hashable value that equality and
+    hashing compare, and describe, its one-line text.
     """
 
     alphabet: Alphabet
@@ -165,17 +167,10 @@ class ShiftPresentation:
         edges, symbols = self._edges, self.alphabet.symbols
         if len(edges) == 1:
             return tuple(map("".join, product([symbols[a] for a, _ in edges[0]], repeat=n)))
-        words, tails = [""], [0]
-        for _ in range(n):
-            words = [w + symbols[a] for w, t in zip(words, tails) for a, _ in edges[t]]
-            tails = [u for t in tails for _, u in edges[t]]
+        words = [""]
+        for m in range(n):
+            words = [w + symbols[a] for w, t in zip(words, self._tails(m)) for a, _ in edges[t]]
         return tuple(words)
-
-    def descriptor(self) -> tuple:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
     def count_words(self, n: int) -> int:
         """|L_n|: the n-step paths from state 0, counted one letter at a
@@ -356,9 +351,6 @@ class _FactorShift(ShiftPresentation):
     """
 
     _depth, _counts = 0, (1,)
-
-    def _text_of(self, depth: int) -> tuple[str, int]:
-        raise NotImplementedError
 
     def _deepen(self, n):
         if n > self._depth:

@@ -1097,6 +1097,22 @@ class TestValidate:
         assert status == 1
         assert "table rows budget exceeded" in err
 
+    def test_builtin_codes_obey_the_document_budget(self, tmp_path, capsys):
+        # full-2/shift has 8 rows and periodic-01/shift 4: the document's
+        # table_rows is the one budget, built-in codes included
+        runs = [{"name": name, "operation": "minimal_range", "params": {"code": code}}
+                for name, code in (("full", "full-2/shift"), ("periodic", "periodic-01/shift"))]
+        doc = {"runs": runs, "budgets": {"table_rows": 4}, "out_dir": str(tmp_path / "out")}
+        config = write_config(tmp_path, doc)
+        error = "table rows budget exceeded: needed 8, limit 4 (code 'full-2/shift')"
+        assert run_cli_err(capsys, "validate", str(config)) == (1, "", error + "\n")
+        status, _ = run_cli(capsys, "run", str(config))
+        assert status == 1
+        assert summary_rows(tmp_path / "out") == [
+            ["full", "minimal_range", "-", f"error: {error}"],
+            ["periodic", "minimal_range", "0", "ok"],
+        ]
+
     @pytest.mark.parametrize("codes, run, error", [
         # entries near 10**400 overflow the float division of the floor fit
         # while the parameter is converted

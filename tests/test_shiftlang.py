@@ -703,6 +703,23 @@ def test_right_special_words_build_no_word_index(kind):
     assert x._index_cache == {}
 
 
+@pytest.mark.parametrize("query", [
+    lambda x, n: x.words_of_length(n),
+    lambda x, n: x.word_index(n),
+    lambda x, n: special_words(x, n, "right"),
+], ids=["words_of_length", "word_index", "special_words"])
+@pytest.mark.parametrize("kind", ["full", "sft-letters"])
+def test_one_state_queries_walk_no_path_level(kind, query):
+    # work gate: a one-state automaton answers by its closed product forms
+    # and adds no level to _paths (kills the mutants that drop the one-state
+    # branch of `_enumerate`, of `_index` and of right `special_words`); at
+    # length 1 the general `_index` reads only _paths[0], so lengths start at 2
+    x = _one_of_each_kind()[kind]
+    for n in (2, 6):
+        query(x, n)
+    assert x._paths == [[0]]
+
+
 sft_alphabets = st.sampled_from(["0", "01", "012"])
 
 
@@ -850,6 +867,9 @@ def test_word_index_numbers_words_of_length_in_order(x, n):
     number = {w: i for i, w in enumerate(words)}
     expected = [number.get(u + a, len(words)) for u in shorter for a in symbols]
     assert index.succ == expected + [len(words)] * k
+    # built once (kills the mutant of `WordIndex.succ` that forces
+    # `if self._table is None` True)
+    assert index.succ is index.succ
 
 
 INDEX_DUMP = """
