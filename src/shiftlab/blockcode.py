@@ -412,8 +412,6 @@ class RangeProfile:
 
     @classmethod
     def from_entries(cls, entries, truncated_at=None) -> "RangeProfile":
-        from fractions import Fraction
-
         entries = tuple(entries)
         if not entries:
             raise ValueError("profile needs at least one entry")
@@ -424,6 +422,13 @@ class RangeProfile:
                     raise ValueError(
                         f"range of power {n + m} exceeds powers {n} + {m}: not subadditive"
                     )
+        return cls._measured(entries, truncated_at)
+
+    @classmethod
+    def _measured(cls, entries: tuple, truncated_at=None) -> "RangeProfile":
+        """The profile of entries known subadditive, as exact minimal ranges are."""
+        from fractions import Fraction
+
         upper = min(Fraction(v, n) for n, v in enumerate(entries, start=1))
         # trends.linear_floor decides the tail; all-zero finite-order
         # profiles count as a sublinear trend
@@ -451,5 +456,5 @@ def range_profile(
                 entries.append(next(powers)[0])
         except BudgetExceededError:
             truncated_at = len(entries) + 1
-        code.derived[key] = RangeProfile.from_entries(entries, truncated_at)
+        code.derived[key] = RangeProfile._measured(tuple(entries), truncated_at)
     return code.derived[key]

@@ -11,17 +11,21 @@ line per written file and per failure goes to standard error, data to
 files and standard output, and repeated runs of one configuration
 produce byte-identical output trees.
 
-`main` reads its command line itself (USAGE, `_parse_args`) rather than
-through argparse, which with gettext and locale cost a measurable share
-of every process's start-up; `csv` loads on the first CSV written.  A
-malformed command line prints USAGE and an error to standard error and
-exits 2, and -h prints USAGE to standard output and exits 0.
+`main` reads its command line itself, not through argparse, whose import
+with gettext and locale cost a measurable share of every process's
+start-up, and only in the forms USAGE shows.  -h or --help anywhere before
+the first `--` prints USAGE to standard output and exits 0.  The command
+comes first, so an option before it is an invalid command.  After it,
+`run` takes --out-dir DIR or --out-dir=DIR, the last one winning; any
+other token before `--` that starts with - (but - itself) is unrecognized,
+and every token after `--` is an argument, so `validate -- -1` reads -1
+as CONFIG.  A malformed line prints USAGE and an error to standard error
+and exits 2.  `csv` loads on the first CSV written.
 """
 
 from __future__ import annotations
 
 import io
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -531,15 +535,6 @@ usage: shiftlab run CONFIG [--out-dir DIR]   execute a configuration document
        shiftlab validate CONFIG              check a configuration without running it
        shiftlab list-builtins                print the built-in catalog
 """
-# what argparse reads as a negative number, an argument and not an option
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _is_option(token: str) -> bool:
-    return (
-        token.startswith("-") and token not in ("-", "--") and " " not in token
-        and not _NEGATIVE_NUMBER.match(token)
-    )
 
 
 def _usage_error(message: str):
@@ -548,54 +543,36 @@ def _usage_error(message: str):
 
 
 def _parse_args(argv) -> tuple[str, str | None, str | None]:
-    """(command, CONFIG, DIR) of a command line, read as argparse read USAGE
-    before, less option abbreviations.
-
-    Tokens are read in order.  -h or --help prints USAGE and exits 0; an
-    unknown command, or --out-dir with no value, is an error at once.  A
-    missing command or CONFIG and unrecognized arguments are errors only
-    once the line is read, so a later -h still wins.  `--` ends the
-    options; it is dropped right before or right after CONFIG, and
-    unrecognized anywhere else.  The last --out-dir wins.
-    """
-    command = config = config_end = out_dir = None
+    """(command, CONFIG, DIR) of argv, read as the module docstring says."""
+    options = argv[: argv.index("--")] if "--" in argv else argv
+    if "-h" in options or "--help" in options:
+        sys.stdout.write(USAGE)
+        raise SystemExit(0)
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    command = argv[0]
+    if command not in COMMANDS:
+        _usage_error(f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    config = out_dir = None
     extras = []
-    options = True  # until `--`
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        if options and token in ("-h", "--help"):
-            sys.stdout.write(USAGE)
-            raise SystemExit(0)
-        if command is None:
-            if _is_option(token):
-                extras.append(token)
-            elif token in COMMANDS:
-                command = token
+    dashed = False  # past the first `--`
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if dashed or token == "-" or not token.startswith("-"):
+            if config is None and command != "list-builtins":
+                config = token
             else:
-                _usage_error(f"invalid command {token!r} (choose from {', '.join(COMMANDS)})")
-            continue
-        wants_config = command != "list-builtins" and config is None
-        if options and token == "--":
-            options = False
-            if config_end != i - 1 and not (wants_config and i < len(argv)):
                 extras.append(token)
-        elif command == "run" and options and token.startswith("--out-dir="):
-            out_dir = token.removeprefix("--out-dir=")
-        elif command == "run" and options and token == "--out-dir":
-            if i == len(argv) or argv[i] == "--" or _is_option(argv[i]):
+        elif token == "--":
+            dashed = True
+        elif command == "run" and token == "--out-dir":
+            out_dir = next(tokens, "--")
+            if out_dir == "--":
                 _usage_error("argument --out-dir: expected one argument")
-            out_dir = argv[i]
-            i += 1
-        elif options and _is_option(token):
-            extras.append(token)
-        elif wants_config:
-            config, config_end = token, i
+        elif command == "run" and token.startswith("--out-dir="):
+            out_dir = token.removeprefix("--out-dir=")
         else:
             extras.append(token)
-    if command is None:
-        _usage_error("the following arguments are required: command")
     if config is None and command != "list-builtins":
         _usage_error("the following arguments are required: CONFIG")
     if extras:

@@ -135,7 +135,7 @@ RADIUS = Param("positive", lambda budgets: budgets.radius_cap)
 ELEMENT = Param("word")
 PROFILE = Param("profile")
 
-_PATCH_FAMILY = {"shift": SHIFT, "code": CODE, "length": POSITIVE, "height": POSITIVE}
+_PATCH_FAMILY = {"shift": SHIFT, "code": CODE, "length": DEPTH, "height": DEPTH}
 
 # audits read a range profile either literally or by profiling a code
 _PROFILE_SOURCE = {
@@ -145,16 +145,16 @@ _PROFILE_SOURCE = {
 
 OPERATION_PARAMS = {
     "complexity": Operation({"shift": SHIFT, "depth": DEPTH}),
-    "morse_hedlund": Operation({"shift": SHIFT, "limit": POSITIVE}),
+    "morse_hedlund": Operation({"shift": SHIFT, "limit": DEPTH}),
     "special_words": Operation(
-        {"shift": SHIFT, "length": POSITIVE, "side": Param(("right", "left"), "right")}
+        {"shift": SHIFT, "length": DEPTH, "side": Param(("right", "left"), "right")}
     ),
     "range_profile": Operation({"code": CODE, "depth": DEPTH}),
     "minimal_range": Operation({"code": CODE}),
     "inverse_search": Operation({"code": CODE, "radius_cap": RADIUS}),
     "endomorphism_check": Operation({"code": CODE}),
     "rectangle_complexity": Operation(
-        {"shift": SHIFT, "code": CODE, "cols": POSITIVE, "rows": POSITIVE}, code_on_shift=True
+        {"shift": SHIFT, "code": CODE, "cols": DEPTH, "rows": DEPTH}, code_on_shift=True
     ),
     "cyr_kra": Operation(_PATCH_FAMILY, code_on_shift=True),
     "vertical_period": Operation(_PATCH_FAMILY, code_on_shift=True),

@@ -15,7 +15,7 @@ DEFAULT_RADIUS = 14
 MIN_GROWTH_RADIUS = 3
 # Z^d builds d basis tuples of length d, so a document's rank is capped
 MAX_FREE_ABELIAN_RANK = 256
-# a depth of n builds n output rows, so a document's depth is capped
+# a depth or length n builds n output rows or n-letter words, so both are capped
 MAX_DEPTH = 100_000
 
 

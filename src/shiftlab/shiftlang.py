@@ -155,6 +155,7 @@ class ShiftPresentation:
     def __init__(self):
         self._index_cache: dict[int, WordIndex] = {}
         self._paths = [[0]]
+        self._walk = 0, [1]  # count_words' last (length, paths per state); unlisted are 0
 
     # -- subclass hooks --------------------------------------------------
 
@@ -174,18 +175,20 @@ class ShiftPresentation:
 
     def count_words(self, n: int) -> int:
         """|L_n|: the n-step paths from state 0, counted one letter at a
-        time without spelling a word."""
+        time without spelling a word; the walk goes on from the last one
+        unless n is below its length, so a climb walks each length once."""
         _check_length(n)
         edges = self._edges
         if len(edges) == 1:
             return len(edges[0]) ** n
-        counts = [1] + [0] * (len(edges) - 1)
-        for _ in range(n):
+        length, counts = self._walk if n >= self._walk[0] else (0, [1])
+        for _ in range(n - length):
             nxt = [0] * len(edges)
             for c, out in zip(counts, edges):
                 for _, u in out:
                     nxt[u] += c
             counts = nxt
+        self._walk = n, counts
         return sum(counts)
 
     # -- shared API --------------------------------------------------------
@@ -566,8 +569,9 @@ class ComplexityProfile:
 def entropy_profile(shift: ShiftPresentation, max_length: int) -> ComplexityProfile:
     if max_length < 1:
         raise ValueError("profile needs max_length >= 1")
-    # longest first: a factor shift builds its automaton once, for max_length
-    values = tuple(reversed([complexity(shift, n) for n in range(max_length, 0, -1)]))
+    # longest first, so a factor shift builds one automaton; then ascending, for SFT walks
+    longest = complexity(shift, max_length)
+    values = (*(complexity(shift, n) for n in range(1, max_length)), longest)
     estimates = tuple(math.log(p) / n for n, p in enumerate(values, start=1))
     return ComplexityProfile(values, estimates)
 

@@ -29,7 +29,7 @@ from shiftlab.blockcode import (
     shift_power_code,
     symbol_map_code,
 )
-from shiftlab.errors import BudgetExceededError
+from shiftlab.errors import MAX_DEPTH, BudgetExceededError
 from shiftlab.shiftlang import Alphabet, FullShift, PeriodicOrbit, SftForbidden, SubstitutionShift
 
 BINARY = Alphabet.of("01")
@@ -200,6 +200,18 @@ def test_a_finite_order_power_reads_its_cycle(tmp_path):
     for name in codes:
         text = (tmp_path / "out" / f"{name}.txt").read_text()
         assert text == "declared_range: 0\nminimal_range: 0\n"
+
+
+def test_a_profile_at_the_depth_cap_skips_the_subadditivity_scan(tmp_path):
+    # the scan of all pairs of its 10**5 entries would take about 11 minutes
+    run = {"name": "deep", "operation": "range_profile",
+           "params": {"code": "full-2/flip", "depth": MAX_DEPTH}}
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps({"runs": [run], "out_dir": str(tmp_path / "out")}))
+    result = run_capped(HUGE_ORDER, config)
+    assert result.returncode == 0, result.stderr
+    rows = (tmp_path / "out" / "deep.csv").read_text().splitlines()
+    assert len(rows) == MAX_DEPTH + 1 and rows[-1] == f"{MAX_DEPTH},0,0"
 
 
 def test_power_of_shift_has_exact_range(full2, golden, fibonacci):

@@ -633,6 +633,20 @@ def test_morse_hedlund_longer_period():
     assert v.witness == 7
 
 
+LONG_MORSE_HEDLUND = """
+from shiftlab.corpus import builtin_shifts
+from shiftlab.shiftlang import morse_hedlund_test
+print(morse_hedlund_test(builtin_shifts({})["golden-mean"], 20000))
+"""
+
+
+def test_a_long_morse_hedlund_climb_walks_each_length_once():
+    # restarting the count walk at every length took minutes at this limit
+    result = run_capped(LONG_MORSE_HEDLUND)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "NoWitnessUpTo(20000)\n"
+
+
 def test_profiles_need_a_positive_length(golden):
     with pytest.raises(ValueError, match="profile needs max_length >= 1"):
         entropy_profile(golden, 0)
